@@ -61,7 +61,7 @@ IDLE_KERNEL_MIN_SHARE = 0.5
 
 #: Minimum certified-slot coverage the array-timeline kernel must
 #: reach on the same fig03-calibrated workload.  Deterministic for the
-#: same reason: below this floor the replay certification stopped
+#: same reason: below this floor the closed-form commit stopped
 #: engaging (a regression in the kernel or its certification gates).
 ARRAY_KERNEL_MIN_SHARE = 0.5
 
@@ -109,8 +109,8 @@ def idle_kernel_run(slots: int = IDLE_KERNEL_SLOTS, seed: int = 7,
     majority of the run.  Returns the kernel coverage counters plus
     throughput (the idle fast path is what makes low-load fleets
     cheap to simulate).  With ``engine="array"`` the same workload runs
-    through the array-timeline kernel, which should certify and replay
-    nearly every slot here.
+    through the array-timeline kernel, which should commit nearly every
+    slot here in closed form.
     """
     from repro.ran.config import PoolConfig, cell_20mhz_fdd
     from repro.scenario import Scenario, build_simulation
@@ -147,12 +147,11 @@ def idle_kernel_run(slots: int = IDLE_KERNEL_SLOTS, seed: int = 7,
         kernel = simulation._array_kernel
         # Wall-clock phase breakdown of the array run: window fill
         # (traffic/plan/DAG prebuild), closed-form vector commits,
-        # fallback heap replays, certification-gate rejects, and the
-        # end-of-run latency histogram/summary fold.
+        # rejects to the event path, and the end-of-run latency
+        # histogram/summary fold.
         report["phases"] = {
             "fill_wall_s": round(simulation.fill_wall_s, 4),
             "vector_wall_s": round(kernel.vector_wall_s, 4),
-            "heap_wall_s": round(kernel.heap_wall_s, 4),
             "gate_wall_s": round(kernel.gate_wall_s, 4),
             "summary_wall_s": round(simulation.summary_wall_s, 4),
         }
@@ -278,11 +277,10 @@ def profile_hotpath(slots: int, seed: int, top: int = 30,
           f"ticks batched {simulation.pool.ticks_batched} in "
           f"{simulation.pool.tick_batches} gaps")
     array_slots = kernel.get("array_slots", 0)
-    vector_slots = kernel.get("vector_slots", 0)
-    print(f"array kernel ({engine} engine): certified and replayed "
+    print(f"array kernel ({engine} engine): committed in closed form "
           f"{array_slots}/{kernel['slots']} slots "
           f"({100.0 * array_slots / max(1, kernel['slots']):.1f}%), "
-          f"{vector_slots} via the closed-form vector path")
+          f"{kernel['slots'] - array_slots} on the event path")
     # Phase breakdown of the same run (wall clock, not profiler time):
     # where a slot's wall goes once the certified window kernel engages.
     phases = [
@@ -295,8 +293,7 @@ def profile_hotpath(slots: int, seed: int, top: int = 30,
         phases[1:1] = [
             ("vector kernel (closed-form commits)",
              array_kernel.vector_wall_s),
-            ("fallback heap replay", array_kernel.heap_wall_s),
-            ("certification-gate rejects", array_kernel.gate_wall_s),
+            ("rejects to the event path", array_kernel.gate_wall_s),
         ]
     print("phase breakdown:")
     for label, wall in phases:

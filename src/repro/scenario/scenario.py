@@ -202,10 +202,11 @@ class Scenario:
     #: scenarios serialize as :data:`RECONFIG_SCHEMA`.
     reconfig: tuple = ()
     #: Simulation engine: "event" runs every task completion and tick
-    #: through the discrete-event heap; "array" additionally replays
-    #: provably contention-free slots through the lockstep array-timeline
-    #: kernel (:mod:`repro.sim.arraykernel`), bypassing the heap while
-    #: reproducing the event engine's results byte-identically.  Slots
+    #: through the discrete-event heap; "array" additionally commits
+    #: provably contention-free slots in closed form through the
+    #: array-timeline kernel (:mod:`repro.sim.arraykernel`), bypassing
+    #: the heap while reproducing the event engine's results
+    #: byte-identically.  Slots
     #: (or whole runs) that cannot be certified fall back to the event
     #: path, so "array" is always safe to request.
     engine_mode: str = "event"

@@ -1,21 +1,28 @@
-"""Array-timeline engine: certified synchronous slot replay.
+"""Array-timeline engine: certified slots committed in closed form.
 
 The event engine spends most of a light slot on heap traffic: every
 task completion, wakeup and 20 µs scheduler tick is a push/pop on the
-global event heap even though, for the overwhelming majority of slots,
-nothing outside the pool can observe the slot's interior.  This kernel
-replays such a slot *inside the slot-boundary callback*: worker timers
-are swapped for local virtual timers, the recurring scheduler tick is
-emulated arithmetically, and the real pool/policy/metrics/OS-model
-methods are invoked in exactly the (time, seq) order the event heap
-would have produced.  Because the replay calls the same code in the
-same order at the same simulated times, results are byte-identical to
-the event engine by construction — the heap is bypassed, never the
-model.
+global event heap even though, for most light slots, nothing outside
+the pool can observe the slot's interior.  At each slot boundary,
+before ``release_slot``, this kernel sends the slot one of two ways:
+
+* **closed-form vector commit** — the slot is certified (contract
+  below) and its event-path trace is provably the canonical
+  wake-once / serial-FIFO / yield-once shape, so the kernel derives
+  that trace arithmetically from the slot's :class:`SlotPlan` and
+  applies its net effect through the same model objects (policy
+  counters, OS-model draw, cache churn events, availability listener,
+  metrics) at the same simulated times, without touching the heap;
+* **event path** — every other slot is released through
+  ``pool.release_slot`` and runs on the event heap exactly as in event
+  mode, followed by :meth:`ArraySlotKernel.after_fallback_release`.
+
+Results are byte-identical to the event engine: the closed form is
+taken only where it provably equals the per-event trace, and every
+other slot *is* the per-event trace.
 
 Certification contract (all must hold, checked per slot at the
-boundary; any failure falls back to ``pool.release_slot`` for that
-slot only):
+boundary; any failure sends that slot alone down the event path):
 
 * the policy certifies (:meth:`SchedulerPolicy.array_certify`) — the
   Concordia scheduler does so iff no DAG state is in flight; policies
@@ -26,9 +33,9 @@ slot only):
   or enabled event bus — their hooks observe interior event order;
 * the workload host is passive (zero cache pressure; the runner
   additionally gates on ``workload == "none"`` so no host-scheduled
-  engine events can interleave with the replayed interior);
-* the engine's ``run_until`` horizon covers the whole slot — a replay
-  must never run events past a horizon the engine is not enforcing;
+  engine events can interleave with the committed interior);
+* the engine's ``run_until`` horizon covers the whole slot — a commit
+  must never apply effects past a horizon the engine is not enforcing;
 * the worst-case makespan fits in the slot: one maximal wakeup latency
   plus the sum over released tasks of the pressure-0 runtime ceiling
   ``max(0.3, base_cost · stoch_mult · 1.25)`` must not reach the next
@@ -37,39 +44,36 @@ slot only):
   the serialized sum therefore bounds the makespan for any worker
   count.
 
-Interior ordering invariants the replay reproduces:
+On top of the contract the closed form needs the slot plan's static
+gates (:meth:`ArraySlotKernel.build_plan`) and per-boundary trace
+checks (:meth:`ArraySlotKernel._vector_replay`): the wakeup must not go
+overdue, no tick may collide with a timer firing, and the release hold
+must end inside the slot.
 
-* virtual timer arms consume a local sequence counter exactly where
-  ``Timer.arm`` would consume an engine sequence number, so equal-time
-  firings tie-break identically;
-* the tick stream's position/sequence is tracked so a tick landing on
-  a timer's firing time fires on the correct side of it;
-* runs of ticks with no micro-event in between are compressed through
-  :meth:`SchedulerPolicy.certify_tick_run` when the policy can prove
-  them identical, and fired one-by-one otherwise;
-* after the last completion the pool's quiescent-gap tick batching is
-  emulated with the exact ``_tick`` loop (same bound/horizon/peek
-  clamps, same ``on_ticks_skipped`` replay);
-* a tick falling exactly on the next boundary is deferred (the event
-  engine fires it *after* the boundary callback): the kernel parks the
-  recurring entry one period later and replays the boundary tick
-  first thing next slot — or, on fallback, fires ``policy.on_tick``
-  right after ``release_slot`` and refreshes the entry's sequence to
-  match the event engine's re-key order.
+The scheduler tick is the one piece of state the two paths hand over.
+A commit walks the slot's 20 µs tick grid arithmetically and re-parks
+the recurring tick entry at the grid's next position.  A tick falling
+exactly on the next boundary must fire *after* that boundary's
+callback, which is what the event engine does; the 1 ms and 500 µs
+slots are whole multiples of the grid, so this happens at every
+boundary.  The kernel therefore parks the entry one period later and
+accounts the boundary tick first thing next slot: inside the next
+commit's grid or, if that slot takes the event path, by firing
+``policy.on_tick`` right after ``release_slot`` and refreshing the
+entry's sequence to match the event engine's re-key order.
 
-Core rotation entries stay in the real heap and fire after the replay
+Core rotation entries stay in the real heap and fire after the commit
 returns; rotation only permutes the worker preference order, and no
 digest-relevant observable depends on worker identity (runtimes depend
 on the running *count*, wakeup latencies come from a shared stream in
-arrival order), so replay and event mode stay byte-identical across
-rotations that land inside a replayed slot.
+arrival order), so commits and event mode stay byte-identical across
+rotations that land inside a committed slot.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from functools import partial
 from heapq import heappop, heappush
 from typing import Optional
 
@@ -102,96 +106,55 @@ _MAKESPAN_MARGIN_US = 1.0
 _STALL_CEIL = 1.25
 
 
-class _VirtualTimer:
-    """Drop-in for an engine ``Timer`` during a replay.
-
-    Same ``arm``/``cancel``/``armed`` surface, but entries go to the
-    kernel's local heap with a local sequence number instead of the
-    engine's.  The kernel detaches the entry before firing so the
-    callback can re-arm, mirroring ``Engine._fire``.
-    """
-
-    __slots__ = ("_kernel", "_callback", "_entry")
-
-    def __init__(self, kernel: "ArraySlotKernel", callback) -> None:
-        self._kernel = kernel
-        self._callback = callback
-        self._entry = None
-
-    @property
-    def armed(self) -> bool:
-        entry = self._entry
-        return entry is not None and entry[2] is not None
-
-    def arm(self, delay: float) -> None:
-        if self.armed:
-            raise RuntimeError("virtual timer is already armed")
-        kernel = self._kernel
-        kernel._vseq += 1
-        entry = [kernel.engine._now + delay, kernel._vseq, self]
-        self._entry = entry
-        heappush(kernel._heap, entry)
-
-    def cancel(self) -> None:
-        entry = self._entry
-        if entry is not None:
-            entry[2] = None
-
-
 class SlotPlan:
-    """Static per-slot precompute for the vectorized certified kernel.
+    """Static per-slot precompute for the closed-form commit.
 
     Built off the boundary hot path (at window-fill time) by
-    :meth:`ArraySlotKernel.build_plan`.  ``ceiling_sum`` is the
-    certification fold reused by the heap replay's budget check even
-    when ``ok`` is False; the remaining fields describe the closed-form
-    schedule and are only populated when the static vector gates hold.
+    :meth:`ArraySlotKernel.build_plan` or
+    :meth:`ArraySlotKernel.build_plan_static`.  Only a plan whose
+    static vector gates held has ``ok`` set; it then carries the
+    certification ceiling sum (checked against the boundary's makespan
+    budget) and the closed-form schedule.
     """
 
     __slots__ = ("ok", "ceiling_sum", "runtimes", "completion",
                  "n_tasks", "release_us", "deadline_us")
 
+    def __init__(self, release_us: float, deadline_us: float) -> None:
+        self.release_us = release_us
+        self.deadline_us = deadline_us
+        self.ok = False
+        self.ceiling_sum = None
+        self.runtimes = None
+        self.completion = None
+        self.n_tasks = 0
+
 
 class ArraySlotKernel:
-    """Replays certified slots synchronously for one ``Simulation``."""
+    """Commits certified slots in closed form for one ``Simulation``."""
 
     def __init__(self, sim) -> None:
         self.sim = sim
         self.engine = sim.engine
         self.pool = sim.pool
-        self._heap: list[list] = []
-        self._vseq = 0
-        # (worker, virtual finish, virtual wake, real finish, real wake)
-        # tuples; rebuilt only when the pool's worker list changes.
-        self._vtimers: list[tuple] = []
         #: A scheduler tick coincides with the next slot boundary; the
         #: event engine fires it right *after* the boundary callback,
-        #: so the kernel replays it at the top of the next slot.
+        #: so the kernel accounts it at the top of the next slot.
         self._pending_boundary_tick = False
         # max_latency_us recomputes a bucket max per call; the isolated
         # mixture is fixed for the pool's lifetime.
         self._wake_bound_us = sim.pool.os_model.max_latency_us(False)
-        #: Micro-events (task/wakeup timer firings) replayed off the
-        #: local heap instead of the engine heap.
-        self.micro_events = 0
-        #: Scheduler ticks consumed arithmetically by the replay
-        #: (live-fired, compressed, vector-gridded and batch-emulated
-        #: alike).
-        self.ticks_emulated = 0
-        #: Wall-clock phase accounting for ``repro bench --profile``.
+        #: Wall-clock phase accounting for ``repro bench --profile``:
+        #: committed slots, and slots rejected to the event path.
         self.vector_wall_s = 0.0
-        self.heap_wall_s = 0.0
         self.gate_wall_s = 0.0
         # Cached SchedulerPolicy.vector_params() (constant per policy).
         self._vp: Optional[dict] = None
         # tuple(kind_key per dag) -> (exec order, completion order).
         self._order_cache: dict = {}
-        # Epoch of pool.workers the virtual-timer pool was built for.
-        self._vtimers_epoch = -1
-        # Deferred metrics from vectorized slots: flushed (in original
-        # chronological order) before any live metrics call can
-        # interleave — i.e. before a heap replay or event-path
-        # fallback, and at end of run.
+        # Deferred metrics from committed slots: flushed (in original
+        # chronological order) before the event path can make a live
+        # metrics call, and at end of run.
         self._pend_wakeups: list = []
         self._pend_lat: list = []
         self._pend_dl: list = []
@@ -202,41 +165,32 @@ class ArraySlotKernel:
     # -- certification -----------------------------------------------------
 
     def _gate_budget(self, now: float, slot_end: float) -> Optional[float]:
-        """Structural certification gates; the runtime budget or None.
+        """Certification gates; the makespan runtime budget or None.
 
         Everything from the module-docstring contract except the
-        per-task ceiling fold, which the caller runs against the
-        returned budget (or reuses a precomputed :class:`SlotPlan`
-        ceiling sum).
+        per-task ceiling fold, whose precomputed :class:`SlotPlan` sum
+        the caller checks against the returned budget.
         """
         pool = self.pool
         if not pool.policy.array_certify():
             return None
         if pool.active_dags or pool._ready or pool._waking or pool._pinned:
             return None
-        if pool.accelerator is not None or pool.task_observer is not None:
-            return None
-        if pool.metrics.record_tasks:
-            return None
-        bus = pool.event_bus
-        if bus is not None and bus.enabled:
-            return None
-        if pool.cache_model.pressure != 0.0:
-            return None
-        if self.engine._run_end < slot_end:
+        if not self.lazy_ok() or self.engine._run_end < slot_end:
             return None
         # Worst-case makespan: one wakeup window plus the serialized
         # pressure-0 runtime ceilings (see module docstring).
         return slot_end - now - _MAKESPAN_MARGIN_US - self._wake_bound_us
 
     def lazy_ok(self) -> bool:
-        """Whether window fill may defer DAG materialization.
+        """Whether the side-channel gates are open.
 
-        Mirrors the *stable* side-channel gates of :meth:`_gate_budget`
-        (everything except per-boundary quiescence): when any of these
-        trips, the boundary would reject every slot anyway and lazily
-        planned slots would each pay a per-slot materialization instead
-        of the window-batched build.
+        The stable part of :meth:`_gate_budget`; policy certification,
+        pool quiescence and the horizon vary per boundary.  Window fill
+        asks it before deferring DAG materialization: while any of
+        these trips, the boundary would reject every slot anyway and
+        lazily planned slots would each pay a per-slot materialization
+        instead of the window-batched build.
         """
         pool = self.pool
         if pool.accelerator is not None or pool.task_observer is not None:
@@ -246,24 +200,7 @@ class ArraySlotKernel:
         bus = pool.event_bus
         if bus is not None and bus.enabled:
             return False
-        if pool.cache_model.pressure != 0.0:
-            return False
-        return True
-
-    def _ceilings_fit(self, dags: list, budget: float) -> bool:
-        total = 0.0
-        for dag in dags:
-            for task in dag.tasks:
-                mult = task.stoch_mult
-                if mult is None:
-                    return False  # presampling disabled; not certified
-                ceiling = task.base_cost_us * mult
-                if task.memory_bound:
-                    ceiling *= _STALL_CEIL
-                total += ceiling if ceiling > 0.3 else 0.3
-                if total > budget:
-                    return False
-        return True
+        return pool.cache_model.pressure == 0.0
 
     # -- slot plans (static topology/cost precompute) ----------------------
 
@@ -341,10 +278,8 @@ class ArraySlotKernel:
         """Precompute one slot's certification fold and vector schedule.
 
         Called by the runner at window-fill time, off the boundary hot
-        path.  The returned plan always carries the certification
-        ceiling sum when presampling is on (reused by :meth:`replay`
-        even when the closed form is rejected); ``plan.ok`` is True
-        only when the static vector gates hold:
+        path.  ``plan.ok`` is True only when the static vector gates
+        hold:
 
         * every DAG is kind-keyed with the slot's uniform release and
           deadline and strictly positive base costs (so EDF reduces to
@@ -355,66 +290,36 @@ class ArraySlotKernel:
           leaves more than a tick period of slack over the critical
           path, so no tick can enter the critical-stage escalation.
 
-        The remaining conditions (pool/policy quiescence, wakeup
-        timing, tick-grid collisions) are per-boundary and are checked
-        dynamically by :meth:`_vector_replay`.
+        The remaining conditions (certification gates, makespan budget,
+        wakeup timing, tick-grid collisions) are per-boundary and are
+        checked when the slot is offered for commit.
         """
-        plan = SlotPlan()
-        plan.release_us = release_us
-        plan.deadline_us = deadline_us
-        plan.ok = False
-        plan.ceiling_sum = None
-        plan.runtimes = None
-        plan.completion = None
-        plan.n_tasks = 0
+        plan = SlotPlan(release_us, deadline_us)
         total = 0.0
         runtimes_flat: list[float] = []
         bases: list[float] = []
-        vec_ok = True
         for dag in dags:
             if (dag.kind_key is None or dag.release_us != release_us
                     or dag.deadline_us != deadline_us):
-                vec_ok = False
+                return plan
             for task in dag.tasks:
                 mult = task.stoch_mult
                 if mult is None:
-                    return plan  # no ceiling sum: replay re-folds & rejects
+                    return plan  # presampling disabled: never certified
                 base = task.base_cost_us
+                if base <= 0.0:
+                    return plan
                 runtime = ceiling = base * mult
                 if task.memory_bound:
                     ceiling *= _STALL_CEIL
-                # Same left fold as _ceilings_fit (dag-major, tasks
-                # order): the early-exit fold and this full fold agree
-                # because the addends are positive and the partial sums
-                # monotone.
                 total += ceiling if ceiling > 0.3 else 0.3
                 # Pressure-0 single-core runtime: base · stoch · 1.0 ·
                 # 1.0, clamped exactly like CostModel.sample_runtime.
                 runtimes_flat.append(runtime if runtime > 0.3 else 0.3)
                 bases.append(base)
-                if base <= 0.0:
-                    vec_ok = False
-        plan.ceiling_sum = total
-        if not vec_ok:
-            return plan
-        vp = self._vector_params()
-        if vp is None:
-            return plan
-        margin_slack = deadline_us - (release_us + slot_us)
-        if margin_slack <= 0.0:
-            return plan
-        bound = (_PRED_SUM_INFLATION * vp["wcet_margin"]
-                 * math.fsum(bases))
-        if bound > _VECTOR_UTIL_FRACTION * margin_slack:
-            return plan
-        if bound + vp["tick_us"] + _MAKESPAN_MARGIN_US >= margin_slack:
-            return plan
-        order, completion = self._merged_order(dags)
-        plan.runtimes = [runtimes_flat[i] for i in order]
-        plan.completion = completion
-        plan.n_tasks = len(runtimes_flat)
-        plan.ok = True
-        return plan
+        return self._finish_plan(plan, total, runtimes_flat, bases,
+                                 slot_us, math.inf,
+                                 lambda: self._merged_order(dags))
 
     def build_plan_static(self, key: tuple, topos: list, bases: list,
                           mults: list, membound: list, release_us: float,
@@ -433,32 +338,41 @@ class ArraySlotKernel:
         almost never forces its DAGs to be materialized at the
         boundary.
         """
-        plan = SlotPlan()
-        plan.release_us = release_us
-        plan.deadline_us = deadline_us
-        plan.ok = False
-        plan.ceiling_sum = None
-        plan.runtimes = None
-        plan.completion = None
-        plan.n_tasks = 0
+        plan = SlotPlan(release_us, deadline_us)
         total = 0.0
-        vec_ok = True
         runtimes_flat: list[float] = []
         for base, mult, is_membound in zip(bases, mults, membound):
+            if base <= 0.0:
+                return plan
             runtime = ceiling = base * mult
             if is_membound:
                 ceiling *= _STALL_CEIL
             total += ceiling if ceiling > 0.3 else 0.3
             runtimes_flat.append(runtime if runtime > 0.3 else 0.3)
-            if base <= 0.0:
-                vec_ok = False
-        plan.ceiling_sum = total
-        if not vec_ok:
+        # The boundary budget would (modulo float dust) reject a larger
+        # ceiling sum; keep such a slot on the materialized path.
+        budget = slot_us - _MAKESPAN_MARGIN_US - self._wake_bound_us
+        return self._finish_plan(plan, total, runtimes_flat, bases,
+                                 slot_us, budget,
+                                 lambda: self._merged_order_for(key, topos))
+
+    def _finish_plan(self, plan: SlotPlan, total: float,
+                     runtimes_flat: list, bases: list, slot_us: float,
+                     budget: float, merged_order) -> SlotPlan:
+        """Shared gate/order tail of :meth:`build_plan` and its static twin.
+
+        ``total`` is the slot's ceiling fold, ``runtimes_flat`` and
+        ``bases`` its per-task pressure-0 runtimes and base costs
+        (dag-major, ``dag.tasks`` order).  A fold above ``budget``
+        keeps the plan off the closed form; ``merged_order()`` yields
+        the slot's (execution, completion) order once every gate held.
+        """
+        if total > budget:
             return plan
         vp = self._vector_params()
         if vp is None:
             return plan
-        margin_slack = deadline_us - (release_us + slot_us)
+        margin_slack = plan.deadline_us - (plan.release_us + slot_us)
         if margin_slack <= 0.0:
             return plan
         bound = (_PRED_SUM_INFLATION * vp["wcet_margin"]
@@ -467,54 +381,26 @@ class ArraySlotKernel:
             return plan
         if bound + vp["tick_us"] + _MAKESPAN_MARGIN_US >= margin_slack:
             return plan
-        if total > slot_us - _MAKESPAN_MARGIN_US - self._wake_bound_us:
-            # The boundary budget would (modulo float dust) reject;
-            # keep the slot on the materialized path.
-            return plan
-        order, completion = self._merged_order_for(key, topos)
+        order, completion = merged_order()
+        plan.ceiling_sum = total
         plan.runtimes = [runtimes_flat[i] for i in order]
         plan.completion = completion
         plan.n_tasks = len(runtimes_flat)
         plan.ok = True
         return plan
 
-    # -- worker timer swap -------------------------------------------------
-
-    def _swap_timers(self) -> None:
-        pool = self.pool
-        if self._vtimers_epoch != pool.workers_epoch:
-            self._vtimers = [
-                (worker,
-                 _VirtualTimer(self, partial(pool._finish, worker)),
-                 _VirtualTimer(self, partial(pool._awake, worker)),
-                 worker.finish_timer, worker.wake_timer)
-                for worker in pool.workers
-            ]
-            self._vtimers_epoch = pool.workers_epoch
-        for worker, vfinish, vwake, _, _ in self._vtimers:
-            vfinish._entry = None
-            vwake._entry = None
-            worker.finish_timer = vfinish
-            worker.wake_timer = vwake
-
-    def _restore_timers(self) -> None:
-        for worker, _, _, finish, wake in self._vtimers:
-            worker.finish_timer = finish
-            worker.wake_timer = wake
-
     # -- deferred metrics --------------------------------------------------
 
     def flush_pending(self) -> None:
-        """Apply metrics deferred by vectorized slots.
+        """Apply metrics deferred by committed slots.
 
         Wakeup latencies, slot completions and core-time segments are
-        buffered across consecutive vectorized slots and folded into
+        buffered across consecutive committed slots and folded into
         the metrics accumulators in their original chronological order.
         Each accumulator is independent, so batching per accumulator
-        preserves byte identity; the buffers only ever span vectorized
-        slots (the replay flushes before any live metrics path — heap
-        replay or event fallback — can interleave, and the runner
-        flushes before finalize/detach/attach).
+        preserves byte identity; the buffers only ever span committed
+        slots (a slot rejected to the event path flushes first, and the
+        runner flushes before finalize/detach/attach).
         """
         metrics = self.pool.metrics
         wakeups = self._pend_wakeups
@@ -533,186 +419,53 @@ class ArraySlotKernel:
             self._pend_res = []
             self._pend_busy = []
 
-    # -- the replay --------------------------------------------------------
+    # -- the slot decision -------------------------------------------------
 
     def try_vector(self, plan: Optional[SlotPlan]) -> bool:
-        """Vector-commit a lazily planned slot whose DAGs were not built.
+        """Commit a lazily planned slot, whose DAGs were never built.
 
         Called from the boundary for slots the window fill left
         unmaterialized.  False means the caller must materialize the
         slot's DAGs (a counter-keyed rebuild, byte-identical to having
-        built them at fill time) and take :meth:`replay`; rejection has
-        no side effects, so the subsequent replay sees a pristine
-        boundary.  No flush happens here — the follow-up replay or
-        event fallback flushes before any live metrics call.
+        built them at fill time) and release them on the event path.
         """
-        if plan is None or not plan.ok:
-            return False
-        wall_start = time.perf_counter()
-        now = self.engine._now
-        slot_end = now + self.sim._slot_us
-        budget = self._gate_budget(now, slot_end)
-        if (budget is not None and plan.ceiling_sum <= budget
-                and self._vector_replay(None, plan, now, slot_end)):
-            self.vector_wall_s += time.perf_counter() - wall_start
-            return True
-        self.gate_wall_s += time.perf_counter() - wall_start
-        return False
+        return self._commit(None, plan)
 
     def replay(self, dags: list,
                plan: Optional[SlotPlan] = None) -> bool:
-        """Replay one slot synchronously; False means "run the event path".
+        """Commit a materialized slot; False means "run the event path".
 
         Called from the slot-boundary callback with the boundary's
         DAGs, before ``release_slot``.  On True the slot is fully
         processed (release, execution, ticks, completions) and the
-        engine clock is back at the boundary time.
+        engine clock is still at the boundary time.
+        """
+        return self._commit(dags, plan)
 
-        With a precomputed ``plan`` whose static vector gates hold, the
-        slot is first offered to :meth:`_vector_replay`, which computes
-        the canonical wake-once/serial-FIFO/yield-once trace in closed
-        form and defers its metrics into the pending buffers; any
-        rejection (static or dynamic) falls through to the per-event
-        heap replay, and any path that can touch live metrics flushes
-        the buffers first.
+    def _commit(self, dags: Optional[list],
+                plan: Optional[SlotPlan]) -> bool:
+        """Certify and vector-commit one slot, or prepare the fallback.
+
+        A slot commits only with a plan whose static gates held, when
+        the certification gates and the makespan budget hold at the
+        boundary and :meth:`_vector_replay` accepts the per-boundary
+        trace.  A rejection changes nothing but the deferred metrics,
+        which are flushed because the event path records live.
         """
         wall_start = time.perf_counter()
-        engine = self.engine
-        pool = self.pool
-        now = engine._now
-        slot_end = now + self.sim._slot_us
-        budget = self._gate_budget(now, slot_end)
-        if budget is None:
-            self.flush_pending()  # event fallback fires live metrics
-            self.gate_wall_s += time.perf_counter() - wall_start
-            return False
-        if plan is not None and plan.ceiling_sum is not None:
-            # Reuse the window-time fold; equivalent to the early-exit
-            # fold because the partial sums are monotone.
-            certified = plan.ceiling_sum <= budget
-        else:
-            certified = self._ceilings_fit(dags, budget)
-        if not certified:
-            self.flush_pending()
-            self.gate_wall_s += time.perf_counter() - wall_start
-            return False
-        if (plan is not None and plan.ok
-                and self._vector_replay(dags, plan, now, slot_end)):
-            self.vector_wall_s += time.perf_counter() - wall_start
-            return True
-        self.flush_pending()  # heap replay calls live metrics below
-        policy = pool.policy
-        period = policy.tick_interval_us
-        tick_event = pool._tick_event
-        if tick_event is None:
-            tick_time = math.inf
-        elif self._pending_boundary_tick:
-            tick_time = now  # deferred boundary tick fires first
-        else:
-            tick_time = tick_event.time
-        self._pending_boundary_tick = False
-        if tick_event is not None:
-            tick_event.cancel()
-        heap = self._heap
-        heap.clear()
-        self._vseq = 0
-        tick_vseq = 0  # the parked entry predates every replay arm
-        self._swap_timers()
-        try:
-            pool.release_slot(dags)
-            while heap:
-                head = heap[0]
-                if head[2] is None:
-                    heappop(heap)
-                    continue
-                next_time = head[0]
-                if tick_time < next_time or (
-                        tick_time == next_time and tick_vseq < head[1]):
-                    # A run of ticks strictly precedes the next
-                    # micro-event (ticks after the first consume fresh,
-                    # larger sequence numbers, so only time gates them).
-                    first = last = tick_time
-                    count = 1
-                    step = first + period
-                    while step < next_time:
-                        last = step
-                        count += 1
-                        step += period
-                    if policy.certify_tick_run(first, last, count):
-                        tick_time = last + period
-                        self._vseq += count
-                        tick_vseq = self._vseq
-                        self.ticks_emulated += count
-                        continue
-                    # Not provably identical: fire ONE tick live and
-                    # re-examine the heap — the tick may arm wakeups
-                    # that land before the rest of the run.
-                    engine._now = tick_time
-                    policy.on_tick(tick_time)
-                    tick_time += period
-                    self._vseq += 1
-                    tick_vseq = self._vseq
-                    self.ticks_emulated += 1
-                    continue
-                entry = heappop(heap)
-                timer = entry[2]
-                engine._now = entry[0]
-                timer._entry = None  # detach so the callback can re-arm
-                self.micro_events += 1
-                timer._callback()
-            # Post-completion: emulate the recurring tick source with
-            # the exact quiescent-gap batching of ``VranPool._tick``
-            # (its guards hold by construction: no active DAGs, no
-            # in-flight wakeups, no side channels).
-            quiet = pool._quiet_until
-            run_end = engine._run_end
-            while tick_time < slot_end:
-                engine._now = tick_time
-                policy.on_tick(tick_time)
-                self._vseq += 1
-                tick_vseq = self._vseq
-                self.ticks_emulated += 1
-                bound = policy.idle_tick_bound(tick_time)
-                if bound is not None:
-                    nxt = engine.peek_time()
-                    step = tick_time + period
-                    skipped = 0
-                    last = 0.0
-                    while (step <= bound and step <= run_end
-                           and step < quiet
-                           and (nxt is None or step < nxt)):
-                        last = step
-                        skipped += 1
-                        step += period
-                    if skipped:
-                        policy.on_ticks_skipped(skipped, last)
-                        pool.ticks_batched += skipped
-                        pool.tick_batches += 1
-                        self.ticks_emulated += skipped
-                        tick_time = last + period
-                        continue
-                tick_time += period
-        finally:
-            self._restore_timers()
-            engine._now = now
-        if tick_event is not None:
-            # Park the recurring tick entry at the stream's next
-            # position.  A position exactly on the next boundary must
-            # fire *after* that boundary's callback, which a fresh
-            # entry (sequence assigned now, before the boundary entry's
-            # re-key) cannot do — defer it to the next replay/fallback
-            # instead.  The final slot has no next boundary (the
-            # driver cancelled the slot event and set quiet = inf), so
-            # the entry parks on the boundary position itself.
-            if tick_time == slot_end and not math.isinf(pool._quiet_until):
-                self._pending_boundary_tick = True
-                tick_time += period
-            pool._tick_event = engine.schedule_every(
-                period, pool._tick, start=tick_time)
-        self.heap_wall_s += time.perf_counter() - wall_start
-        return True
+        if plan is not None and plan.ok:
+            now = self.engine._now
+            slot_end = now + self.sim._slot_us
+            budget = self._gate_budget(now, slot_end)
+            if (budget is not None and plan.ceiling_sum <= budget
+                    and self._vector_replay(dags, plan, now, slot_end)):
+                self.vector_wall_s += time.perf_counter() - wall_start
+                return True
+        self.flush_pending()
+        self.gate_wall_s += time.perf_counter() - wall_start
+        return False
 
-    # -- the vectorized (closed-form) replay -------------------------------
+    # -- the closed-form commit --------------------------------------------
 
     def _vector_replay(self, dags: Optional[list], plan: SlotPlan,
                        now: float, slot_end: float) -> bool:
@@ -731,13 +484,13 @@ class ArraySlotKernel:
         pending buffers.  Any condition whose event-path outcome is not
         provably the closed form (an overdue wakeup, a tick colliding
         with a timer firing, a release hold crossing the boundary)
-        rejects, and the heap replay runs the slot instead.
+        rejects, and the slot takes the event path instead.
         """
         pool = self.pool
         policy = pool.policy
         engine = self.engine
         # Quiescent start: no cores held over from a previous slot
-        # (a fallback slot's release hold can cross the boundary).
+        # (an event-path slot's release hold can cross the boundary).
         if pool._reserved or pool.target_cores:
             return False
         if not policy.vector_ready():
@@ -828,7 +581,7 @@ class ArraySlotKernel:
             t += period
         if not n_grid or t_yield is None:
             return False
-        # ---- commit: replay the trace's net effect -------------------
+        # ---- commit: apply the trace's net effect --------------------
         metrics = pool.metrics
         cache = pool.cache_model
         # _wake at the boundary: consume the peeked OS-latency draw,
@@ -878,8 +631,14 @@ class ArraySlotKernel:
         # Policy net effect: per-tick/per-release counters plus the
         # final reclaim-window state.
         policy.vector_commit(n_grid, last_tick)
-        # Re-park the recurring tick entry exactly like the heap replay
-        # (see that method's comment for the boundary-tick deferral).
+        # Re-park the recurring tick entry at the grid's next position.
+        # A position exactly on the next boundary must fire *after*
+        # that boundary's callback, which a fresh entry (sequence
+        # assigned now, before the boundary entry's re-key) cannot do —
+        # park it one period later and account the boundary tick at the
+        # top of the next slot instead.  The final slot has no next
+        # boundary (the runner cancelled the slot event and set quiet =
+        # inf), so the entry parks on the boundary position itself.
         tick_event.cancel()
         self._pending_boundary_tick = False
         if t == slot_end and not math.isinf(pool._quiet_until):
@@ -887,23 +646,21 @@ class ArraySlotKernel:
             t += period
         pool._tick_event = engine.schedule_every(
             period, pool._tick, start=t)
-        self.micro_events += plan.n_tasks + 1
-        self.ticks_emulated += n_grid
         self.sim.kernel_stats["vector_slots"] += 1
         return True
 
     def after_fallback_release(self) -> None:
-        """Replay a deferred boundary tick on the event path.
+        """Fire a deferred boundary tick on the event path.
 
-        When a slot falls back with a boundary-coincident tick parked
-        by the previous replay, the event engine would have fired that
-        tick immediately after the boundary callback: same time, DAGs
-        just released.  ``VranPool._tick`` reduces to ``policy.on_tick``
-        there (the pool is never quiescent right after a release), so
-        fire that, then refresh the recurring entry's sequence number —
-        the event engine re-keys *after* the boundary's arms, so the
-        parked entry's stale (older) sequence would tie-break wrongly
-        against timers armed this boundary.
+        When a slot takes the event path with a boundary-coincident
+        tick parked by the previous commit, the event engine would have
+        fired that tick immediately after the boundary callback: same
+        time, DAGs just released.  ``VranPool._tick`` reduces to
+        ``policy.on_tick`` there (the pool is never quiescent right
+        after a release), so fire that, then refresh the recurring
+        entry's sequence number — the event engine re-keys *after* the
+        boundary's arms, so the parked entry's stale (older) sequence
+        would tie-break wrongly against timers armed this boundary.
         """
         if not self._pending_boundary_tick:
             return
@@ -912,7 +669,6 @@ class ArraySlotKernel:
         engine = self.engine
         policy = pool.policy
         policy.on_tick(engine._now)
-        self.ticks_emulated += 1
         tick_event = pool._tick_event
         if tick_event is not None:
             next_time = tick_event.time

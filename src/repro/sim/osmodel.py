@@ -134,7 +134,7 @@ class WakeupLatencyModel:
         The mixture draws uniformly within its buckets, so the bound is
         the largest bucket ceiling (200 µs isolated).  The array-timeline
         kernel uses it in its slot makespan pre-check: a slot is only
-        replayed synchronously when even worst-case wakeups plus
+        committed in closed form when even worst-case wakeups plus
         worst-case task runtimes fit inside the slot.
         """
         _, buckets = self._collocated if collocated else self._isolated

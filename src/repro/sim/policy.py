@@ -87,28 +87,15 @@ class SchedulerPolicy(abc.ABC):
     # -- array-timeline engine certification --------------------------------
 
     def array_certify(self) -> bool:
-        """Whether the array-timeline kernel may replay the next slot.
+        """Whether the array-timeline kernel may commit the next slot.
 
         Called at a slot boundary (before the slot's DAGs are released)
         when the pool is otherwise quiescent.  Returning True certifies
         that the policy carries no cross-slot state the kernel's
-        synchronous replay could mis-order (no live reclaim ratchet, no
+        closed-form commit could mis-order (no live reclaim ratchet, no
         in-flight DAG bookkeeping).  The default is False: only
         policies that have audited their tick/ratchet machinery against
-        the replay contract opt in.
-        """
-        return False
-
-    def certify_tick_run(self, start: float, end: float,
-                         count: int) -> bool:
-        """Try to compress ``count`` ticks in ``(start, end]`` at once.
-
-        Called by the array kernel between micro-events while DAGs are
-        in flight (so :meth:`idle_tick_bound` does not apply).  Return
-        True after replaying the ticks' net accounting effect
-        (scheduling-call counters, reclaim-window updates) in closed
-        form; return False to make the kernel fire each tick through
-        :meth:`on_tick` individually.  The default never compresses.
+        the commit contract opt in.
         """
         return False
 
@@ -123,7 +110,7 @@ class SchedulerPolicy(abc.ABC):
         policy's entire per-slot behaviour is the canonical
         wake-once/serial-FIFO/yield-once trace the vectorized kernel
         computes in closed form (see repro.sim.arraykernel).  The
-        default None keeps the per-event emulation.
+        default None keeps every slot on the event path.
         """
         return None
 

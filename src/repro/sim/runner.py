@@ -453,7 +453,6 @@ class Simulation:
         #: materializes them from the jobs with a byte-identical
         #: counter-keyed rebuild.  None for materialized slots.
         self._win_jobs: deque = deque()
-        self._use_vector_plans = False
         # kind_key -> (decode indices, memory-bound flags): the task
         # *type* sequence is fully determined by the kind key, so this
         # per-row metadata is shared by every DAG of a kind.
@@ -467,18 +466,18 @@ class Simulation:
             "window_slots": 0,   # slots served by the window kernel
             "idle_slots": 0,     # of those, slots with zero bytes
             "windows": 0,        # build_many pre-pass invocations
-            "array_slots": 0,    # slots replayed by the array kernel
+            "array_slots": 0,    # slots taken by the array kernel
             "vector_slots": 0,   # of those, closed-form vector commits
         }
         #: Wall-clock phase accounting for ``repro bench --profile``.
         self.fill_wall_s = 0.0
         self.summary_wall_s = 0.0
-        #: Array-timeline engine (ISSUE 9): "array" replays certified
-        #: slots synchronously inside the boundary callback, bypassing
-        #: the event heap; "event" (the default) is the legacy
-        #: per-event path.  Slots the kernel cannot certify fall back
-        #: to the event path mid-run, so results are byte-identical
-        #: either way (see repro.sim.arraykernel).
+        #: Array-timeline engine: "array" commits certified slots in
+        #: closed form inside the boundary callback, bypassing the
+        #: event heap; "event" (the default) is the per-event path.
+        #: Slots the kernel cannot certify take the event path mid-run,
+        #: so results are byte-identical either way (see
+        #: repro.sim.arraykernel).
         self.engine_mode = getattr(scenario, "engine_mode", "event")
         self._array_kernel = None
         self._use_array = False
@@ -639,7 +638,7 @@ class Simulation:
             job_counts.append(n_jobs)
             idle_flags.append(idle)
             release += slot_us
-        if (self._use_vector_plans and self.demand_observer is None
+        if (self._use_array and self.demand_observer is None
                 and self._array_kernel.lazy_ok()):
             # Plan-direct fill: certify from cost rows, defer (most)
             # DAG construction to the slots that actually need it.
@@ -655,7 +654,7 @@ class Simulation:
             win_plans = self._win_plans
             win_jobs = self._win_jobs
             build_plan = (self._array_kernel.build_plan
-                          if self._use_vector_plans else None)
+                          if self._use_array else None)
             pos = 0
             for (n_jobs, idle, meta) in zip(job_counts, idle_flags,
                                             slot_meta):
@@ -924,21 +923,21 @@ class Simulation:
             # The pool is guaranteed no new work until the next
             # boundary — the tick-batching fast path keys off this.
             pool._quiet_until = self.engine.now + self._slot_us
-        kernel = self._array_kernel
-        if kernel is not None and self._use_array:
-            if dags is None and kernel.try_vector(plan):
-                stats["array_slots"] += 1
-                return
+        if self._use_array:
+            kernel = self._array_kernel
             if dags is None:
+                if kernel.try_vector(plan):
+                    stats["array_slots"] += 1
+                    return
                 # Dynamic rejection of a lazily planned slot: build the
-                # DAGs now (byte-identical counter-keyed rebuild) and
-                # take the ordinary replay/fallback path.
+                # DAGs now (byte-identical counter-keyed rebuild) for
+                # the event path.
                 dags = self.builder.build_many(jobs)
-            if kernel.replay(dags, plan):
+            elif kernel.replay(dags, plan):
                 stats["array_slots"] += 1
                 return
             pool.release_slot(dags)
-            # A boundary-coincident tick parked by a previous replay
+            # A boundary-coincident tick parked by a previous commit
             # fires right after the boundary on the event path.
             kernel.after_fallback_release()
             return
@@ -1270,20 +1269,16 @@ class Simulation:
         # interiors are observable or whose builds feed back into the
         # timeline (mirrors the window kernel's gating, plus reconfig:
         # worker add/remove and cell detach/attach change pool
-        # structure mid-run).  Everything event-dependent — observers,
-        # bus, pressure, quiescence — is re-checked live per slot.
+        # structure mid-run), and for policies without the closed-form
+        # commit, which is the only way the kernel can take a slot.
+        # Everything event-dependent — observers, bus, pressure,
+        # quiescence — is re-checked live per slot.
         self._use_array = (
             self._array_kernel is not None
             and not self.profiling_traffic
             and self.allocation_mode != "mac"
             and self.workload_name == "none"
             and not self.scenario.reconfig
-        )
-        # Vector plans only pay off when the policy supports the
-        # closed-form commit; without it every plan would be dead
-        # weight on the window fill.
-        self._use_vector_plans = (
-            self._use_array
             and self.policy.vector_params() is not None
         )
         self._slot_event = self.engine.schedule_every(

@@ -1,18 +1,19 @@
 """A/B byte-identity tests for the array-timeline engine mode.
 
-``engine_mode="array"`` replays certified slots synchronously inside
+``engine_mode="array"`` commits certified slots in closed form inside
 the slot-boundary callback (``repro.sim.arraykernel``), bypassing the
-event heap while invoking the real pool/policy/metrics/OS-model
-methods in exact (time, seq) order.  It is only admissible because the
-result payload is byte-identical to the event engine: the canonical
-digest must match on every workload, whether a run certifies every
-slot (fig03-calibrated low load), none (the load-0.5 goldens), or a
-per-slot mixture — and the kernel must cleanly self-disable under
-every mode whose interior the replay cannot certify.
+event heap; every other slot takes the event path.  It is only
+admissible because the result payload is byte-identical to the event
+engine: the canonical digest must match on every workload, whether a
+run commits almost every slot (fig03-calibrated low load), none (the
+load-0.5 goldens), or a per-slot mixture — and the kernel must cleanly
+self-disable under every mode whose interior it cannot certify.
 """
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from tests.test_determinism import (
     FLEET_CELLS,
@@ -92,10 +93,11 @@ class TestGoldenWorkloadsByteIdentity:
 
 class TestCertifiedReplayByteIdentity:
     def test_fig03_low_load_fully_certified(self):
-        # One 20 MHz cell at 2 % load: every slot passes certification
-        # (quiescent boundary, makespan fits), so this exercises the
-        # pure replay path including the boundary-coincident tick
-        # parking (500 us slots / 20 us ticks divide evenly).
+        # One 20 MHz cell at 2 % load: nearly every slot passes
+        # certification (quiescent boundary, makespan fits), so this
+        # exercises long runs of closed-form commits including the
+        # boundary-coincident tick parking (1 ms slots / 20 us ticks
+        # divide evenly).
         array_sim = build_simulation(_fig03_scenario())
         on = result_digest(array_sim.run(240))
         event_sim = build_simulation(_fig03_scenario(engine_mode="event"))
@@ -105,15 +107,15 @@ class TestCertifiedReplayByteIdentity:
         assert stats["array_slots"] / stats["slots"] >= 0.5
 
     def test_mixed_certified_and_fallback_slots(self):
-        # Seven cells at 10 % load: some slots certify, others carry
+        # Seven cells at 10 % load: some slots commit, others carry
         # DAGs across the boundary or blow the makespan budget and
-        # fall back mid-run — the hard case for the parked-tick and
-        # sequence-parity bookkeeping.
+        # take the event path mid-run — the hard case for the
+        # parked-tick hand-over between the two paths.
         on, off, sim = _ab(dict(load_fraction=0.1, seed=7), slots=120)
         assert on == off
         stats = sim.kernel_stats
         assert 0 < stats["array_slots"] < stats["slots"], (
-            "expected a per-slot mixture of replay and fallback, got "
+            "expected a per-slot mixture of commits and fallback, got "
             f"{stats}")
 
     def test_flexran_policy_never_certifies_but_matches(self):
@@ -123,28 +125,28 @@ class TestCertifiedReplayByteIdentity:
 
 
 class TestVectorKernelInterleave:
-    """Closed-form vector commits and heap replays share one run.
+    """Closed-form vector commits and event-path slots share one run.
 
-    The window-vectorized kernel (ISSUE 10) commits most certified
-    slots without touching the event heap; slots whose OS wakeup draw
-    lands in the overdue tail (or whose DAGs were materialized at fill
-    time with inflation pending) replay through the heap instead.  The
+    The window-vectorized kernel commits most certified slots without
+    touching the event heap; slots whose OS wakeup draw lands in the
+    overdue tail (or whose DAGs were materialized at fill time with
+    inflation pending) are released on the event path instead.  The
     two paths interleave slot by slot and the digest must not move.
     """
 
-    def test_fig03_vector_and_heap_slots_interleave(self):
+    def test_fig03_vector_and_event_slots_interleave(self):
         array_sim = build_simulation(_fig03_scenario())
         on = result_digest(array_sim.run(240))
         event_sim = build_simulation(_fig03_scenario(engine_mode="event"))
         off = result_digest(event_sim.run(240))
         assert on == off
         stats = array_sim.kernel_stats
-        # Every slot is array-replayed, most in closed form, and the
-        # remainder (overdue-wakeup tail draws, ~5 % of slots) through
-        # the heap fallback — both kinds must occur in this run for
-        # the test to mean anything.
-        assert stats["array_slots"] == stats["slots"]
-        assert 0 < stats["vector_slots"] < stats["array_slots"]
+        # The kernel takes a slot only in closed form; the remainder
+        # (overdue-wakeup tail draws, ~5 % of slots) runs on the event
+        # path — both kinds must occur in this run for the test to
+        # mean anything.
+        assert stats["vector_slots"] == stats["array_slots"]
+        assert 0 < stats["vector_slots"] < stats["slots"]
         assert event_sim.kernel_stats["vector_slots"] == 0
 
     def test_mixed_load_vector_slots_subset_of_array_slots(self):
@@ -157,7 +159,8 @@ class TestVectorKernelInterleave:
     def test_window_barrier_splits_certified_run(self):
         # A barrier splits the window fill without disabling the
         # kernel: the certified run is planned across two shorter
-        # windows (one extra fill pass) and stays byte-identical.
+        # windows (one extra fill pass), commits the same slots in
+        # closed form, and stays byte-identical.
         base = build_simulation(_fig03_scenario())
         reference = result_digest(base.run(240))
         split = build_simulation(_fig03_scenario())
@@ -165,8 +168,50 @@ class TestVectorKernelInterleave:
         assert result_digest(split.run(240)) == reference
         stats = split.kernel_stats
         assert stats["windows"] == base.kernel_stats["windows"] + 1
-        assert stats["array_slots"] == stats["slots"]
-        assert stats["vector_slots"] > 0
+        assert stats["vector_slots"] == stats["array_slots"] \
+            == base.kernel_stats["vector_slots"]
+        assert 0 < stats["vector_slots"] < stats["slots"]
+
+
+class TestGeneratedScenariosMatchEventEngine:
+    """Differential oracle for the kernel's one fallback.
+
+    Whatever mix of closed-form commits and event-path slots a small
+    random scenario produces — including the boundary-tick hand-over
+    in ``after_fallback_release`` — its digest must equal the event
+    engine's.  Examples are derandomized, so the mixture check below
+    is reproducible, and not shrunk, so a failure reports in seconds
+    rather than minutes.
+    """
+
+    def test_array_digest_equals_event_digest(self):
+        mixed = []
+
+        @settings(max_examples=20, deadline=None, derandomize=True,
+                  database=None, phases=(Phase.explicit, Phase.generate))
+        @given(cells=st.integers(1, 3),
+               load=st.floats(0.01, 0.3),
+               seed=st.integers(0, 2**16),
+               policy=st.sampled_from(["concordia-noml", "flexran"]),
+               harq=st.booleans(),
+               slots=st.integers(60, 200))
+        def check(cells, load, seed, policy, harq, slots):
+            pool = PoolConfig(
+                cells=tuple(cell_20mhz_fdd(f"c{i}") for i in range(cells)),
+                num_cores=4, deadline_us=2000.0)
+            kwargs = dict(pool=pool, policy=policy, load_fraction=load,
+                          seed=seed, harq=harq)
+            array_sim = build_simulation(_scenario(**kwargs))
+            on = result_digest(array_sim.run(slots))
+            event_sim = build_simulation(
+                _scenario(engine_mode="event", **kwargs))
+            assert on == result_digest(event_sim.run(slots))
+            stats = array_sim.kernel_stats
+            if 0 < stats["vector_slots"] < stats["slots"]:
+                mixed.append(stats)
+
+        check()
+        assert mixed, "no example mixed vector and event-path slots"
 
 
 def _alloc(ue_id: int, tbs_bytes: int, snr_db: float,
@@ -365,7 +410,7 @@ class TestFleetByteIdentity:
 
 
 class TestKernelSelfDisable:
-    """Modes the replay cannot certify must fall back cleanly."""
+    """Modes the kernel cannot certify must fall back cleanly."""
 
     @pytest.mark.parametrize("overrides", [
         dict(allocation="mac"),
