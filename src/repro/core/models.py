@@ -133,12 +133,11 @@ class _MeanTree:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "_MeanTree":
         self._tree.fit(X, y)
-        sums = np.zeros(self._tree.num_leaves)
-        counts = np.zeros(self._tree.num_leaves)
-        for row, target in zip(X, y):
-            leaf = self._tree.leaf_index(row)
-            sums[leaf] += target
-            counts[leaf] += 1
+        leaves = self._tree.leaf_indices(X)
+        size = self._tree.num_leaves
+        # bincount adds the weights in row order, like a per-row loop.
+        sums = np.bincount(leaves, weights=y, minlength=size)
+        counts = np.bincount(leaves, minlength=size).astype(np.float64)
         counts[counts == 0] = 1
         self._leaf_means = sums / counts
         return self
@@ -146,6 +145,10 @@ class _MeanTree:
     def predict(self, x: np.ndarray) -> float:
         assert self._leaf_means is not None
         return float(self._leaf_means[self._tree.leaf_index(x)])
+
+    def predict_many(self, X: np.ndarray) -> np.ndarray:
+        assert self._leaf_means is not None
+        return self._leaf_means[self._tree.leaf_indices(X)]
 
 
 class GradientBoostingWCET(WcetModel, _ResidualTailMixin):
@@ -192,7 +195,7 @@ class GradientBoostingWCET(WcetModel, _ResidualTailMixin):
                 tree.fit(X, residual)
             except ValueError:
                 break
-            update = np.array([tree.predict(row) for row in X])
+            update = tree.predict_many(X)
             if float(np.abs(update).max()) < 1e-12:
                 break
             pred = pred + self.learning_rate * update

@@ -210,9 +210,25 @@ class QuantileDecisionTree:
         return int(leaf_id[node])
 
     def leaf_indices(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`leaf_index` over rows of ``X``."""
-        return np.array([self.leaf_index(row) for row in np.asarray(X)],
-                        dtype=np.int64)
+        """:meth:`leaf_index` for every row of ``X`` at once.
+
+        All rows descend together, one tree level per pass, with the
+        same ``<=`` comparison as the scalar walk.
+        """
+        if not self._fitted:
+            raise RuntimeError("tree is not fitted")
+        X = np.asarray(X)
+        node = np.zeros(len(X), dtype=np.int64)
+        active = np.arange(len(X))
+        while len(active):
+            current = node[active]
+            internal = self._leaf_id[current] < 0
+            active, current = active[internal], current[internal]
+            go_left = (X[active, self._feature[current]]
+                       <= self._threshold[current])
+            node[active] = np.where(go_left, self._left[current],
+                                    self._right[current])
+        return self._leaf_id[node].astype(np.int64)
 
     # -- online phase ----------------------------------------------------------
 

@@ -15,13 +15,21 @@ mismatch means a behavioural regression, not a stale test.  Only an
 intentional model/semantics change may regenerate them (with
 ``python -m tests.test_determinism`` printing the current values).
 
-The ``concordia`` (ML) policy is excluded: its predictor's disk cache
-makes run-to-run digests environment-dependent.  ``concordia-noml``
-exercises the identical pool/scheduler fast path without training.
+The ``concordia`` (ML) policy is not in that table: the default
+``get_predictor`` path reads and writes a disk cache, so a run there
+depends on what an earlier run left behind.  ``concordia-noml``
+exercises the identical pool/scheduler fast path without training, and
+one extra golden, :data:`GOLDEN_TRAINED_DIGEST`, pins the ML policy
+end to end: a predictor trained in-process (``cache_path=None``, small
+profiling budget) and handed to the simulation explicitly.  It covers
+the whole offline phase (profiling, distance-correlation ranking with
+its subsample draws, backwards elimination, the quantile-tree fit), so
+a speed-up anywhere in training must leave it unchanged.
 """
 
 import json
 
+from repro.core.training import train_predictor
 from repro.exec import run_batch
 from repro.exec.digest import result_digest
 from repro.experiments.common import make_spec
@@ -54,6 +62,14 @@ GOLDEN_DIGESTS = {
         "a3296113bb9479bbb30b7b5150ddea5c40ab06fc48c8ec4e6ecd548f3c1ace89",
 }
 
+#: Trained ``concordia`` golden: 7 x 20 MHz pool, redis, load 0.5,
+#: seed 11, 80 slots, with a predictor trained on TRAINED_SLOTS
+#: profiling slots (seed 11).  Several task types exceed the 1500-sample
+#: dCor cap at this budget, so the subsample draws are covered too.
+TRAINED_SLOTS = 40
+GOLDEN_TRAINED_DIGEST = \
+    "3dfeec2e54d124cf0801f4d8bdbe82f7a75d97e315fbe74df4bd1e07fd729d73"
+
 
 def _run_digest(policy: str, workload: str) -> str:
     scenario = Scenario(
@@ -67,6 +83,21 @@ def _run_digest(policy: str, workload: str) -> str:
     return result_digest(result)
 
 
+def _trained_digest() -> str:
+    scenario = Scenario(
+        pool={"name": "20mhz"},
+        policy="concordia",
+        workload="redis",
+        load_fraction=0.5,
+        seed=SEED,
+    )
+    predictor = train_predictor(scenario.pool_config(),
+                                num_slots=TRAINED_SLOTS, seed=SEED,
+                                cache_path=None)
+    result = build_simulation(scenario, predictor=predictor).run(SLOTS)
+    return result_digest(result)
+
+
 class TestGoldenDigests:
     def test_all_policy_workload_cells_match_golden(self):
         mismatches = {}
@@ -77,6 +108,11 @@ class TestGoldenDigests:
         assert not mismatches, (
             "result digests drifted from the pre-optimization goldens "
             f"(behavioural regression): {mismatches}")
+
+    def test_trained_concordia_matches_golden(self):
+        assert _trained_digest() == GOLDEN_TRAINED_DIGEST, (
+            "trained-predictor digest drifted from the golden "
+            "(behavioural regression in training or the ML policy)")
 
     def test_digest_is_run_to_run_stable(self):
         first = _run_digest("concordia-noml", "redis")
@@ -137,5 +173,6 @@ if __name__ == "__main__":  # pragma: no cover — golden regeneration aid
         cell: _run_digest(*cell) for cell in GOLDEN_DIGESTS
     }
     payload = {f"{p}/{w}": d for (p, w), d in current.items()}
+    payload["concordia/redis (trained)"] = _trained_digest()
     payload["fleet"] = combined_digest(_fleet_digests(shards=1))
     print(json.dumps(payload, indent=2))

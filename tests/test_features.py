@@ -11,6 +11,60 @@ from repro.core.features import (
     rank_by_distance_correlation,
     select_features,
 )
+from repro.core.training import collect_offline_dataset
+from repro.ran.config import PoolConfig, cell_20mhz_fdd
+
+
+def _centered_distance_matrix(v: np.ndarray) -> np.ndarray:
+    """Double-centered pairwise-distance matrix of a 1-D sample."""
+    d = np.abs(v[:, None] - v[None, :])
+    row_mean = d.mean(axis=1, keepdims=True)
+    col_mean = d.mean(axis=0, keepdims=True)
+    return d - row_mean - col_mean + d.mean()
+
+
+def reference_distance_correlation(x, y, max_samples=1500, rng=None):
+    """The textbook O(n²) formula: two double-centred n×n matrices.
+
+    Draws the same subsample as :func:`distance_correlation`, so the
+    two can be compared on any input.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if len(x) > max_samples:
+        rng = rng if rng is not None else np.random.default_rng(0)
+        idx = rng.choice(len(x), size=max_samples, replace=False)
+        x, y = x[idx], y[idx]
+    a = _centered_distance_matrix(x)
+    b = _centered_distance_matrix(y)
+    dcov2 = float((a * b).mean())
+    dvar_x = float((a * a).mean())
+    dvar_y = float((b * b).mean())
+    if dvar_x <= 0 or dvar_y <= 0:
+        return 0.0
+    dcor2 = dcov2 / np.sqrt(dvar_x * dvar_y)
+    return float(np.sqrt(max(0.0, dcor2)))
+
+
+def reference_ranking(X, y, max_samples=1500, rng=None):
+    """Every feature index, best first, scored by the reference."""
+    scores = [reference_distance_correlation(X[:, j], y, max_samples, rng)
+              for j in range(X.shape[1])]
+    return [int(j) for j in np.argsort(scores)[::-1]]
+
+
+def _column(kind: str, n: int, scale: float, rng, base=None):
+    if kind == "normal":
+        v = rng.normal(size=n)
+    elif kind == "discrete":
+        v = rng.integers(0, 4, n).astype(float)
+    elif kind == "binary":
+        v = rng.integers(0, 2, n).astype(float)
+    elif kind == "rounded":  # ties in y that follow x
+        v = np.round(base + rng.normal(0, 0.5, n))
+    else:  # "square": a nonlinear function of x
+        v = base ** 2
+    return v * scale
 
 
 class TestDistanceCorrelation:
@@ -34,6 +88,23 @@ class TestDistanceCorrelation:
         x = np.ones(100)
         y = np.arange(100.0)
         assert distance_correlation(x, y) == 0.0
+
+    def test_constant_inexact_float_gives_exact_zero(self):
+        # 0.1 is not a binary fraction: cumsums over it leave round-off
+        # that a ratio of variance terms would turn into a score.
+        x = np.full(300, 0.1)
+        y = np.random.default_rng(8).normal(size=300)
+        assert distance_correlation(x, y) == 0.0
+        assert distance_correlation(y, x) == 0.0
+
+    def test_constant_y_gives_zero(self):
+        x = np.arange(50.0)
+        assert distance_correlation(x, np.full(50, 3.3)) == 0.0
+
+    def test_two_samples(self):
+        assert distance_correlation([0.0, 1.0], [5.0, 2.0]) == \
+            pytest.approx(1.0, abs=1e-12)
+        assert distance_correlation([0.1, 0.1], [5.0, 2.0]) == 0.0
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -61,6 +132,56 @@ class TestDistanceCorrelation:
         backward = distance_correlation(y, x)
         assert 0.0 <= forward <= 1.0 + 1e-9
         assert forward == pytest.approx(backward, abs=1e-9)
+
+
+@st.composite
+def _sample_pairs(draw):
+    n = draw(st.integers(min_value=2, max_value=400))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    x_kind = draw(st.sampled_from(("normal", "discrete", "binary")))
+    y_kind = draw(st.sampled_from(
+        ("normal", "discrete", "binary", "rounded", "square")))
+    x_scale = 10.0 ** draw(st.integers(min_value=-6, max_value=6))
+    y_scale = 10.0 ** draw(st.integers(min_value=-6, max_value=6))
+    offset = draw(st.sampled_from((0.0, -3.0, 1e4)))
+    rng = np.random.default_rng(seed)
+    x = _column(x_kind, n, x_scale, rng) + offset * x_scale
+    y = _column(y_kind, n, y_scale, rng, base=x / x_scale)
+    return x, y
+
+
+class TestAgainstReference:
+    """The O(n log n) statistic against the double-centred matrices.
+
+    The comparison is on dCor²: that is what both formulas compute up
+    to round-off.  Near dCor = 0 the square root turns 1e-16 of noise
+    into ~1e-8 (an exactly independent 2x2 table scores ~1e-8 in either
+    formula), so 1e-12 on dCor² is the well-posed form of "within 1e-9"
+    and implies it wherever dCor >= 1e-3.
+    """
+
+    @given(_sample_pairs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_matrix_formula(self, pair):
+        x, y = pair
+        got = distance_correlation(x, y)
+        want = reference_distance_correlation(x, y)
+        assert got ** 2 == pytest.approx(want ** 2, abs=1e-12)
+        if want >= 1e-3:
+            assert got == pytest.approx(want, abs=1e-9)
+
+    def test_profiled_pool_ranking_matches_reference(self):
+        pool = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=4,
+                          deadline_us=2000.0)
+        dataset = collect_offline_dataset(pool, num_slots=150, seed=11)
+        for task_type in dataset.task_types():
+            X, y = dataset.arrays(task_type)
+            ranked = rank_by_distance_correlation(
+                X, y, top_n=X.shape[1], max_samples=400,
+                rng=np.random.default_rng(5))
+            assert ranked == reference_ranking(
+                X, y, max_samples=400, rng=np.random.default_rng(5)), \
+                task_type
 
 
 class TestRanking:

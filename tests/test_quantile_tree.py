@@ -151,3 +151,36 @@ def test_partition_property(seed):
     second = [tree.leaf_index(p) for p in probes]
     assert first == second
     assert all(0 <= leaf < tree.num_leaves for leaf in first)
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=1, max_value=60))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_leaf_indices_matches_scalar_walk(seed, max_depth, min_leaf):
+    """The level-by-level batch routing equals the per-row walk,
+    including rows that sit exactly on a split threshold."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 600))
+    X = np.column_stack([rng.uniform(-5, 5, n),
+                         rng.integers(0, 4, n).astype(float),
+                         rng.normal(size=n)])
+    y = X[:, 0] ** 2 + 3.0 * X[:, 1] + rng.normal(0, 0.2, n)
+    tree = QuantileDecisionTree(TreeConfig(
+        max_depth=max_depth, min_samples_leaf=min_leaf)).fit(X, y)
+    on_threshold = X[:20].copy()
+    for node, feature in enumerate(tree._feature):
+        if tree._leaf_id[node] < 0:
+            on_threshold[node % len(on_threshold), feature] = \
+                tree._threshold[node]
+    probes = np.vstack([X, rng.uniform(-10, 10, size=(50, 3)),
+                        on_threshold])
+    batch = tree.leaf_indices(probes)
+    assert batch.dtype == np.int64
+    assert batch.tolist() == [tree.leaf_index(row) for row in probes]
+    assert tree.leaf_indices(np.empty((0, 3))).tolist() == []
+
+
+def test_leaf_indices_unfitted_raises():
+    with pytest.raises(RuntimeError):
+        QuantileDecisionTree().leaf_indices(np.zeros((2, 3)))
