@@ -18,8 +18,6 @@ Commands:
   through the fleet planner and its persistent worker pool
   (``--jobs J``), with an optional serial byte-identity check
   (``--verify-serial``);
-* ``bench``   — hot-path throughput benchmark / CI guard / profiler
-  (see :mod:`repro.bench`);
 * ``list``    — enumerate available policies, workloads and figures.
 """
 
@@ -30,7 +28,6 @@ import json
 import sys
 from typing import Optional
 
-from . import bench
 from .experiments import (
     dag_structure,
     fig03_traffic,
@@ -218,11 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "byte-identical per-cell digests")
     fleet_cmd.add_argument("--json", action="store_true",
                            help="emit the full fleet report as JSON")
-
-    bench_cmd = sub.add_parser(
-        "bench",
-        help="hot-path throughput benchmark, CI guard and profiler")
-    bench.add_bench_arguments(bench_cmd)
 
     sub.add_parser("list", help="list policies, workloads and figures")
     return parser
@@ -575,7 +567,6 @@ def main(argv: Optional[list] = None) -> int:
         "trace": _cmd_trace,
         "postmortem": _cmd_postmortem,
         "fleet": _cmd_fleet,
-        "bench": bench.run_bench,
         "list": _cmd_list,
     }
     try:

@@ -73,7 +73,6 @@ rotations that land inside a committed slot.
 from __future__ import annotations
 
 import math
-import time
 from heapq import heappop, heappush
 from typing import Optional
 
@@ -144,10 +143,6 @@ class ArraySlotKernel:
         # max_latency_us recomputes a bucket max per call; the isolated
         # mixture is fixed for the pool's lifetime.
         self._wake_bound_us = sim.pool.os_model.max_latency_us(False)
-        #: Wall-clock phase accounting for ``repro bench --profile``:
-        #: committed slots, and slots rejected to the event path.
-        self.vector_wall_s = 0.0
-        self.gate_wall_s = 0.0
         # Cached SchedulerPolicy.vector_params() (constant per policy).
         self._vp: Optional[dict] = None
         # tuple(kind_key per dag) -> (exec order, completion order).
@@ -452,17 +447,14 @@ class ArraySlotKernel:
         trace.  A rejection changes nothing but the deferred metrics,
         which are flushed because the event path records live.
         """
-        wall_start = time.perf_counter()
         if plan is not None and plan.ok:
             now = self.engine._now
             slot_end = now + self.sim._slot_us
             budget = self._gate_budget(now, slot_end)
             if (budget is not None and plan.ceiling_sum <= budget
                     and self._vector_replay(dags, plan, now, slot_end)):
-                self.vector_wall_s += time.perf_counter() - wall_start
                 return True
         self.flush_pending()
-        self.gate_wall_s += time.perf_counter() - wall_start
         return False
 
     # -- the closed-form commit --------------------------------------------

@@ -162,10 +162,6 @@ class VranPool:
         #: default, kept by standalone pools) disables the quiescent
         #: tick fast-forward in :meth:`_tick`.
         self._quiet_until = -math.inf
-        #: Scheduler ticks consumed by the batched fast-forward instead
-        #: of individual heap events, and how many batches did it.
-        self.ticks_batched = 0
-        self.tick_batches = 0
 
         self.metrics.on_reserved_change(engine.now, config.num_cores)
         policy.attach(self)
@@ -823,8 +819,6 @@ class VranPool:
             # The engine re-keys this entry to last + period when this
             # firing returns, exactly where the live path would be.
             self._tick_event.rekey(last)
-            self.ticks_batched += skipped
-            self.tick_batches += 1
 
     def _rotate(self) -> None:
         """Rotate preferred core order every 2 ms (§5)."""

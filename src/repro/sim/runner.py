@@ -469,7 +469,8 @@ class Simulation:
             "array_slots": 0,    # slots taken by the array kernel
             "vector_slots": 0,   # of those, closed-form vector commits
         }
-        #: Wall-clock phase accounting for ``repro bench --profile``.
+        #: Wall-clock phase accounting (window fill, end-of-run latency
+        #: fold), read by the per-layer split of ``bench/run.py --trace``.
         self.fill_wall_s = 0.0
         self.summary_wall_s = 0.0
         #: Array-timeline engine: "array" commits certified slots in

@@ -12,8 +12,9 @@ accumulation.
 These tests run the same scenario with the kernel on (default window)
 and off (``slot_window=0`` → legacy per-slot build) and require equal
 digests — including a HARQ scenario, whose per-cell retransmission
-state threads through the window pre-pass, and a low-load scenario
-where the idle fast path actually engages.
+state threads through the window pre-pass, and low-load scenarios
+where the idle fast path actually engages (on the Fig. 3-calibrated
+run it must cover at least half of the slots).
 """
 
 import pytest
@@ -73,6 +74,26 @@ class TestWindowKernelByteIdentity:
         on, off, sim = _ab_digests(scenario, slots=120)
         assert on == off
         assert sim.kernel_stats["idle_slots"] > 0
+
+    def test_fig03_idle_fast_path_covers_majority(self):
+        # Fig. 3 calibration (one cell idle ~75 % of TTIs per
+        # direction): at 2 % load most slots carry no bytes in either
+        # direction, so the idle fast path must cover at least half of
+        # the run (140 of 240 slots at this seed).  The run is
+        # deterministic, so a drop means the fast path stopped
+        # engaging.  The array engine must see the same slots.
+        pool = PoolConfig(cells=(cell_20mhz_fdd("c0"),), num_cores=4,
+                          deadline_us=2000.0)
+        digests = []
+        for engine_mode in ("event", "array"):
+            simulation = build_simulation(_scenario(
+                pool=pool, load_fraction=0.02, seed=7, workload="none",
+                engine_mode=engine_mode))
+            digests.append(result_digest(simulation.run(240)))
+            stats = simulation.kernel_stats
+            assert stats["slots"] == 240
+            assert stats["idle_slots"] / stats["slots"] >= 0.5
+        assert digests[0] == digests[1]
 
     def test_partial_trailing_window(self):
         # A slot count that is not a window multiple exercises the
