@@ -4,7 +4,9 @@
 Runs the same Fig. 11-style simulation (20 MHz / 7 cells, collocated
 Redis) twice — event bus disabled (production default) and enabled
 (full task/core/wakeup event recording) — and fails when the enabled
-run adds more than the allowed wall-clock overhead.  The enabled run's
+run adds more than the allowed wall-clock overhead, or when its result
+digest differs from the disabled run's (recording must change nothing
+in the results).  The enabled run's
 Chrome trace is written next to the metrics dump so CI can upload both
 as artifacts.
 
@@ -13,7 +15,7 @@ Usage::
     PYTHONPATH=src python scripts/obs_overhead_check.py \
         [--slots 800] [--threshold 0.10] [--out-dir results/ci]
 
-Exit code 0 when within budget, 1 when the overhead guard trips.
+Exit code 0 when within budget with equal digests, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -53,13 +55,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default="results/ci")
     args = parser.parse_args(argv)
 
+    from repro.exec.digest import result_digest
+
     # Best-of-N on both sides to damp scheduler/CI-runner noise.
-    disabled = min(timed_run(args.slots, args.seed, False)[0]
-                   for _ in range(args.rounds))
+    disabled_runs = [timed_run(args.slots, args.seed, False)
+                     for _ in range(args.rounds)]
     enabled_runs = [timed_run(args.slots, args.seed, True)
                     for _ in range(args.rounds)]
+    disabled = min(wall for wall, __, __ in disabled_runs)
     enabled = min(wall for wall, __, __ in enabled_runs)
     __, result, bus = enabled_runs[-1]
+    digest_off = result_digest(disabled_runs[-1][1])
+    digest_on = result_digest(result)
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -76,6 +83,8 @@ def main(argv=None) -> int:
         "threshold": args.threshold,
         "events_recorded": len(bus.events),
         "events_dropped": bus.dropped,
+        "digest_bus_disabled": digest_off,
+        "digest_bus_enabled": digest_on,
     }
     (out_dir / "overhead.json").write_text(json.dumps(report, indent=2)
                                            + "\n")
@@ -83,9 +92,17 @@ def main(argv=None) -> int:
           f"overhead {overhead * 100:+.1f}% "
           f"(budget {args.threshold * 100:.0f}%) | "
           f"{len(bus.events)} events -> {out_dir / 'trace.json'}")
+    failed = False
     if overhead > args.threshold:
         print("FAIL: observability overhead exceeds budget",
               file=sys.stderr)
+        failed = True
+    if digest_on != digest_off:
+        print(f"FAIL: the event bus changed the result digest "
+              f"({digest_off[:12]} off vs {digest_on[:12]} on)",
+              file=sys.stderr)
+        failed = True
+    if failed:
         return 1
     print("OK")
     return 0

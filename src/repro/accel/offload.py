@@ -70,10 +70,6 @@ class Accelerator:
     def offloaded_types(self):
         return self.config.offloaded_types
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     def submit(self, task: TaskInstance) -> None:
         """Accept a ready offloaded task from the pool."""
         self._queue.append(task)

@@ -44,9 +44,9 @@ def collect_offline_dataset(
         profiling_traffic=True,
     )
     dataset = OfflineDataset()
-    simulation.pool.task_observer = lambda task: dataset.add(
+    simulation.pool.task_observers.append(lambda task: dataset.add(
         task.task_type, task.features, task.runtime_us
-    )
+    ))
     simulation.run(num_slots)
     return dataset
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import pickle
 import tempfile
 from pathlib import Path
 from typing import Iterator, Optional
@@ -76,20 +75,6 @@ class ResultCache:
 
     def predictor_path(self, key: str) -> Path:
         return self.root / "predictors" / f"{key}.pkl"
-
-    def load_predictor(self, key: str):
-        """Unpickle a stored predictor, or None (corrupt == miss)."""
-        try:
-            with self.predictor_path(key).open("rb") as handle:
-                return pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError):
-            return None
-
-    def store_predictor(self, key: str, predictor) -> Path:
-        path = self.predictor_path(key)
-        self._atomic_write(path, pickle.dumps(predictor))
-        return path
 
     # -- internals ----------------------------------------------------------------
 

@@ -179,12 +179,9 @@ def run_simulation(
     Cached results carry ``metrics=None``/``pool=None`` — callers that
     consume those live objects must pass ``use_cache=False``.
     Calls that cannot be expressed as a spec (live objects in
-    ``policy_kwargs``, ``record_tasks=True``) silently bypass the
-    cache.
+    ``policy_kwargs``) silently bypass the cache.
     """
-    cache = None
-    if use_cache is not False and not sim_kwargs.get("record_tasks"):
-        cache = active_cache()
+    cache = active_cache() if use_cache is not False else None
     if cache is not None:
         try:
             spec = make_spec(config, policy_name, workload=workload,

@@ -40,7 +40,7 @@ def _collect_collocated(config, workload: str, num_slots: int, seed: int):
             xs.append(task.features)
             ys.append(task.runtime_us)
 
-    simulation.pool.task_observer = observe
+    simulation.pool.task_observers.append(observe)
     simulation.run(num_slots)
     return np.vstack(xs), np.asarray(ys)
 

@@ -102,7 +102,7 @@ def _collect_online(config, workload, num_slots, seed, predictors,
                     bucket["error_sum"] += predicted - task.runtime_us
             predictor.observe_task(task)
 
-    simulation.pool.task_observer = observe
+    simulation.pool.task_observers.append(observe)
     simulation.run(num_slots)
     return scores
 

@@ -37,8 +37,8 @@ def run_table5(num_slots: int = None, seed: int = 5) -> dict:
     simulation = Simulation(config, DedicatedScheduler(), workload="none",
                             load_fraction=1.0, seed=seed)
     totals = defaultdict(float)
-    simulation.pool.task_observer = lambda task: totals.__setitem__(
-        task.task_type, totals[task.task_type] + task.runtime_us)
+    simulation.pool.task_observers.append(lambda task: totals.__setitem__(
+        task.task_type, totals[task.task_type] + task.runtime_us))
     simulation.run(num_slots)
     ul_total = sum(totals[t] for t in UL_TASK_TYPES)
     dl_total = sum(totals[t] for t in DL_TASK_TYPES)
@@ -109,7 +109,7 @@ def run_table4(num_slots: int = None, seed: int = 5) -> dict:
         if dag.tasks_remaining == 0 and dag.latency_us is not None:
             totals[key].append(dag.latency_us)
 
-    simulation.pool.task_observer = observe
+    simulation.pool.task_observers.append(observe)
     simulation.run(num_slots)
     # Count busy (non-idle) slots per direction for the averages.
     slots = {key: len(values) for key, values in totals.items()}

@@ -140,9 +140,6 @@ class ShardWorkerPool:
     def idle_workers(self) -> List[int]:
         return [w.worker_id for w in self._workers.values() if not w.busy]
 
-    def busy_workers(self) -> List[int]:
-        return [w.worker_id for w in self._workers.values() if w.busy]
-
     def submit(self, worker_id: int, payload: dict) -> None:
         """Dispatch one shard job to an idle worker."""
         worker = self._workers[worker_id]

@@ -16,9 +16,12 @@ no measurable cost with it off).
 
 Events are small ``__slots__`` dataclasses rather than dicts: typed
 fields keep emit sites honest and the exporters simple.  The bus is a
-bounded buffer (drops are counted, never silently) plus an optional
-subscriber list for live consumers such as
-:class:`repro.sim.tracing.TraceRecorder`.
+bounded buffer (drops are counted, never silently): a recorded timeline
+read after the run by the Chrome-trace exporter and ``repro
+postmortem``.  Live per-task consumers (training, profiling,
+:class:`repro.sim.tracing.TraceRecorder`) use the pool's
+``task_observers`` hook instead, which hands them the task objects
+themselves.
 """
 
 from __future__ import annotations
@@ -167,7 +170,6 @@ class EventBus:
         self.clock: Callable[[], float] = lambda: 0.0
         self._buffer: list = []
         self._raw = 0  # pending un-materialized records in _buffer
-        self._subscribers: list = []
 
     def __len__(self) -> int:
         return len(self._buffer)
@@ -190,8 +192,6 @@ class EventBus:
             self._buffer.append(event)
         else:
             self.dropped += 1
-        for subscriber in self._subscribers:
-            subscriber(event)
 
     def record(self, *rec) -> None:
         """Fast path: ``record(REC_*, field0, field1, ...)``.
@@ -199,13 +199,8 @@ class EventBus:
         Fields are positional in dataclass order (trailing fields with
         defaults may be omitted); the tuple is stored as-is and turned
         into the corresponding event class only when :attr:`events` is
-        read.  With live subscribers the event is materialized
-        immediately so they see the same objects :meth:`emit` would
-        deliver.
+        read.
         """
-        if self._subscribers:
-            self.emit(_CLASSES[rec[0]](*rec[1:]))
-            return
         if len(self._buffer) < self.capacity:
             self._buffer.append(rec)
             self._raw += 1
@@ -217,15 +212,6 @@ class EventBus:
         return self.clock()
 
     # -- consumers -----------------------------------------------------------
-
-    def subscribe(self, fn: Callable) -> None:
-        """Register a live consumer; duplicate registration is a no-op."""
-        if fn not in self._subscribers:
-            self._subscribers.append(fn)
-
-    def unsubscribe(self, fn: Callable) -> None:
-        if fn in self._subscribers:
-            self._subscribers.remove(fn)
 
     def of_kind(self, *kinds: str) -> Iterator:
         """Recorded events whose ``kind`` is one of ``kinds``."""

@@ -195,14 +195,3 @@ class MetricsRegistry:
                 name, edges, counts=data["counts"], count=data["count"],
                 total=data["sum"], maximum=data["max"]))
         return registry
-
-    def merged_with(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """New registry holding both instrument sets (names must not
-        collide across different instrument types)."""
-        merged = MetricsRegistry.from_dict(self.as_dict())
-        for name in other.names():
-            instrument = other.get(name)
-            if name in merged._instruments:
-                raise ValueError(f"duplicate instrument {name!r}")
-            merged._instruments[name] = instrument
-        return merged

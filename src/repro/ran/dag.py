@@ -446,8 +446,8 @@ class DagBuilder:
         boundary): completion-time hooks — the policy's finish hook,
         the final ``task_done`` record — still read intact fields.
         Callers must guarantee nothing retains the DAG's tasks past
-        the slot boundary (the pool skips recycling entirely while a
-        ``task_observer`` is attached).
+        the slot boundary (the pool skips recycling entirely while its
+        ``task_observers`` list is non-empty).
         """
         self._retired.append(dag)
 

@@ -185,7 +185,6 @@ class Scenario:
     allocation: str = "iid"
     harq: bool = False
     mix_interval_us: tuple = (0.5e6, 2.0e6)
-    record_tasks: bool = False
     #: Fleet sharding: when not ``None``, this pool is one cell-shard
     #: of a metro deployment and its per-cell RNG streams are keyed by
     #: the *global* cell id (``cell_id_base + local index``) instead of
@@ -237,7 +236,13 @@ class Scenario:
 
     def to_dict(self) -> dict:
         """JSON-able payload (named pool references stay symbolic)."""
-        payload = asdict(self)
+        # The removed per-task recording knob keeps its (constant) key,
+        # in its old place, so hashed payloads stay byte-identical.
+        payload = {}
+        for key, value in asdict(self).items():
+            if key == "cell_id_base":
+                payload["record_tasks"] = False
+            payload[key] = value
         if isinstance(self.pool, PoolConfig):
             payload["pool"] = pool_config_to_dict(self.pool)
         payload["mix_interval_us"] = list(self.mix_interval_us)
@@ -266,4 +271,7 @@ class Scenario:
             raise ValueError(
                 f"unsupported scenario schema {payload.get('schema')!r}")
         fields_ = {k: v for k, v in payload.items() if k != "schema"}
+        if fields_.pop("record_tasks", False) is not False:
+            raise ValueError("record_tasks is no longer supported; "
+                             "observe tasks via pool.task_observers")
         return cls(**fields_)

@@ -29,8 +29,9 @@ boundary; any failure sends that slot alone down the event path):
   with wakeup pinning never certify;
 * the pool is quiescent: no active DAGs, ready tasks, pinned tasks or
   in-flight wakeups (which also rules out retiring workers);
-* no side channels: no accelerator, task observer, per-task recording
-  or enabled event bus — their hooks observe interior event order;
+* no side channels (:meth:`VranPool.side_channels_open`): no
+  accelerator, task observer or enabled event bus — their hooks
+  observe interior event order;
 * the workload host is passive (zero cache pressure; the runner
   additionally gates on ``workload == "none"`` so no host-scheduled
   engine events can interleave with the committed interior);
@@ -188,14 +189,8 @@ class ArraySlotKernel:
         instead of the window-batched build.
         """
         pool = self.pool
-        if pool.accelerator is not None or pool.task_observer is not None:
-            return False
-        if pool.metrics.record_tasks:
-            return False
-        bus = pool.event_bus
-        if bus is not None and bus.enabled:
-            return False
-        return pool.cache_model.pressure == 0.0
+        return (not pool.side_channels_open()
+                and pool.cache_model.pressure == 0.0)
 
     # -- slot plans (static topology/cost precompute) ----------------------
 

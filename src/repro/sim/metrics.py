@@ -27,7 +27,6 @@ workload efficiency discount on pools with idle reclaimed cores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -96,9 +95,6 @@ class Metrics:
             "sched/best_effort_preemptions")
         self._wakeup_hist = self.registry.histogram(
             "sched/wakeup_latency_us", SCHED_LATENCY_BUCKETS_US)
-        # Per-task records for predictor evaluation (optional, off by default).
-        self.record_tasks = False
-        self.task_records: list[tuple] = []
 
     # -- core-time accounting -------------------------------------------------
 
@@ -346,10 +342,3 @@ class Metrics:
         self.registry.gauge("coretime/duration_us").set(self.duration_us)
         self.registry.gauge("coretime/num_cores").set(self.num_cores)
         return self.registry.as_dict()
-
-    # -- per-task records ----------------------------------------------------------
-
-    def on_task_complete(self, task_type: str, predicted_us: Optional[float],
-                         actual_us: float) -> None:
-        if self.record_tasks:
-            self.task_records.append((task_type, predicted_us, actual_us))

@@ -144,15 +144,17 @@ class VranPool:
         #: that displace real work count as preemptions while wakeups of
         #: idle cores do not.
         self._occupancy_provider = None
-        #: Optional callback fired with each completed TaskInstance
-        #: (used by offline profiling to collect training datasets).
-        self.task_observer = None
+        #: Callbacks fired, in order, with each completed TaskInstance:
+        #: the one live per-task hook (offline profiling, training
+        #: datasets, TraceRecorder).  Append to attach, remove to
+        #: detach.
+        self.task_observers: list = []
         #: Optional callback fired with each completed DagInstance so
         #: its task objects can be recycled (repro.ran.dag.DagBuilder's
-        #: instance pool).  Recycling is skipped while a task_observer
-        #: is attached: observers may retain task references past the
-        #: DAG's lifetime (profiling/training/tracing), and pooled
-        #: tasks must never outlive their DAG.
+        #: instance pool).  Recycling is skipped while task_observers
+        #: is non-empty: observers may retain task references past the
+        #: DAG's lifetime, and pooled tasks must never outlive their
+        #: DAG.
         self.dag_recycler = None
         #: Optional hardware accelerator (repro.accel) that executes
         #: offloaded task types instead of the CPU workers (§7).
@@ -210,6 +212,18 @@ class VranPool:
     @property
     def collocation_active(self) -> bool:
         return self.cache_model.pressure > 0.0
+
+    def side_channels_open(self) -> bool:
+        """Can anything outside the pool see a slot's interior?
+
+        True while an accelerator, a task observer or an enabled event
+        bus is attached: each observes per-task event order, so the
+        inline completion path, the quiescent tick fast-forward and
+        the array kernel's closed-form commit all stand down.
+        """
+        bus = self.event_bus
+        return (self.accelerator is not None or bool(self.task_observers)
+                or (bus is not None and bus.enabled))
 
     def overdue_waking(self, threshold_us: float) -> int:
         """Workers signalled more than ``threshold_us`` ago but still down."""
@@ -401,15 +415,12 @@ class VranPool:
                 self._apply_target()
             return
         # Inline of _complete_task + _enqueue for the common
-        # configuration — no accelerator, no observers, no event bus,
-        # no wakeup pinning.  This runs once per completed task (the
-        # single hottest call site in the simulator); the slow path
-        # below it stays the source of truth for the rare hooks.
-        bus = self.event_bus
-        if (self.accelerator is None and self.task_observer is None
-                and not self.metrics.record_tasks
-                and not self.policy.pin_tasks_to_wakeups
-                and (bus is None or not bus.enabled)):
+        # configuration — no side channels, no wakeup pinning.  This
+        # runs once per completed task (the single hottest call site
+        # in the simulator); the slow path below it stays the source
+        # of truth for the rare hooks.
+        if (not self.side_channels_open()
+                and not self.policy.pin_tasks_to_wakeups):
             task.finish_time = now
             dag = task.dag
             dag.tasks_remaining -= 1
@@ -475,11 +486,6 @@ class VranPool:
         task.finish_time = now
         dag = task.dag
         dag.tasks_remaining -= 1
-        metrics = self.metrics
-        if metrics.record_tasks:
-            metrics.on_task_complete(
-                task.task_type.value, task.predicted_wcet_us, task.runtime_us
-            )
         bus = self.event_bus
         if bus is not None and bus.enabled:
             # One record per task, at finish: enqueue/start/finish as
@@ -509,12 +515,12 @@ class VranPool:
             # task.dag, the successors loop below — still see intact
             # fields; by the next slot boundary nothing references
             # this DAG's tasks any more.
-            if self.dag_recycler is not None and self.task_observer is None:
+            if self.dag_recycler is not None and not self.task_observers:
                 self.dag_recycler(dag)
         # Observers run after the DAG bookkeeping so they can see
         # completion state (e.g. dag.latency_us on the final task).
-        if self.task_observer is not None:
-            self.task_observer(task)
+        for observer in self.task_observers:
+            observer(task)
         for successor in task.successors:
             successor.predecessors_remaining -= 1
             if successor.predecessors_remaining == 0:
@@ -794,10 +800,7 @@ class VranPool:
         if (self.active_dags or self._waking or self._ready
                 or self._pinned):
             return
-        if self.accelerator is not None or self.task_observer is not None:
-            return
-        bus = self.event_bus
-        if bus is not None and bus.enabled:
+        if self.side_channels_open():
             return
         bound = self.policy.idle_tick_bound(engine._now)
         if bound is None:

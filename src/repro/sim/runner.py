@@ -261,7 +261,6 @@ class Simulation:
         seed: int = 0,
         profiling_traffic: bool = False,
         mix_interval_us: tuple[float, float] = (0.5e6, 2.0e6),
-        record_tasks: bool = False,
         allocation_mode: str = "iid",
         harq: bool = False,
         event_bus=None,
@@ -283,7 +282,6 @@ class Simulation:
                 allocation=allocation_mode,
                 harq=harq,
                 mix_interval_us=mix_interval_us,
-                record_tasks=record_tasks,
             )
         self.scenario = scenario
         self.allocation_mode = scenario.allocation
@@ -297,7 +295,6 @@ class Simulation:
         load_fraction = scenario.load_fraction
         allocation_mode = scenario.allocation
         mix_interval_us = scenario.mix_interval_us
-        record_tasks = scenario.record_tasks
         harq = scenario.harq
         # Fleet keying (see module docstring): a cell-shard keys every
         # per-cell stream by the global cell id and pool-level streams
@@ -331,7 +328,6 @@ class Simulation:
             self.cost_model, rng=self._rng_alloc,
             seed_seq=np.random.SeedSequence(entropy=seed, spawn_key=(6,)))
         self.metrics = Metrics(pool_config.num_cores)
-        self.metrics.record_tasks = record_tasks
         cache_model = CacheInterferenceModel(rng=self._rng_cache)
         self.event_bus = event_bus
         self.pool = VranPool(
@@ -346,7 +342,7 @@ class Simulation:
         )
         # Completed DAGs hand their task instances back to the
         # builder's pool (lazily scavenged at the next slot boundary;
-        # the pool disables recycling while a task_observer holds
+        # the pool disables recycling while task_observers hold
         # references past DAG completion).
         self.pool.dag_recycler = self.builder.recycle_dag
         self.host = WorkloadHost(make_workload(workload),

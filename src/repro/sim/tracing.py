@@ -38,7 +38,7 @@ class TaskTrace:
 
 
 class TraceRecorder:
-    """Collects task traces from a pool via its ``task_observer`` hook."""
+    """Collects task traces from a pool via its ``task_observers`` hook."""
 
     def __init__(self, capacity: int = 200_000) -> None:
         if capacity < 1:
@@ -47,11 +47,9 @@ class TraceRecorder:
         self.tasks: list[TaskTrace] = []
         self.dropped = 0
         self._attached_pool = None
-        self._observer = None
-        self._previous = None
 
     def attach(self, simulation) -> "TraceRecorder":
-        """Chain onto a Simulation's pool observer (keeps any existing).
+        """Append to a Simulation's pool observers (keeps any existing).
 
         Idempotent: attaching twice to the same simulation is a no-op
         (an earlier revision double-recorded every task).  Attaching to
@@ -60,72 +58,18 @@ class TraceRecorder:
         pool = simulation.pool
         if self._attached_pool is pool:
             return self
-        if self._attached_pool is not None:
-            self.detach()
-        previous = pool.task_observer
-
-        def observer(task):
-            if previous is not None:
-                previous(task)
-            self.record(task)
-
-        pool.task_observer = observer
+        self.detach()
+        pool.task_observers.append(self.record)
         self._attached_pool = pool
-        self._observer = observer
-        self._previous = previous
         return self
 
     def detach(self) -> None:
-        """Restore the pool's previous observer chain; no-op if detached."""
+        """Stop recording, in any order; no-op if detached."""
         pool = self._attached_pool
         if pool is None:
             return
-        # Only unchain if we are still the head; otherwise someone
-        # chained after us and we must keep forwarding (record() stays
-        # harmless because we null our own state below... but the chain
-        # would still call record).  In practice recorders detach in
-        # LIFO order; guard against the other case by leaving the chain
-        # alone unless we are the head.
-        if pool.task_observer is self._observer:
-            pool.task_observer = self._previous
+        pool.task_observers.remove(self.record)
         self._attached_pool = None
-        self._observer = None
-        self._previous = None
-
-    def consume_bus(self, bus) -> "TraceRecorder":
-        """Record from an obs event bus instead of the pool hook.
-
-        The recorder subscribes as a live consumer; each ``task_done``
-        event already carries the task's (enqueue, start, finish)
-        triple, so no reassembly state is needed — which makes the
-        recorder usable on replayed event streams.  ``uplink`` is not
-        carried on the bus and is reported as ``False``.
-        """
-        bus.subscribe(self._on_bus_event)
-        self._slot_of_dag: dict = {}
-        return self
-
-    def _on_bus_event(self, event) -> None:
-        kind = getattr(event, "kind", None)
-        if kind == "dag_release":
-            # task_id carries the slot index on dag_* events.
-            self._slot_of_dag[event.dag_id] = event.task_id
-        elif kind == "task_done":
-            if len(self.tasks) >= self.capacity:
-                self.dropped += 1
-                return
-            self.tasks.append(TaskTrace(
-                dag_id=event.dag_id,
-                cell=event.cell,
-                task_type=event.task_type,
-                enqueue_us=event.enqueue_us,
-                start_us=event.start_us,
-                finish_us=event.ts_us,
-                runtime_us=event.runtime_us,
-                predicted_wcet_us=event.predicted_us,
-                uplink=False,
-                slot_index=self._slot_of_dag.get(event.dag_id, -1),
-            ))
 
     def record(self, task) -> None:
         if len(self.tasks) >= self.capacity:

@@ -425,16 +425,26 @@ class TestKernelSelfDisable:
         assert simulation.kernel_stats["slots"] == 20
 
     def test_task_observer_disables_certification(self):
-        simulation = build_simulation(_fig03_scenario())
-        simulation.pool.task_observer = lambda task: None
-        simulation.run(20)
-        assert simulation.kernel_stats["array_slots"] == 0
+        # An observer changes the path, never the result; detaching it
+        # before the run reopens the gate.
+        from repro.sim.tracing import TraceRecorder
 
-    def test_task_recording_disables_certification(self):
-        simulation = build_simulation(_fig03_scenario())
-        simulation.metrics.record_tasks = True
-        simulation.run(20)
-        assert simulation.kernel_stats["array_slots"] == 0
+        plain = build_simulation(_fig03_scenario())
+        digest = result_digest(plain.run(200))
+        assert plain.kernel_stats["array_slots"] > 0
+
+        observed = build_simulation(_fig03_scenario())
+        seen = []
+        observed.pool.task_observers.append(seen.append)
+        assert result_digest(observed.run(200)) == digest
+        assert observed.kernel_stats["array_slots"] == 0
+        assert seen
+
+        detached = build_simulation(_fig03_scenario())
+        TraceRecorder().attach(detached).detach()
+        assert result_digest(detached.run(200)) == digest
+        assert (detached.kernel_stats["array_slots"]
+                == plain.kernel_stats["array_slots"])
 
 
 class TestPredictedPathBatchCutoff:

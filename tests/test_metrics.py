@@ -101,11 +101,3 @@ class TestSchedulingEvents:
         assert hist["count"] == 1
         import json
         json.dumps(snap)  # must be pure JSON
-
-    def test_task_records_opt_in(self):
-        metrics = Metrics(num_cores=1)
-        metrics.on_task_complete("fft", 10.0, 9.0)
-        assert metrics.task_records == []
-        metrics.record_tasks = True
-        metrics.on_task_complete("fft", 10.0, 9.0)
-        assert metrics.task_records == [("fft", 10.0, 9.0)]

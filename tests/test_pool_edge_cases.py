@@ -202,7 +202,7 @@ class TestObserverOrdering:
             if task.dag.tasks_remaining == 0:
                 seen.append(task.dag.latency_us)
 
-        pool.task_observer = observe
+        pool.task_observers.append(observe)
         pool.release_slot([dag])
         engine.run_until(50_000.0)
         assert len(seen) == 1

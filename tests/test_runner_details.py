@@ -30,7 +30,7 @@ class TestProfilingTraffic:
         def observe(task):
             if task.task_type is TaskType.CRC_CHECK:
                 volumes.append(task.feature("slot_bytes"))
-        sim.pool.task_observer = observe
+        sim.pool.task_observers.append(observe)
         sim.run(600)
         volumes = np.asarray(volumes)
         peak = cell_20mhz_fdd().peak_bytes_per_slot(uplink=True)
@@ -49,7 +49,7 @@ class TestProfilingTraffic:
             if task.task_type is TaskType.FFT and \
                     task.feature("slot_bytes") == 0:
                 idle[0] += 1
-        sim.pool.task_observer = observe
+        sim.pool.task_observers.append(observe)
         sim.run(600)
         assert idle[0] > 10  # ~10% idle draws
 
@@ -69,7 +69,7 @@ class TestTddScaling:
             slot_type = config.cells[0].slot_type(dag.slot_index)
             per_slot_type.setdefault(slot_type, set()).add(
                 (dag.slot_index, dag.uplink))
-        sim.pool.task_observer = observe
+        sim.pool.task_observers.append(observe)
         sim.run(50)
         # DDDSU: D slots carry only DL DAGs, U only UL, S both.
         assert all(not ul for __, ul in per_slot_type[SlotType.DOWNLINK])

@@ -76,6 +76,18 @@ class TestScenario:
         with pytest.raises(ValueError, match="scenario schema"):
             Scenario.from_dict(payload)
 
+    def test_removed_record_tasks_key(self):
+        # Payloads are hashed into every result digest, so the removed
+        # per-task recording knob keeps its constant key in place.
+        payload = Scenario(pool={"name": "20mhz"}).to_dict()
+        keys = list(payload)
+        assert payload["record_tasks"] is False
+        assert keys.index("record_tasks") == keys.index("mix_interval_us") + 1
+        assert Scenario.from_dict(payload) == Scenario(pool={"name": "20mhz"})
+        payload["record_tasks"] = True
+        with pytest.raises(ValueError, match="record_tasks"):
+            Scenario.from_dict(payload)
+
     def test_invalid_allocation_raises(self):
         with pytest.raises(ValueError, match="allocation"):
             Scenario(pool={"name": "20mhz"}, allocation="roundrobin")
