@@ -4,8 +4,8 @@ Not a paper figure — the fleet driver exercises the §6-scale claim
 that Concordia's per-server behaviour composes to a metro deployment:
 a 50-cell fleet sharded across reference servers keeps the deadline
 tail flat, reclaims half the provisioned CPU for best-effort work, and
-the planner's worker pool turns shard count into near-linear wall-
-clock speedup.  Slot budgets scale with ``REPRO_SCALE``; worker count
+the planner's forked shard processes turn shard count into
+near-linear wall-clock speedup.  Slot budgets scale with ``REPRO_SCALE``; worker count
 follows ``REPRO_JOBS`` (default: one worker per shard, capped at 4).
 """
 
@@ -59,6 +59,6 @@ def test_fleet_scale(benchmark, write_report):
     utils = [row["utilization"] for row in report.servers]
     assert max(utils) - min(utils) < 0.15, utils
 
-    # The warm pool overlaps shard execution (only when workers > 1).
+    # Forked shards overlap execution (only when workers > 1).
     if report.workers > 1:
         assert report.speedup > 1.3, report.speedup

@@ -15,8 +15,8 @@ Commands:
   which of wakeup latency, WCET under-prediction or cross-cell
   queueing dominated the (near-)miss;
 * ``fleet``   — run a metro deployment (N cells sharded K ways)
-  through the fleet planner and its persistent worker pool
-  (``--jobs J``), with an optional serial byte-identity check
+  through the fleet planner, one forked process per shard
+  (``--jobs J`` at once), with an optional serial byte-identity check
   (``--verify-serial``);
 * ``list``    — enumerate available policies, workloads and figures.
 """
@@ -188,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_cmd.add_argument("--shards", type=int, default=1,
                            help="per-server cell-shards (1..cells)")
     fleet_cmd.add_argument("--jobs", type=int, default=1,
-                           help="persistent worker processes "
-                                "(1 = in-process serial)")
+                           help="shards run at once, one forked "
+                                "process each (1 = in-process serial)")
     fleet_cmd.add_argument("--slots", type=int, default=400)
     fleet_cmd.add_argument("--kind", choices=("20mhz", "100mhz"),
                            default="20mhz",
@@ -502,8 +502,6 @@ def _cmd_fleet(args) -> int:
             return
         line = (f"[{event['done']}/{event['total']}] "
                 f"{event['kind']:<8s} shard {event['shard']}")
-        if "worker" in event:
-            line += f"  worker={event['worker']}"
         if "wall_s" in event:
             line += f"  ({event['wall_s']:.1f}s)"
         if event.get("error"):

@@ -1,16 +1,24 @@
-"""The worker-pool batch runner: specs in, outcomes + telemetry out.
+"""The fork-per-job runner, and the spec batches it executes.
 
-Execution model (the experiment-faabric work-queue shape, adapted):
+:func:`run_jobs` is the one process pool: it runs a queue of
+:class:`Job` payloads through a child entry point, forking one process
+per attempt (``jobs=1`` runs in-process instead), and owns the failure
+policy — retry, timeout, straggler warning.  Its two callers keep their
+own outcome types: :func:`run_batch` (``repro sweep`` and the
+experiment drivers) and the fleet :class:`~repro.fleet.planner.Planner`.
+
+Execution model of a batch (the experiment-faabric work-queue shape,
+adapted):
 
 * jobs already in the cache are reported as hits without spawning
   anything;
 * the parent pre-trains (or reloads) every distinct predictor the
-  batch needs, so forked workers inherit the trained models instead of
-  re-training them per process;
+  batch needs, so forked children inherit the trained models instead
+  of re-training them per process;
 * at most ``jobs`` child processes run at once, each executing one
   spec hermetically and reporting through a pipe;
-* a job that raises is recorded and retried up to ``retries`` times —
-  a crash degrades to a recorded error, never kills the batch;
+* a job that raises or dies is recorded and retried up to ``retries``
+  times — a crash degrades to a recorded error, never kills the batch;
 * a job that exceeds ``timeout_s`` is killed (``SIGTERM``) and
   recorded as a timeout (not retried: a deterministic job that timed
   out once will time out again).
@@ -22,8 +30,11 @@ are byte-identical to that serial baseline.
 
 from __future__ import annotations
 
+import gc
+import logging
 import multiprocessing
 import os
+import statistics
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
@@ -35,26 +46,40 @@ from .fingerprint import model_fingerprint
 from .spec import SimSpec, pool_config_from_dict, spec_key
 from .worker import run_job_in_child
 
-__all__ = ["JobOutcome", "BatchReport", "default_jobs", "run_batch"]
+__all__ = ["BatchReport", "Job", "JobOutcome", "check_jobs",
+           "default_jobs", "run_batch", "run_jobs"]
+
+logger = logging.getLogger(__name__)
 
 ProgressCallback = Callable[[dict], None]
+#: ``child(conn, payload, attempt)``: runs one attempt, reports on ``conn``.
+ChildEntry = Callable[[object, dict, int], None]
+
+#: A running job is flagged as a straggler once it runs past this
+#: multiple of the median completed-attempt wall time.
+STRAGGLER_FACTOR = 10.0
+
+#: Floor for the straggler threshold, so short jobs on a noisy machine
+#: don't trip spurious warnings.
+STRAGGLER_MIN_S = 30.0
+
+
+def check_jobs(jobs, source: str = "jobs") -> int:
+    """``jobs`` as a positive worker count; ``ValueError`` otherwise."""
+    try:
+        count = int(jobs)
+    except (TypeError, ValueError):
+        count = 0
+    if count <= 0:
+        raise ValueError(
+            f"{source} must be a positive integer, got {jobs!r}")
+    return count
 
 
 def default_jobs() -> int:
     """Worker count from ``REPRO_JOBS`` (defaults to 1 = serial)."""
     raw = os.environ.get("REPRO_JOBS")
-    if raw is None:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_JOBS must be a positive integer, got {raw!r}"
-        ) from None
-    if jobs <= 0:
-        raise ValueError(
-            f"REPRO_JOBS must be a positive integer, got {raw!r}")
-    return jobs
+    return 1 if raw is None else check_jobs(raw, "REPRO_JOBS")
 
 
 @dataclass
@@ -138,20 +163,22 @@ class BatchReport:
 
 
 @dataclass
-class _Pending:
+class Job:
+    """One unit of work for :func:`run_jobs`, with its attempt accounting."""
+
     index: int
-    spec: SimSpec
-    key: str
+    payload: dict
     attempt: int = 0
-    wall_s: float = 0.0  # accumulated over failed attempts
+    wall_s: float = 0.0  # accumulated over every attempt
 
 
 @dataclass
 class _Running:
-    pending: _Pending
+    job: Job
     process: multiprocessing.Process
     conn: object
     started: float = field(default_factory=time.perf_counter)
+    straggler: bool = False
 
 
 def _result_loadable(artifact: dict) -> bool:
@@ -173,34 +200,36 @@ def run_batch(
     progress: Optional[ProgressCallback] = None,
 ) -> BatchReport:
     """Execute a batch of specs; never raises for individual jobs."""
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
+    jobs = default_jobs() if jobs is None else check_jobs(jobs)
     if use_cache and cache is None:
         cache = active_cache()
     if not use_cache:
         cache = None
     fingerprint = model_fingerprint()
     started = time.perf_counter()
+    keys = [spec_key(spec, fingerprint) for spec in specs]
     outcomes: List[Optional[JobOutcome]] = [None] * len(specs)
     done = 0
+    retried = 0
 
-    def emit(kind: str, outcome: JobOutcome) -> None:
+    def emit(kind: str, index: int, status: str, wall_s: float = 0.0,
+             error: Optional[str] = None) -> None:
         if progress is None:
             return
         progress({
             "kind": kind,
-            "index": outcome.index,
+            "index": index,
             "total": len(specs),
             "done": done,
-            "status": outcome.status,
-            "label": outcome.spec.label(),
-            "wall_s": outcome.wall_s,
-            "error": outcome.error,
+            "status": status,
+            "label": specs[index].label(),
+            "wall_s": wall_s,
+            "error": error,
         })
 
-    pending: List[_Pending] = []
+    pending: List[Job] = []
     bus = global_bus()
-    for index, spec in enumerate(specs):
-        key = spec_key(spec, fingerprint)
+    for index, (spec, key) in enumerate(zip(specs, keys)):
         artifact = cache.get(key) if cache is not None else None
         if artifact is not None and not _result_loadable(artifact):
             # Result-schema bump since the artifact was written (the
@@ -216,46 +245,56 @@ def run_batch(
             if bus.enabled:
                 bus.emit(CacheEvent(ts_us=bus.now(), kind="cache_hit",
                                     key=key, label=spec.label()))
-            emit("cached", outcomes[index])
+            emit("cached", index, "cached")
         else:
             if bus.enabled:
                 bus.emit(CacheEvent(ts_us=bus.now(), kind="cache_miss",
                                     key=key, label=spec.label()))
-            pending.append(_Pending(index=index, spec=spec, key=key))
+            pending.append(Job(index=index, payload=spec.to_dict()))
 
-    retried = 0
     if pending:
         # Activate the cache process-wide while warming so predictor
-        # training persists/reloads through it (forked workers inherit
-        # both the activation and the trained models).
+        # training persists/reloads through it (forked children
+        # inherit both the activation and the trained models).
+        needed = [specs[job.index] for job in pending]
         if cache is not None:
             with activated_cache(cache):
-                _warm_predictors(pending)
+                _warm_predictors(needed)
         else:
-            _warm_predictors(pending)
+            _warm_predictors(needed)
 
-    def record(outcome: JobOutcome) -> None:
-        nonlocal done
+    def finish(job: Job, status: str, result: Optional[dict],
+               error: Optional[str]) -> None:
+        nonlocal done, retried
         done += 1
-        outcomes[outcome.index] = outcome
-        if (outcome.status == "ok" and cache is not None
-                and outcome.result is not None):
+        retried += job.attempt
+        outcome = JobOutcome(index=job.index, spec=specs[job.index],
+                             key=keys[job.index], status=status,
+                             attempts=job.attempt + 1, wall_s=job.wall_s,
+                             result=result, error=error)
+        outcomes[job.index] = outcome
+        if status == "ok" and cache is not None and result is not None:
             cache.put(outcome.key, {
                 "schema": 1,
                 "key": outcome.key,
                 "fingerprint": fingerprint,
                 "spec": outcome.spec.to_dict(),
-                "result": outcome.result,
+                "result": result,
                 "meta": {"wall_s": outcome.wall_s,
                          "attempts": outcome.attempts,
                          "created_unix": time.time()},
             })
-        emit(outcome.status if outcome.succeeded else "failed", outcome)
+        emit(status if outcome.succeeded else "failed", job.index,
+             status, job.wall_s, error)
 
-    if jobs <= 1:
-        retried = _run_serial(pending, retries, record)
-    else:
-        retried = _run_parallel(pending, jobs, timeout_s, retries, record)
+    def notify(kind: str, job: Job, **info) -> None:
+        if kind == "straggler":
+            emit(kind, job.index, kind, info["elapsed_s"])
+
+    # ``run_job_in_child`` is looked up in the module globals here, at
+    # call time, so a patched entry point reaches every job.
+    run_jobs(pending, jobs, run_job_in_child, finish, notify,
+             retries=retries, timeout_s=timeout_s)
 
     return BatchReport(
         outcomes=[o for o in outcomes if o is not None],
@@ -269,20 +308,19 @@ def run_batch(
 # -- predictor pre-warming ---------------------------------------------------------
 
 
-def _warm_predictors(pending: Sequence[_Pending]) -> None:
+def _warm_predictors(specs: Sequence[SimSpec]) -> None:
     """Train/reload each distinct predictor once, in the parent.
 
-    Forked workers then inherit the trained models through the
+    Forked children then inherit the trained models through the
     process-local predictor cache instead of re-training one copy per
-    worker; with an on-disk cache active the models also persist
+    job; with an on-disk cache active the models also persist
     across batches.
     """
     from ..experiments.common import get_predictor
     from .spec import canonical_json
 
     seen = set()
-    for item in pending:
-        spec = item.spec
+    for spec in specs:
         if spec.policy != "concordia" or spec.training_slots is None:
             continue
         if "predictor" in spec.policy_kwargs:
@@ -301,95 +339,184 @@ def _warm_predictors(pending: Sequence[_Pending]) -> None:
             pass
 
 
-# -- serial execution --------------------------------------------------------------
+# -- the job runner ----------------------------------------------------------------
 
 
-def _run_serial(pending: Sequence[_Pending], retries: int,
-                record: Callable[[JobOutcome], None]) -> int:
-    """In-process execution in submission order (no timeout support)."""
-    from .spec import execute_spec
+class _Mailbox:
+    """In-process stand-in for a child's pipe (the ``jobs=1`` path)."""
 
-    retried = 0
-    for item in pending:
-        error = None
-        while True:
-            start = time.perf_counter()
-            try:
-                result = execute_spec(item.spec, attempt=item.attempt)
-            except Exception as exc:  # noqa: BLE001 - isolation boundary
-                item.wall_s += time.perf_counter() - start
-                error = f"{type(exc).__name__}: {exc}"
-                if item.attempt < retries:
-                    item.attempt += 1
-                    retried += 1
-                    continue
-                record(JobOutcome(index=item.index, spec=item.spec,
-                                  key=item.key, status="failed",
-                                  attempts=item.attempt + 1,
-                                  wall_s=item.wall_s, error=error))
-                break
-            item.wall_s += time.perf_counter() - start
-            record(JobOutcome(index=item.index, spec=item.spec,
-                              key=item.key, status="ok",
-                              attempts=item.attempt + 1,
-                              wall_s=item.wall_s, result=result))
-            break
-    return retried
+    message = ("error", {"error": "job returned without reporting a "
+                                  "result"})
+
+    def send(self, message) -> None:
+        self.message = message
+
+    def close(self) -> None:
+        pass
 
 
-# -- parallel execution ------------------------------------------------------------
+def run_jobs(queue: Sequence[Job], jobs: int, child: ChildEntry,
+             finish: Callable[[Job, str, Optional[object],
+                               Optional[str]], None],
+             notify: Callable[..., None], *, retries: int = 1,
+             timeout_s: Optional[float] = None) -> None:
+    """Run every job through ``child`` and settle each one exactly once.
+
+    ``child(conn, payload, attempt)`` is a child entry point (see
+    :func:`repro.exec.worker.report_to_parent`).  ``jobs=1`` calls it
+    in-process in queue order; otherwise at most ``jobs`` forked
+    children run at once.  The failure policy is the same either way:
+
+    * a reported exception, or a child that dies without reporting, is
+      retried up to ``retries`` times and then finished as ``failed``;
+    * a child running past ``timeout_s`` (parallel only) is killed with
+      ``SIGTERM`` and finished as ``timeout``, without retry;
+    * a child running past ``max(STRAGGLER_FACTOR`` x the median
+      completed attempt, ``STRAGGLER_MIN_S)`` (parallel only) is logged
+      once and reported as a ``straggler``.
+
+    ``finish(job, status, result, error)`` receives each job's final
+    status (``ok`` | ``failed`` | ``timeout``); ``job.attempt`` and
+    ``job.wall_s`` then account for every attempt.  ``notify(kind, job,
+    **info)`` sees ``dispatch`` (each attempt), ``retry`` (``error``)
+    and ``straggler`` (``elapsed_s``).
+    """
+    def settle(job: Job, status: str, info: dict) -> bool:
+        """Account one finished attempt; True when the job is requeued."""
+        job.wall_s += info.get("wall_s", 0.0)
+        if status == "error" and job.attempt < retries:
+            job.attempt += 1
+            notify("retry", job, error=info.get("error"))
+            return True
+        finish(job, "failed" if status == "error" else status,
+               info.get("result"), info.get("error"))
+        return False
+
+    if jobs <= 1:
+        for job in queue:
+            while True:
+                notify("dispatch", job)
+                mailbox = _Mailbox()
+                child(mailbox, job.payload, job.attempt)
+                if not settle(job, *mailbox.message):
+                    break
+    else:
+        _run_parallel(list(queue), jobs, child, settle, notify, timeout_s)
+
+
+def _straggler_threshold(walls: Sequence[float]) -> Optional[float]:
+    """Seconds after which a running job counts as a straggler."""
+    if not walls:
+        return None
+    return max(STRAGGLER_FACTOR * statistics.median(walls),
+               STRAGGLER_MIN_S)
 
 
 def _mp_context():
-    """Fork when available (workers inherit trained predictors)."""
+    """Fork when available (children inherit trained predictors)."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else None)
 
 
-def _run_parallel(pending: Sequence[_Pending], jobs: int,
-                  timeout_s: Optional[float], retries: int,
-                  record: Callable[[JobOutcome], None]) -> int:
-    ctx = _mp_context()
-    queue: List[_Pending] = list(pending)
-    active: List[_Running] = []
-    retried = 0
-
-    def spawn(item: _Pending) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=run_job_in_child,
-            args=(child_conn, item.spec.to_dict(), item.attempt),
-        )
-        process.start()
-        child_conn.close()
-        active.append(_Running(pending=item, process=process,
-                               conn=parent_conn))
-
-    def finish(run: _Running, status: str, wall_s: float,
-               result: Optional[dict] = None,
-               error: Optional[str] = None) -> bool:
-        """Record or requeue; returns True when the job was retried."""
-        nonlocal retried
-        item = run.pending
-        item.wall_s += wall_s
-        if status == "error" and item.attempt < retries:
-            item.attempt += 1
-            retried += 1
-            queue.append(item)
-            return True
-        final = "ok" if status == "ok" else (
-            "timeout" if status == "timeout" else "failed")
-        record(JobOutcome(index=item.index, spec=item.spec, key=item.key,
-                          status=final, attempts=item.attempt + 1,
-                          wall_s=item.wall_s, result=result, error=error))
-        return False
-
+def _spawn(ctx, child: ChildEntry, job: Job) -> _Running:
+    parent_conn, child_conn = ctx.Pipe(duplex=False)
+    process = ctx.Process(target=child,
+                          args=(child_conn, job.payload, job.attempt))
+    # Fork from a frozen heap: the child's collector never walks the
+    # inherited objects, so it does not copy-on-write their pages.
+    gc.freeze()
     try:
-        _drain(queue, active, jobs, timeout_s, spawn, finish)
+        process.start()
+    finally:
+        gc.unfreeze()
+    child_conn.close()
+    return _Running(job=job, process=process, conn=parent_conn)
+
+
+def _receive(run: _Running) -> tuple:
+    """The child's ``(status, info)``; a closed pipe means it died."""
+    try:
+        status, info = run.conn.recv()
+    except (EOFError, OSError):
+        # Died without reporting (segfault, os._exit, ...): the closed
+        # pipe is what made the connection ready.
+        run.process.join(timeout=5.0)
+        status, info = "error", {
+            "error": f"worker exited with code {run.process.exitcode} "
+                     f"without reporting a result",
+            "wall_s": time.perf_counter() - run.started}
+    run.conn.close()
+    run.process.join()
+    return status, info
+
+
+def _run_parallel(queue: List[Job], jobs: int, child: ChildEntry,
+                  settle: Callable[[Job, str, dict], bool],
+                  notify: Callable[..., None],
+                  timeout_s: Optional[float]) -> None:
+    """The spawn/wait loop: fork per attempt until every job settles.
+
+    The parent blocks in :func:`multiprocessing.connection.wait` on the
+    children's pipes — zero CPU while simulations run, immediate wakeup
+    on the first completion.  The wait is bounded by the earliest
+    timeout or straggler deadline, so both fire on schedule.
+    """
+    ctx = _mp_context()
+    active: List[_Running] = []
+    walls: List[float] = []  # completed attempts, for the straggler clock
+    try:
+        while queue or active:
+            while queue and len(active) < jobs:
+                job = queue.pop(0)
+                active.append(_spawn(ctx, child, job))
+                notify("dispatch", job)
+            now = time.perf_counter()
+            straggler_s = _straggler_threshold(walls)
+            deadlines = []
+            for run in list(active):
+                elapsed = now - run.started
+                if timeout_s is not None:
+                    if elapsed > timeout_s:
+                        run.process.terminate()
+                        run.process.join(timeout=5.0)
+                        run.conn.close()
+                        active.remove(run)
+                        settle(run.job, "timeout", {
+                            "wall_s": elapsed,
+                            "error": f"job exceeded timeout "
+                                     f"({timeout_s:g}s) and was killed"})
+                        continue
+                    deadlines.append(timeout_s - elapsed)
+                if straggler_s is None or run.straggler:
+                    continue
+                if elapsed > straggler_s:
+                    run.straggler = True
+                    logger.warning(
+                        "job %d is a straggler: %.1fs elapsed, past "
+                        "%.1fs (%gx the median completed attempt, at "
+                        "least %gs)", run.job.index, elapsed,
+                        straggler_s, STRAGGLER_FACTOR, STRAGGLER_MIN_S)
+                    notify("straggler", run.job, elapsed_s=elapsed)
+                else:
+                    deadlines.append(straggler_s - elapsed)
+            if not active:
+                continue
+            ready = connection_wait(
+                [run.conn for run in active],
+                timeout=max(0.0, min(deadlines)) if deadlines else None)
+            by_conn = {run.conn: run for run in active}
+            for conn in ready:
+                run = by_conn[conn]
+                status, info = _receive(run)
+                active.remove(run)
+                if status == "ok":
+                    walls.append(info["wall_s"])
+                if settle(run.job, status, info):
+                    queue.append(run.job)
     except BaseException:
-        # Ctrl-C (or any parent-side failure): kill the workers so the
-        # interpreter's atexit join doesn't hang on orphaned
+        # Ctrl-C (or any parent-side failure): kill the children so
+        # the interpreter's atexit join doesn't hang on orphaned
         # simulations.
         for run in active:
             run.process.terminate()
@@ -397,64 +524,3 @@ def _run_parallel(pending: Sequence[_Pending], jobs: int,
             run.process.join(timeout=5.0)
             run.conn.close()
         raise
-    return retried
-
-
-def _drain(queue: List[_Pending], active: List[_Running], jobs: int,
-           timeout_s: Optional[float],
-           spawn: Callable[[_Pending], None],
-           finish: Callable[..., bool]) -> None:
-    """Run the spawn/wait loop until every queued job is finished.
-
-    The parent blocks in :func:`multiprocessing.connection.wait` on the
-    children's pipes — zero CPU while simulations run, immediate wakeup
-    on the first completion.  A child that dies without reporting
-    surfaces as an EOF on its (now readable) pipe; per-job timeouts
-    bound the wait so overdue children are killed on schedule.
-    """
-    while queue or active:
-        while queue and len(active) < jobs:
-            spawn(queue.pop(0))
-        # Reap overdue children first so the wait below never blocks
-        # past the earliest per-job deadline.
-        wait_timeout = None
-        if timeout_s is not None:
-            now = time.perf_counter()
-            for run in list(active):
-                if now - run.started > timeout_s:
-                    run.process.terminate()
-                    run.process.join(timeout=5.0)
-                    run.conn.close()
-                    active.remove(run)
-                    finish(run, "timeout", now - run.started,
-                           error=f"job exceeded timeout ({timeout_s:g}s) "
-                                 f"and was killed")
-            if not active:
-                continue
-            wait_timeout = max(
-                0.0,
-                min(timeout_s - (now - run.started) for run in active))
-        if not active:
-            continue
-        ready = connection_wait([run.conn for run in active],
-                                timeout=wait_timeout)
-        by_conn = {run.conn: run for run in active}
-        for conn in ready:
-            run = by_conn[conn]
-            try:
-                status, payload = conn.recv()
-            except (EOFError, OSError):
-                # Died without reporting (segfault, os._exit, ...):
-                # the closed pipe is what made the connection ready.
-                run.process.join(timeout=5.0)
-                exitcode = run.process.exitcode
-                status, payload = "error", {
-                    "error": f"worker exited with code {exitcode} "
-                             f"without reporting a result",
-                    "wall_s": time.perf_counter() - run.started}
-            run.conn.close()
-            run.process.join()
-            active.remove(run)
-            finish(run, status, payload.get("wall_s", 0.0),
-                   result=payload.get("result"),
-                   error=payload.get("error"))

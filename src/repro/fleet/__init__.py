@@ -2,9 +2,10 @@
 
 The fleet layer scales one :class:`~repro.scenario.Scenario`-based
 simulation to a metro deployment: a :class:`FleetScenario` describes N
-cells partitioned into K per-server shards, a :class:`Planner` drives
-the shards over a persistent :class:`ShardWorkerPool` of warm forked
-workers, and the per-shard payloads aggregate into a
+cells partitioned into K per-server shards, a :class:`Planner` runs
+the shards through :func:`repro.exec.batch.run_jobs` (the fork-per-job
+runner ``repro sweep`` uses: one forked child per shard attempt, or
+in-process at ``jobs=1``), and the per-shard payloads aggregate into a
 :class:`FleetReport` (fleet tail latency, reclaimed CPU, per-server
 utilization, federated core demand).
 
@@ -16,7 +17,6 @@ checks exactly that.
 
 from .demand import ShardDemandRecorder
 from .planner import Planner
-from .pool import ShardWorkerPool, WorkerMessage
 from .report import (
     FleetReport,
     build_fleet_report,
@@ -26,7 +26,7 @@ from .report import (
     merge_histograms,
 )
 from .scenario import CELL_KINDS, FLEET_SCHEMA, FleetScenario, ShardSpec
-from .worker import execute_shard, shard_worker_loop
+from .worker import execute_shard, run_shard_in_child
 
 __all__ = [
     "CELL_KINDS",
@@ -36,13 +36,11 @@ __all__ = [
     "Planner",
     "ShardDemandRecorder",
     "ShardSpec",
-    "ShardWorkerPool",
-    "WorkerMessage",
     "build_fleet_report",
     "combined_digest",
     "execute_shard",
     "histogram_percentile",
     "latency_histogram",
     "merge_histograms",
-    "shard_worker_loop",
+    "run_shard_in_child",
 ]

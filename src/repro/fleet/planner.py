@@ -1,15 +1,14 @@
-"""The fleet planner: shard assignment, in-flight tracking, aggregation.
+"""The fleet planner: shard assignment, dispatch and aggregation.
 
-The planner owns a fleet run end to end (the makespan-scheduler shape:
-a work queue of shards, a warm worker pool, in-flight and idle-slot
-accounting):
+The planner owns a fleet run end to end:
 
 1. derive the per-server shards from the :class:`FleetScenario`;
-2. ``jobs <= 1``: execute every shard in-process, in shard order (the
-   serial baseline); otherwise dispatch shards to a persistent
-   :class:`~repro.fleet.pool.ShardWorkerPool`, keeping every worker
-   busy while work remains and integrating idle worker-time when it
-   runs dry;
+2. run them through :func:`repro.exec.batch.run_jobs`, the same
+   fork-per-job runner ``repro sweep`` uses: ``jobs <= 1`` executes
+   every shard in-process, in shard order (the serial baseline);
+   otherwise at most ``jobs`` forked children run one shard attempt
+   each.  Retries, stragglers and dead children follow the runner's
+   one failure policy;
 3. merge the per-shard payloads into a
    :class:`~repro.fleet.report.FleetReport` — fleet tail latency from
    merged histograms, reclaimed-CPU totals, per-server utilization,
@@ -29,26 +28,18 @@ import logging
 import time
 from typing import Callable, List, Optional
 
+from ..exec.batch import Job, check_jobs, run_jobs
 from ..scenario import build_simulation
 from .demand import ShardDemandRecorder
-from .pool import ShardWorkerPool
 from .report import FleetReport, build_fleet_report
 from .scenario import FleetScenario, ShardSpec
-from .worker import execute_shard, shard_payload
+from .worker import run_shard_in_child, shard_payload
 
 __all__ = ["Planner"]
 
 logger = logging.getLogger(__name__)
 
 ProgressCallback = Callable[[dict], None]
-
-#: A shard is flagged as a straggler (and the pool wait times out) once
-#: it runs past this multiple of the median completed-shard wall time.
-STRAGGLER_FACTOR = 10.0
-
-#: Floor for the straggler threshold, so short shards on a noisy
-#: machine don't trip spurious warnings.
-STRAGGLER_MIN_S = 30.0
 
 
 class Planner:
@@ -57,7 +48,7 @@ class Planner:
     def __init__(self, fleet: FleetScenario, jobs: int = 1,
                  progress: Optional[ProgressCallback] = None) -> None:
         self.fleet = fleet
-        self.jobs = max(1, int(jobs))
+        self.jobs = check_jobs(jobs)
         self.progress = progress
 
     # -- driving -----------------------------------------------------------------
@@ -79,10 +70,8 @@ class Planner:
                     len(migrations), self.jobs)
             payloads, failures, stats, reconfig = self._run_lockstep(
                 shards, migrations)
-        elif self.jobs <= 1:
-            payloads, failures, stats = self._run_serial(shards)
         else:
-            payloads, failures, stats = self._run_pool(shards)
+            payloads, failures, stats = self._run_shards(shards)
         return build_fleet_report(
             self.fleet, payloads, failures,
             jobs=self.jobs,
@@ -100,25 +89,38 @@ class Planner:
         event.update(extra)
         self.progress(event)
 
-    def _run_serial(self, shards: List[ShardSpec]):
-        """In-process execution in shard order (the jobs=1 baseline)."""
+    def _run_shards(self, shards: List[ShardSpec]):
+        """Run every shard through the fork-per-job runner.
+
+        Telemetry comes from the runner's per-attempt accounting, so a
+        lost attempt (a dead child, a retried exception) counts in
+        ``dispatches`` and ``total_job_wall_s`` like any other.
+        """
+        total = len(shards)
         payloads, failures = [], []
-        for done, shard in enumerate(shards):
-            self._emit("dispatch", shard.shard_index, len(shards), done)
-            try:
-                payload = execute_shard(shard.to_dict())
-            except Exception as exc:  # noqa: BLE001 - isolation boundary
-                failures.append({"shard_index": shard.shard_index,
-                                 "error": f"{type(exc).__name__}: {exc}"})
-                self._emit("failed", shard.shard_index, len(shards),
-                           done + 1, error=str(exc))
-                continue
-            payloads.append(payload)
-            self._emit("done", shard.shard_index, len(shards), done + 1,
-                       wall_s=payload["wall_s"])
-        return payloads, failures, {"workers": 0, "idle_worker_s": 0.0,
-                                    "max_in_flight": 1,
-                                    "dispatches": len(shards)}
+        stats = {"workers": min(self.jobs, total), "dispatches": 0,
+                 "total_job_wall_s": 0.0}
+
+        def finish(job: Job, status: str, result: Optional[dict],
+                   error: Optional[str]) -> None:
+            stats["dispatches"] += job.attempt + 1
+            stats["total_job_wall_s"] += job.wall_s
+            if status == "ok":
+                payloads.append(result)
+                notify("done", job, wall_s=result["wall_s"])
+            else:
+                failures.append({"shard_index": job.index,
+                                 "error": error})
+                notify("failed", job, error=error)
+
+        def notify(kind: str, job: Job, **info) -> None:
+            self._emit(kind, job.index, total,
+                       len(payloads) + len(failures), **info)
+
+        run_jobs([Job(index=shard.shard_index, payload=shard.to_dict())
+                  for shard in shards],
+                 self.jobs, run_shard_in_child, finish, notify, retries=1)
+        return payloads, failures, stats
 
     def _run_lockstep(self, shards: List[ShardSpec], migrations):
         """In-process lockstep execution with mid-run cell migration.
@@ -214,133 +216,6 @@ class Planner:
                 "dst": dst_p["miss_count"]
                 - row["miss_at_barrier"]["dst"],
             }
-        stats = {"workers": 0, "idle_worker_s": 0.0,
-                 "max_in_flight": 1, "dispatches": len(shards)}
+        stats = {"workers": 1, "dispatches": len(shards),
+                 "total_job_wall_s": wall_each * len(shards)}
         return payloads, [], stats, reconfig_rows
-
-    def _run_pool(self, shards: List[ShardSpec]):
-        """Dispatch shards onto a warm worker pool until all report.
-
-        A worker that dies mid-job no longer forfeits its shard: the
-        shard is requeued once (retry budget 1) — on a surviving
-        worker, or through the in-process fallback if the pool has
-        drained — and only a second loss records a failure.  Completed
-        shard wall times feed a straggler threshold
-        (``STRAGGLER_FACTOR`` x their median) that bounds every pool
-        wait and logs any shard running past it.
-        """
-        workers = min(self.jobs, len(shards))
-        queue: List[ShardSpec] = list(shards)
-        in_flight = {}  # worker_id -> (ShardSpec, dispatch time)
-        payloads, failures = [], []
-        idle_worker_s = 0.0
-        max_in_flight = 0
-        done = 0
-        dispatches = 0
-        retried: set = set()  # shard_index values already requeued
-        slow_warned: set = set()
-        walls: List[float] = []  # completed shard wall times
-        with ShardWorkerPool(workers) as pool:
-            while queue or in_flight:
-                while queue and pool.idle_workers():
-                    worker_id = pool.idle_workers()[0]
-                    shard = queue.pop(0)
-                    try:
-                        pool.submit(worker_id, shard.to_dict())
-                    except RuntimeError as exc:
-                        # The idle worker died before accepting; it is
-                        # already retired from the pool — put the shard
-                        # back and let a surviving worker (or the
-                        # drained-pool fallback below) take it.
-                        logger.warning("%s; requeueing shard %d",
-                                       exc, shard.shard_index)
-                        queue.insert(0, shard)
-                        continue
-                    in_flight[worker_id] = (shard, time.perf_counter())
-                    dispatches += 1
-                    max_in_flight = max(max_in_flight, len(in_flight))
-                    self._emit("dispatch", shard.shard_index,
-                               len(shards), done, worker=worker_id)
-                if not in_flight:
-                    # Workers died faster than work drained: fall back
-                    # to in-process execution for what remains (this
-                    # also serves requeued shards, so a retry cannot
-                    # strand work when no worker survives).
-                    while queue:
-                        shard = queue.pop(0)
-                        dispatches += 1
-                        try:
-                            payloads.append(
-                                execute_shard(shard.to_dict()))
-                        except Exception as exc:  # noqa: BLE001
-                            failures.append({
-                                "shard_index": shard.shard_index,
-                                "error": f"{type(exc).__name__}: {exc}"})
-                        done += 1
-                    break
-                # Every runnable shard is in flight; idle pool slots
-                # (workers with no queued work left) accumulate here.
-                timeout = None
-                if walls:
-                    median = sorted(walls)[len(walls) // 2]
-                    timeout = max(STRAGGLER_FACTOR * median,
-                                  STRAGGLER_MIN_S)
-                idle = pool.alive - len(in_flight)
-                wait_started = time.perf_counter()
-                messages = pool.wait(timeout=timeout)
-                now = time.perf_counter()
-                idle_worker_s += idle * (now - wait_started)
-                if timeout is not None:
-                    for worker_id, (shard, started) in in_flight.items():
-                        elapsed = now - started
-                        if (elapsed > timeout
-                                and shard.shard_index not in slow_warned):
-                            slow_warned.add(shard.shard_index)
-                            logger.warning(
-                                "shard %d on worker %d is a straggler: "
-                                "%.1fs elapsed, %.1fx the median shard "
-                                "wall time", shard.shard_index,
-                                worker_id, elapsed,
-                                elapsed / max(median, 1e-9))
-                            self._emit("straggler", shard.shard_index,
-                                       len(shards), done,
-                                       worker=worker_id,
-                                       elapsed_s=elapsed)
-                for message in messages:
-                    shard, _started = in_flight.pop(message.worker_id)
-                    if message.status == "ok":
-                        done += 1
-                        payloads.append(message.payload)
-                        walls.append(message.payload["wall_s"])
-                        self._emit("done", shard.shard_index,
-                                   len(shards), done,
-                                   worker=message.worker_id,
-                                   wall_s=message.payload["wall_s"])
-                    elif (message.status == "died"
-                          and shard.shard_index not in retried):
-                        retried.add(shard.shard_index)
-                        queue.append(shard)
-                        logger.warning(
-                            "worker %d died running shard %d (%s); "
-                            "requeueing the shard (retry 1 of 1)",
-                            message.worker_id, shard.shard_index,
-                            message.payload.get("error", "no detail"))
-                        self._emit("retry", shard.shard_index,
-                                   len(shards), done,
-                                   worker=message.worker_id,
-                                   error=message.payload.get("error"))
-                    else:
-                        done += 1
-                        failures.append({
-                            "shard_index": shard.shard_index,
-                            "error": message.payload.get(
-                                "error", "unknown worker error"),
-                        })
-                        self._emit("failed", shard.shard_index,
-                                   len(shards), done,
-                                   worker=message.worker_id,
-                                   error=message.payload.get("error"))
-        return payloads, failures, {"workers": workers,
-                                    "idle_worker_s": idle_worker_s,
-                                    "max_in_flight": max_in_flight,
-                                    "dispatches": dispatches}

@@ -163,14 +163,19 @@ class FleetReport:
     jobs: int = 1
     workers: int = 0
     wall_s: float = 0.0
+    #: Wall time of every shard attempt, lost ones included.
     total_job_wall_s: float = 0.0
-    idle_worker_s: float = 0.0
-    max_in_flight: int = 0
+    #: Shard attempts (retries included).
     dispatches: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def idle_worker_s(self) -> float:
+        """Worker-slot seconds of the run that no shard attempt used."""
+        return max(0.0, self.workers * self.wall_s - self.total_job_wall_s)
 
     @property
     def speedup(self) -> float:
@@ -207,7 +212,6 @@ class FleetReport:
                 "speedup": self.speedup,
                 "idle_worker_s": self.idle_worker_s,
                 "idle_fraction": self.idle_fraction,
-                "max_in_flight": self.max_in_flight,
                 "dispatches": self.dispatches,
             },
         }
@@ -282,8 +286,7 @@ def build_fleet_report(
     jobs: int = 1,
     workers: int = 0,
     wall_s: float = 0.0,
-    idle_worker_s: float = 0.0,
-    max_in_flight: int = 0,
+    total_job_wall_s: Optional[float] = None,
     dispatches: Optional[int] = None,
     reconfig: Sequence[dict] = (),
 ) -> FleetReport:
@@ -320,7 +323,6 @@ def build_fleet_report(
             "demand_cores": demand["cores"],
             "demand_critical": demand["critical"],
             "wall_s": payload["wall_s"],
-            "worker": payload.get("worker"),
         })
         cell_digests.update(payload["cell_digests"])
         total_cores += payload["num_cores"]
@@ -339,7 +341,7 @@ def build_fleet_report(
     return FleetReport(
         fleet=fleet.to_dict(),
         servers=servers,
-        failures=list(failures),
+        failures=sorted(failures, key=lambda f: f["shard_index"]),
         latency_us=latency,
         miss_fraction=miss_count / max(1, slot_count),
         slot_count=slot_count,
@@ -354,8 +356,7 @@ def build_fleet_report(
         jobs=jobs,
         workers=workers,
         wall_s=wall_s,
-        total_job_wall_s=sum(p["wall_s"] for p in payloads),
-        idle_worker_s=idle_worker_s,
-        max_in_flight=max_in_flight,
+        total_job_wall_s=(total_job_wall_s if total_job_wall_s is not None
+                          else sum(p["wall_s"] for p in payloads)),
         dispatches=dispatches if dispatches is not None else len(payloads),
     )

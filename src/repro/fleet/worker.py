@@ -1,29 +1,23 @@
-"""Shard execution: the hermetic job body and the persistent child loop.
+"""Shard execution: the hermetic job body and its child entry point.
 
-This generalizes :mod:`repro.exec.worker`'s pipe protocol from "one
-fork = one job" to "one fork = one *warm worker*": the child loop
-blocks on its pipe, executes any number of ``("run", shard)`` commands
-and reports each through ``("ok" | "error", payload)`` messages until
-told to ``("stop", None)``.  Workers therefore keep their warmed
-interpreter (imported numpy, trained predictors inherited on fork)
-across planner rounds instead of paying a fork per shard.
-
-:func:`execute_shard` is the job body, shared verbatim by the serial
-(in-process) planner path and the forked workers — the fleet's
-serial == parallel byte-identity rests on that.
+:func:`execute_shard` is the job body.  :func:`run_shard_in_child`
+wraps it in :mod:`repro.exec.worker`'s pipe protocol, so the planner
+runs shards through :func:`repro.exec.batch.run_jobs` exactly as sweeps
+run specs: in-process at ``jobs=1``, one forked child per attempt
+otherwise.  Both paths execute the same body — the fleet's serial ==
+parallel byte-identity rests on that.
 """
 
 from __future__ import annotations
 
-import os
 import time
-import traceback
 
+from ..exec.worker import report_to_parent
 from ..scenario import Scenario, build_simulation
 from .demand import ShardDemandRecorder
 from .report import latency_histogram
 
-__all__ = ["execute_shard", "shard_payload", "shard_worker_loop"]
+__all__ = ["execute_shard", "shard_payload", "run_shard_in_child"]
 
 
 def shard_payload(simulation, result, recorder, meta: dict,
@@ -84,41 +78,11 @@ def execute_shard(payload: dict) -> dict:
                          time.perf_counter() - started)
 
 
-def shard_worker_loop(conn, worker_id: int) -> None:
-    """Persistent child entry point: serve shard jobs until stopped.
+def run_shard_in_child(conn, payload: dict, attempt: int) -> None:
+    """Child entry point: execute one shard, report it through ``conn``.
 
-    Every job answer carries the worker's pid and a served-jobs
-    counter, so the planner (and the tests) can verify workers really
-    stay warm across rounds.  Exceptions never cross the process
-    boundary — they are serialized as error payloads; a send failure
-    means the parent is gone and the loop exits.
+    ``attempt`` is unused — a shard is a pure function of its payload —
+    but keeps the signature of every :func:`repro.exec.batch.run_jobs`
+    entry point.
     """
-    served = 0
-    while True:
-        try:
-            command, payload = conn.recv()
-        except (EOFError, OSError):  # parent died or closed the pipe
-            break
-        if command == "stop":
-            break
-        started = time.perf_counter()
-        try:
-            result = execute_shard(payload)
-            served += 1
-            result["worker"] = {"id": worker_id, "pid": os.getpid(),
-                                "jobs_done": served}
-            message = ("ok", result)
-        except BaseException as exc:  # noqa: BLE001 - isolation boundary
-            message = ("error", {
-                "shard_index": payload.get("shard_index"),
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-                "wall_s": time.perf_counter() - started,
-                "worker": {"id": worker_id, "pid": os.getpid(),
-                           "jobs_done": served},
-            })
-        try:
-            conn.send(message)
-        except (BrokenPipeError, OSError):  # parent gave up on us
-            break
-    conn.close()
+    report_to_parent(conn, lambda: execute_shard(payload))

@@ -160,3 +160,9 @@ class TestSweep:
                      "--no-cache"])
         assert code == 2
         assert "REPRO_JOBS" in capsys.readouterr().err
+
+    def test_rejects_nonpositive_jobs(self, capsys):
+        code = main(self.SWEEP[:-1] + ["--jobs", "0", "--no-cache"])
+        assert code == 2
+        assert "error: jobs must be a positive integer" in \
+            capsys.readouterr().err

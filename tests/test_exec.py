@@ -6,6 +6,7 @@ numbers.
 """
 
 import json
+import os
 
 import pytest
 
@@ -132,6 +133,34 @@ class TestBatchRunner:
         results = report.results(strict=False)
         assert results[0] is None and results[2] is not None
 
+    @pytest.mark.parametrize("deaths", ["first", "every"])
+    def test_dead_child_is_retried(self, monkeypatch, deaths):
+        """A forked job that dies without reporting gets one retry.
+
+        Patching ``repro.exec.batch.run_job_in_child`` (the benchmark's
+        per-job hook) also pins that the runner looks the entry point
+        up at call time.
+        """
+        import repro.exec.batch as batch_module
+
+        entry = batch_module.run_job_in_child
+
+        def die(conn, payload, attempt):
+            if deaths == "every" or attempt == 0:
+                os._exit(3)
+            entry(conn, payload, attempt)
+
+        monkeypatch.setattr(batch_module, "run_job_in_child", die)
+        report = run_batch([flexran_spec(seed=12, num_slots=100)],
+                           jobs=2, use_cache=False, retries=1)
+        (outcome,) = report.outcomes
+        assert report.retried == 1 and outcome.attempts == 2
+        if deaths == "first":
+            assert outcome.status == "ok"
+        else:
+            assert outcome.status == "failed"
+            assert "without reporting" in outcome.error
+
     def test_timeout_kills_the_job(self):
         slow = flexran_spec(seed=10, num_slots=100)
         slow.knobs["__test_sleep_s__"] = 30.0
@@ -141,6 +170,21 @@ class TestBatchRunner:
         assert outcome.status == "timeout"
         assert "killed" in outcome.error
         assert report.batch_wall_s < 10.0
+
+    def test_straggler_is_flagged_once(self, monkeypatch, caplog):
+        monkeypatch.setattr("repro.exec.batch.STRAGGLER_FACTOR", 1.0)
+        monkeypatch.setattr("repro.exec.batch.STRAGGLER_MIN_S", 0.5)
+        fast = flexran_spec(seed=13, num_slots=100)
+        slow = flexran_spec(seed=14, num_slots=100)
+        slow.knobs["__test_sleep_s__"] = 3.0
+        events = []
+        report = run_batch([fast, slow], jobs=2, use_cache=False,
+                           progress=events.append)
+        flagged = [e for e in events if e["kind"] == "straggler"]
+        assert [e["index"] for e in flagged] == [1]
+        assert flagged[0]["wall_s"] > 0.5
+        assert "straggler" in caplog.text
+        assert [o.status for o in report.outcomes] == ["ok", "ok"]
 
     def test_telemetry_and_progress_stream(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -1,4 +1,4 @@
-"""Tests for repro.fleet: sharding, demand rollup, pool, planner, CLI.
+"""Tests for repro.fleet: sharding, demand rollup, planner, CLI.
 
 The metro-scale invariants under test:
 
@@ -7,13 +7,14 @@ The metro-scale invariants under test:
 * per-cell sampling digests are invariant to shard count and to the
   serial/parallel execution mode (the PR-3 interleaving-independence
   invariant lifted to fleet scale);
-* the worker pool keeps forked workers warm across jobs and survives
-  worker death;
 * the planner aggregates per-shard payloads identically no matter who
-  executed them.
+  executed them, and retries a shard whose forked child died or whose
+  body raised exactly as ``repro sweep`` retries a job.
 """
 
 import json
+import os
+import signal
 
 import pytest
 
@@ -23,7 +24,6 @@ from repro.fleet import (
     FleetScenario,
     Planner,
     ShardSpec,
-    ShardWorkerPool,
     combined_digest,
     execute_shard,
     histogram_percentile,
@@ -197,50 +197,6 @@ class TestShardingInvariance:
             combined_digest(dict(reversed(list(digests.items()))))
 
 
-class TestWorkerPool:
-    def test_workers_stay_warm_across_jobs(self):
-        fleet = FleetScenario(cells=4, shards=4, num_slots=5, seed=2)
-        shards = fleet.derive_shards()
-        with ShardWorkerPool(1) as pool:
-            pids, jobs_done = set(), []
-            for shard in shards:
-                pool.submit(0, shard.to_dict())
-                (message,) = pool.wait()
-                assert message.status == "ok"
-                worker = message.payload["worker"]
-                pids.add(worker["pid"])
-                jobs_done.append(worker["jobs_done"])
-        assert len(pids) == 1  # one forked process served everything
-        assert jobs_done == [1, 2, 3, 4]
-
-    def test_error_keeps_worker_alive(self):
-        fleet = FleetScenario(cells=1, shards=1, num_slots=5)
-        (shard,) = fleet.derive_shards()
-        bad = shard.to_dict()
-        bad["scenario"] = {"schema": -1}
-        with ShardWorkerPool(1) as pool:
-            pool.submit(0, bad)
-            (message,) = pool.wait()
-            assert message.status == "error"
-            assert "schema" in message.payload["error"]
-            # The same worker still serves good jobs afterwards.
-            pool.submit(0, shard.to_dict())
-            (message,) = pool.wait()
-            assert message.status == "ok"
-
-    def test_dead_worker_is_retired(self):
-        fleet = FleetScenario(cells=1, shards=1, num_slots=5)
-        (shard,) = fleet.derive_shards()
-        with ShardWorkerPool(2) as pool:
-            pool.submit(0, shard.to_dict())
-            pool._workers[0].process.terminate()
-            messages = pool.wait()
-            died = [m for m in messages if m.status == "died"]
-            assert died and died[0].worker_id == 0
-            assert "without reporting" in died[0].payload["error"]
-            assert pool.alive == 1
-
-
 class TestPlanner:
     def test_serial_and_parallel_reports_match(self):
         fleet = FleetScenario(cells=4, shards=2, num_slots=20, seed=6)
@@ -251,7 +207,6 @@ class TestPlanner:
             payload.pop("planner")
             for row in payload["servers"]:
                 row.pop("wall_s")
-                row.pop("worker")
             return payload
 
         assert strip(serial) == strip(parallel)
@@ -280,35 +235,77 @@ class TestPlanner:
         assert kinds.count("done") == 2
 
     def test_dead_worker_shard_is_requeued(self, monkeypatch):
-        """Killing a worker mid-job must not forfeit its shard.
+        """Killing a shard's forked child must not forfeit the shard.
 
-        The shard is requeued (retry budget 1) and completes on a
-        surviving worker, so the report is clean and the fleet digest
-        matches the serial run byte for byte.
+        The shard is retried (retry budget 1) in a fresh child, so the
+        report is clean and the fleet digest matches the serial run
+        byte for byte.
         """
-        import repro.fleet.planner as planner_module
-
-        class KillFirstJobPool(ShardWorkerPool):
-            killed = False
-
-            def submit(self, worker_id, payload):
-                super().submit(worker_id, payload)
-                if not KillFirstJobPool.killed:
-                    KillFirstJobPool.killed = True
-                    self._workers[worker_id].process.terminate()
-
-        monkeypatch.setattr(planner_module, "ShardWorkerPool",
-                            KillFirstJobPool)
+        _kill_first_attempt(monkeypatch, shard_index=0)
         events = []
         fleet = FleetScenario(cells=4, shards=2, num_slots=10, seed=6)
         report = Planner(fleet, jobs=2, progress=events.append).run()
-        assert KillFirstJobPool.killed
         assert report.ok, report.failures
         assert [e["kind"] for e in events].count("retry") == 1
         assert len(report.servers) == 2
         serial = Planner(fleet, jobs=1).run()
         assert report.fleet_digest == serial.fleet_digest
         assert report.cell_digests == serial.cell_digests
+
+    def test_lost_attempt_counts_in_telemetry(self, monkeypatch):
+        _kill_first_attempt(monkeypatch, shard_index=1)
+        fleet = FleetScenario(cells=3, shards=3, num_slots=5, seed=2)
+        report = Planner(fleet, jobs=2).run()
+        assert report.ok, report.failures
+        assert report.dispatches == fleet.shards + 1
+        assert report.total_job_wall_s > \
+            sum(row["wall_s"] for row in report.servers)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shard_exception_is_retried_then_failed(self, monkeypatch,
+                                                    jobs):
+        """A raising shard body gets the sweep's retry, serial or forked."""
+        import repro.fleet.planner as planner_module
+
+        entry = planner_module.run_shard_in_child
+
+        def corrupt_shard_zero(conn, payload, attempt):
+            if payload["shard_index"] == 0:
+                payload = dict(payload, scenario={"schema": -1})
+            entry(conn, payload, attempt)
+
+        monkeypatch.setattr(planner_module, "run_shard_in_child",
+                            corrupt_shard_zero)
+        events = []
+        fleet = FleetScenario(cells=2, shards=2, num_slots=5, seed=3)
+        report = Planner(fleet, jobs=jobs, progress=events.append).run()
+        kinds = [e["kind"] for e in events]
+        assert kinds.count("retry") == 1
+        assert kinds.count("failed") == 1
+        assert [f["shard_index"] for f in report.failures] == [0]
+        assert "schema" in report.failures[0]["error"]
+        assert [row["shard_index"] for row in report.servers] == [1]
+        assert report.dispatches == 3
+
+
+def _kill_first_attempt(monkeypatch, shard_index: int) -> None:
+    """SIGKILL the forked child of ``shard_index``'s first attempt.
+
+    At ``jobs=1`` the entry point runs in the test process itself,
+    which is never killed.
+    """
+    import repro.fleet.planner as planner_module
+
+    entry = planner_module.run_shard_in_child
+    parent = os.getpid()
+
+    def die_once(conn, payload, attempt):
+        if (attempt == 0 and payload["shard_index"] == shard_index
+                and os.getpid() != parent):
+            os.kill(os.getpid(), signal.SIGKILL)
+        entry(conn, payload, attempt)
+
+    monkeypatch.setattr(planner_module, "run_shard_in_child", die_once)
 
 
 class TestFleetCli:
@@ -329,3 +326,10 @@ class TestFleetCli:
         assert payload["verified_against_serial"] is True
         assert len(payload["cell_digests"]) == 4
         assert payload["planner"]["workers"] == 2
+
+    def test_fleet_rejects_nonpositive_jobs(self, capsys):
+        code = main(["fleet", "--cells", "2", "--jobs", "-1",
+                     "--slots", "5"])
+        assert code == 2
+        assert "error: jobs must be a positive integer" in \
+            capsys.readouterr().err
