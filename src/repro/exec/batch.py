@@ -290,6 +290,8 @@ def run_batch(
     def notify(kind: str, job: Job, **info) -> None:
         if kind == "straggler":
             emit(kind, job.index, kind, info["elapsed_s"])
+        elif kind == "retry":
+            emit(kind, job.index, kind, job.wall_s, info["error"])
 
     # ``run_job_in_child`` is looked up in the module globals here, at
     # call time, so a patched entry point reaches every job.

@@ -145,13 +145,14 @@ def _link(parent: TaskInstance, child: TaskInstance) -> None:
 def dag_kind_key(load: SlotLoad) -> tuple:
     """Structural fingerprint of the DAG a :class:`SlotLoad` builds.
 
-    The builder wires a DAG from exactly three structural inputs: the
-    direction, whether the slot is idle, and how many codeblock groups
-    each allocation splits into (``_codeblock_groups`` emits
+    The builder wires a DAG from this tuple alone: the direction,
+    whether the slot is idle, and how many codeblock groups each
+    allocation splits into (``_codeblock_groups`` emits
     ``ceil(num_codeblocks / MAX_CBS_PER_TASK)`` groups, zero for
     zero-codeblock allocations).  Everything else — byte counts, SNR,
-    MCS — only changes task *costs*, never edges or ``dag.tasks``
-    order, so this tuple indexes the topology-template registry.
+    MCS — only changes task *costs* (:func:`plan_task_rows`), never
+    edges or ``dag.tasks`` order, so this tuple indexes the
+    topology-template registry.
     """
     if load.idle:
         return (load.uplink, True, ())
@@ -361,14 +362,6 @@ class DagBuilder:
         self._task_pool: list[TaskInstance] = []
         self._dag_pool: list[DagInstance] = []
         self._retired: list[DagInstance] = []
-        # Deferred per-task cost/feature parameters, collected during
-        # structural construction and evaluated in one vectorized pass
-        # per build_many() batch.  One row tuple per task — a single
-        # list append on the per-task path — unzipped into parallel
-        # columns by the batch pass.  Rows are in *creation* order,
-        # which differs from the topological order of dag.tasks (e.g.
-        # the uplink CRC task is created second but listed last).
-        self._pend_rows: list[tuple] = []
 
     # -- helpers -----------------------------------------------------------
 
@@ -390,23 +383,12 @@ class DagBuilder:
         self._philox.state = template
         return self._dag_gen
 
-    def _new_task(
-        self,
-        task_type: TaskType,
-        cell_name: str,
-        task_codeblocks: int = 0,
-        task_bytes: float = 0.0,
-        snr_margin_db: float = 10.0,
-        code_rate: float = 0.6,
-        prb_share: float = 1.0,
-        layers: int = 1,
-    ) -> TaskInstance:
+    def _new_task(self, task_type: TaskType, cell_name: str) -> TaskInstance:
         """Structural task construction: identity now, numbers later.
 
-        The cost/feature parameters are appended to the pending batch
-        columns; ``base_cost_us`` and ``features`` are filled by the
-        vectorized pass at the end of :meth:`build_many` (values
-        bit-identical to the old per-task scalar calls).
+        ``base_cost_us``, ``features`` and ``snr_margin_db`` are filled
+        from :func:`plan_task_rows` by the vectorized pass at the end of
+        :meth:`build_many`.
         """
         pool = self._task_pool
         if pool:
@@ -424,20 +406,14 @@ class DagBuilder:
             task.task_type = task_type
             task.memory_bound = task_type.is_memory_bound
             task.cell_name = cell_name
-            task.snr_margin_db = snr_margin_db
-        else:
-            task = TaskInstance(
-                task_id=next(self._task_ids),
-                task_type=task_type,
-                cell_name=cell_name,
-                features=None,
-                base_cost_us=0.0,
-                snr_margin_db=snr_margin_db,
-            )
-        self._pend_rows.append(
-            (task, task_type.type_code, task_codeblocks, task_bytes,
-             snr_margin_db, code_rate, prb_share, layers))
-        return task
+            return task
+        return TaskInstance(
+            task_id=next(self._task_ids),
+            task_type=task_type,
+            cell_name=cell_name,
+            features=None,
+            base_cost_us=0.0,
+        )
 
     def recycle_dag(self, dag: DagInstance) -> None:
         """Mark a *completed* DAG's instances for reuse.
@@ -460,25 +436,6 @@ class DagBuilder:
             dag_pool.append(dag)
         self._retired.clear()
 
-    @staticmethod
-    def _codeblock_groups(
-        alloc: UeAllocation,
-    ) -> list[tuple[int, float, float, float]]:
-        """Split one UE's codeblocks into (#cbs, bytes, margin, rate) groups."""
-        groups = []
-        cbs = alloc.num_codeblocks
-        if cbs == 0:
-            return groups
-        margin = alloc.snr_db - alloc.mcs.min_snr_db
-        bytes_per_cb = alloc.tbs_bytes / cbs
-        while cbs > 0:
-            group = min(cbs, MAX_CBS_PER_TASK)
-            groups.append(
-                (group, group * bytes_per_cb, margin, alloc.mcs.code_rate)
-            )
-            cbs -= group
-        return groups
-
     # -- public API ---------------------------------------------------------
 
     def build(self, load: SlotLoad, cell: CellConfig,
@@ -493,70 +450,92 @@ class DagBuilder:
         return self.build_many(
             [(load, cell, release_us, deadline_us, cell_index)])[0]
 
-    def build_many(self, jobs: list) -> list:
-        """Build all DAGs of one slot in a single vectorized batch.
+    def row_costs(self, dags: list) -> tuple:
+        """Base costs of many DAGs' :func:`plan_task_rows`, one batch.
 
-        ``jobs`` is a list of ``(load, cell, release_us, deadline_us,
-        cell_index)`` tuples.  Structural construction (task wiring)
-        runs per DAG as before, but the per-task ``base_cost_us`` and
-        feature vectors are computed in one numpy pass over the whole
-        batch — ~2 np calls per task *type* instead of ~7 Python-level
-        calls per *task*.  RNG draws stay on each DAG's private
-        counter-keyed stream in the original order (probes, then
-        runtime presamples), so results are byte-identical to building
-        each DAG separately.
+        ``dags`` holds one ``(load, cell, rows)`` triple per DAG.
+        Returns ``(costs, codeblocks, bytes, margins)``: the flat
+        base-cost list and the row columns the feature vectors and
+        ``snr_margin_db`` read, all in row order.  The cost ops are
+        elementwise, so batch composition cannot perturb any value.
         """
-        if not jobs:
-            return []
-        self._drain_retired()
-        self._pend_rows.clear()
-        dag_tasks = []
-        bases = []
+        flat = []
         consts = []  # per-DAG (prbs, antennas, slot_bytes)
-        for load, cell, _release, _deadline, _index in jobs:
-            if load.uplink:
-                tasks = self._build_uplink(load, cell)
-            else:
-                tasks = self._build_downlink(load, cell)
-            dag_tasks.append(tasks)
-            bases.append(slot_base_features(load, cell, load.slot_index))
+        counts = []
+        for load, cell, rows in dags:
+            flat.extend(rows)
+            counts.append(len(rows))
             prbs = prbs_for_bandwidth(cell.bandwidth_mhz, cell.numerology)
             consts.append((float(prbs), float(cell.num_antennas),
                            float(load.total_bytes)))
-        counts = np.array([len(tasks) for tasks in dag_tasks])
+        types, cbs, tbytes, margins, rates, shares, layers = zip(*flat)
         const_arr = np.repeat(np.array(consts), counts, axis=0)
-        (pend_tasks, codes, cbs, tbytes, margins, rates, shares,
-         task_layers) = zip(*self._pend_rows)
         costs = self.cost_model.base_costs_batch(
-            np.array(codes),
+            np.array([t.type_code for t in types]),
             prbs=const_arr[:, 0],
             antennas=const_arr[:, 1],
             slot_bytes=const_arr[:, 2],
             task_codeblocks=np.array(cbs, dtype=np.float64),
-            task_bytes=np.array(tbytes),
-            snr_margin_db=np.array(margins),
-            code_rate=np.array(rates),
-            prb_share=np.array(shares),
-            layers=np.array(task_layers, dtype=np.float64),
+            task_bytes=np.array(tbytes, dtype=np.float64),
+            snr_margin_db=np.array(margins, dtype=np.float64),
+            code_rate=np.array(rates, dtype=np.float64),
+            prb_share=np.array(shares, dtype=np.float64),
+            layers=np.array(layers, dtype=np.float64),
         ).tolist()
+        return costs, cbs, tbytes, margins
+
+    def build_many(self, jobs: list) -> list:
+        """Build all DAGs of one slot (or window) in one vectorized batch.
+
+        ``jobs`` is a list of ``(load, cell, release_us, deadline_us,
+        cell_index)`` tuples.  Structural construction (task wiring)
+        runs per DAG from its :func:`dag_kind_key`; every task's
+        ``base_cost_us``, feature vector and ``snr_margin_db`` come from
+        :func:`plan_task_rows` through one :meth:`row_costs` batch, so
+        the window planner and the builder share one definition of a
+        task's cost inputs.  RNG draws stay on each DAG's private
+        counter-keyed stream (probes, then runtime presamples), so
+        results are byte-identical to building each DAG separately.
+        """
+        if not jobs:
+            return []
+        self._drain_retired()
+        build_uplink = self._build_uplink
+        build_downlink = self._build_downlink
+        kinds = []
+        dag_tasks = []
+        row_jobs = []
+        bases = []
+        for load, cell, _release, _deadline, _index in jobs:
+            kind = dag_kind_key(load)
+            kinds.append(kind)
+            if load.uplink:
+                dag_tasks.append(build_uplink(cell.name, kind))
+            else:
+                dag_tasks.append(build_downlink(cell.name, kind))
+            row_jobs.append((load, cell, plan_task_rows(load, cell)))
+            bases.append(slot_base_features(load, cell, load.slot_index))
+        costs, cbs, tbytes, margins = self.row_costs(row_jobs)
         # One (total_tasks, NUM_FEATURES) matrix; each task's feature
-        # vector is a row view.  Values match the old per-task
-        # base.copy() + three scalar writes exactly.
-        feats = np.repeat(np.stack(bases), counts, axis=0)
+        # vector is a row view, in dag.tasks order like the rows.
+        feats = np.repeat(np.stack(bases),
+                          [len(tasks) for tasks in dag_tasks], axis=0)
         feats[:, _TASK_CB_IDX] = cbs
         feats[:, _TASK_BYTES_IDX] = tbytes
         # list(feats) splits the matrix into row views in one C call;
         # per-row feats[i] indexing costs a Python-level __getitem__
         # per task.
-        for task, row, cost in zip(pend_tasks, list(feats), costs):
+        for task, row, cost, margin in zip(
+                itertools.chain.from_iterable(dag_tasks), list(feats),
+                costs, margins):
             task.features = row
             task.base_cost_us = cost
+            task.snr_margin_db = margin
         sample_runtimes = self.cost_model.sample_runtimes
         dags = []
-        for job, tasks in zip(jobs, dag_tasks):
+        for job, tasks, kind in zip(jobs, dag_tasks, kinds):
             load, cell, release_us, deadline_us, cell_index = job
             n = len(tasks)
-            kind = dag_kind_key(load)
             rng = self._dag_rng(cell_index, load.slot_index, load.uplink)
             # Probes are drawn and assigned in dag.tasks (topological)
             # order, exactly like the old scalar path.
@@ -596,54 +575,42 @@ class DagBuilder:
             dags.append(dag)
         return dags
 
-    def _build_uplink(self, load: SlotLoad, cell: CellConfig) -> list:
+    def _build_uplink(self, name: str, kind: tuple) -> list:
         """FFT -> per-UE (ChanEst..RateDematch -> decode groups) -> CRC.
 
         FlexRAN processes scheduled UEs in parallel branches; the slot's
         critical path is the front-end FFT plus one UE's chain plus one
-        decode group, not the sum over UEs.
+        decode group, not the sum over UEs.  ``kind`` is the load's
+        :func:`dag_kind_key`: its per-allocation group counts are all
+        the wiring reads.
         """
-        name = cell.name
         new_task = self._new_task
         fft = new_task(TaskType.FFT, name)
         tasks = [fft]
-        if load.idle:
+        if kind[1]:
             # Front-end processing runs even on empty slots (no PUSCH).
             return tasks
         crc = new_task(TaskType.CRC_CHECK, name)
-        slot_bytes = max(load.total_bytes, 1)
-        for alloc in load.allocations:
-            share = alloc.tbs_bytes / slot_bytes
-            margin = alloc.snr_db - alloc.mcs.min_snr_db
-            tbs = alloc.tbs_bytes
-            rate = alloc.mcs.code_rate
-            layers = alloc.layers
+        decode_type = TaskType.LDPC_DECODE
+        for groups in kind[2]:
             prev = fft
-            for task_type in (TaskType.CHANNEL_ESTIMATION,
-                              TaskType.EQUALIZATION,
-                              TaskType.DEMODULATION,
-                              TaskType.DESCRAMBLING,
-                              TaskType.RATE_DEMATCH):
-                task = new_task(task_type, name, 0, tbs, margin, rate,
-                                share, layers)
+            for task_type in _UL_CHAIN_TYPES:
+                task = new_task(task_type, name)
                 _link(prev, task)
                 tasks.append(task)
                 prev = task
-            for cbs, grp_bytes, grp_margin, grp_rate in self._codeblock_groups(alloc):
-                decode = new_task(TaskType.LDPC_DECODE, name, cbs,
-                                  grp_bytes, grp_margin, grp_rate, share,
-                                  layers)
+            for _ in range(groups):
+                decode = new_task(decode_type, name)
                 _link(prev, decode)
                 _link(decode, crc)
                 tasks.append(decode)
         tasks.append(crc)
         return tasks
 
-    def _build_downlink(self, load: SlotLoad, cell: CellConfig) -> list:
+    def _build_downlink(self, name: str, kind: tuple) -> list:
         """CRC -> per-UE (encode groups -> RateMatch..Modulate) -> Precode -> iFFT."""
-        name = cell.name
         new_task = self._new_task
-        if load.idle:
+        if kind[1]:
             # Broadcast/control symbols still get modulated and precoded.
             mod = new_task(TaskType.MODULATION, name)
             ifft = new_task(TaskType.IFFT, name)
@@ -652,27 +619,18 @@ class DagBuilder:
         crc = new_task(TaskType.CRC_ATTACH, name)
         tasks = [crc]
         precode = new_task(TaskType.PRECODING, name)
-        slot_bytes = max(load.total_bytes, 1)
-        for alloc in load.allocations:
-            share = alloc.tbs_bytes / slot_bytes
-            margin = alloc.snr_db - alloc.mcs.min_snr_db
-            tbs = alloc.tbs_bytes
-            rate = alloc.mcs.code_rate
-            layers = alloc.layers
-            rate_match = new_task(TaskType.RATE_MATCH, name, 0, tbs,
-                                  margin, rate, share, layers)
-            for cbs, grp_bytes, grp_margin, grp_rate in self._codeblock_groups(alloc):
-                encode = new_task(TaskType.LDPC_ENCODE, name, cbs,
-                                  grp_bytes, grp_margin, grp_rate, share,
-                                  layers)
+        encode_type = TaskType.LDPC_ENCODE
+        for groups in kind[2]:
+            rate_match = new_task(TaskType.RATE_MATCH, name)
+            for _ in range(groups):
+                encode = new_task(encode_type, name)
                 _link(crc, encode)
                 _link(encode, rate_match)
                 tasks.append(encode)
             tasks.append(rate_match)
             prev = rate_match
-            for task_type in (TaskType.SCRAMBLING, TaskType.MODULATION):
-                task = new_task(task_type, name, 0, tbs, margin, rate,
-                                share, layers)
+            for task_type in _DL_TAIL_TYPES:
+                task = new_task(task_type, name)
                 _link(prev, task)
                 tasks.append(task)
                 prev = task
@@ -758,14 +716,14 @@ class DagBuilder:
         return mults
 
 
-#: Default cost-row tail for parameter-less tasks, matching
-#: ``DagBuilder._new_task``'s keyword defaults:
+#: Cost-row tail of parameter-less tasks (front end, CRC, precoding):
 #: (codeblocks, bytes, snr_margin_db, code_rate, prb_share, layers).
 _PLAN_DEFAULT_ROW = (0, 0.0, 10.0, 0.6, 1.0, 1)
 
 _UL_CHAIN_TYPES = (TaskType.CHANNEL_ESTIMATION, TaskType.EQUALIZATION,
                    TaskType.DEMODULATION, TaskType.DESCRAMBLING,
                    TaskType.RATE_DEMATCH)
+_DL_TAIL_TYPES = (TaskType.SCRAMBLING, TaskType.MODULATION)
 
 #: Idle-slot rows are load-independent; shared read-only lists.
 _IDLE_UL_ROWS = [(TaskType.FFT,) + _PLAN_DEFAULT_ROW]
@@ -773,16 +731,34 @@ _IDLE_DL_ROWS = [(TaskType.MODULATION,) + _PLAN_DEFAULT_ROW,
                  (TaskType.IFFT,) + _PLAN_DEFAULT_ROW]
 
 
+def _codeblock_groups(alloc: UeAllocation) -> list:
+    """Split one UE's codeblocks into (#cbs, bytes) coding-task groups.
+
+    ``ceil(num_codeblocks / MAX_CBS_PER_TASK)`` groups, none for a
+    zero-codeblock allocation — the count :func:`dag_kind_key` records.
+    """
+    groups = []
+    cbs = alloc.num_codeblocks
+    if cbs == 0:
+        return groups
+    bytes_per_cb = alloc.tbs_bytes / cbs
+    while cbs > 0:
+        group = min(cbs, MAX_CBS_PER_TASK)
+        groups.append((group, group * bytes_per_cb))
+        cbs -= group
+    return groups
+
+
 def plan_task_rows(load: SlotLoad, cell: CellConfig) -> list:
     """Cost-model inputs of one DAG's tasks, without building tasks.
 
     Returns one ``(task_type, codeblocks, bytes, margin, rate, share,
-    layers)`` tuple per task in ``dag.tasks`` (topological) order,
-    mirroring ``_build_uplink``/``_build_downlink`` parameter by
-    parameter.  ``base_costs_batch`` over these rows reproduces every
-    ``task.base_cost_us`` bit-for-bit, which is what lets the window
-    fill certify and plan a slot before deciding whether to materialize
-    its DAG objects at all.
+    layers)`` tuple per task in ``dag.tasks`` (topological) order.  It
+    is the builders' only source of task costs and cost features:
+    :meth:`DagBuilder.build_many` fills every ``base_cost_us``,
+    ``features`` and ``snr_margin_db`` from these rows, and the window
+    fill certifies and plans a slot from the same rows before deciding
+    whether to materialize its DAG objects at all.
     """
     if load.uplink:
         if load.idle:
@@ -798,10 +774,9 @@ def plan_task_rows(load: SlotLoad, cell: CellConfig) -> list:
             for task_type in _UL_CHAIN_TYPES:
                 rows.append((task_type, 0, tbs, margin, rate, share,
                              layers))
-            for cbs, grp_bytes, grp_margin, grp_rate in (
-                    DagBuilder._codeblock_groups(alloc)):
+            for cbs, grp_bytes in _codeblock_groups(alloc):
                 rows.append((TaskType.LDPC_DECODE, cbs, grp_bytes,
-                             grp_margin, grp_rate, share, layers))
+                             margin, rate, share, layers))
         rows.append((TaskType.CRC_CHECK,) + _PLAN_DEFAULT_ROW)
         return rows
     if load.idle:
@@ -814,13 +789,12 @@ def plan_task_rows(load: SlotLoad, cell: CellConfig) -> list:
         tbs = alloc.tbs_bytes
         rate = alloc.mcs.code_rate
         layers = alloc.layers
-        for cbs, grp_bytes, grp_margin, grp_rate in (
-                DagBuilder._codeblock_groups(alloc)):
+        for cbs, grp_bytes in _codeblock_groups(alloc):
             rows.append((TaskType.LDPC_ENCODE, cbs, grp_bytes,
-                         grp_margin, grp_rate, share, layers))
+                         margin, rate, share, layers))
         rows.append((TaskType.RATE_MATCH, 0, tbs, margin, rate, share,
                      layers))
-        for task_type in (TaskType.SCRAMBLING, TaskType.MODULATION):
+        for task_type in _DL_TAIL_TYPES:
             rows.append((task_type, 0, tbs, margin, rate, share,
                          layers))
     rows.append((TaskType.PRECODING,) + _PLAN_DEFAULT_ROW)

@@ -69,7 +69,6 @@ def build_simulation(
     predictor=None,
     policy_seed: int = 42,
     event_bus=None,
-    slot_window: Optional[int] = None,
 ) -> Simulation:
     """Assemble a runnable :class:`Simulation` from a scenario.
 
@@ -78,20 +77,11 @@ def build_simulation(
     taken verbatim when a live ``policy`` instance is supplied — and
     the simulation is wired exactly as ``Simulation``'s legacy keyword
     constructor would, from the scenario alone.
-
-    ``slot_window`` overrides the idle-slot batch kernel's window size
-    (``0`` disables the kernel, forcing the per-slot legacy path).  It
-    is an execution knob, not part of the scenario: results are
-    byte-identical either way, so it stays out of the serialized
-    scenario — and out of the result digests.
     """
     config = scenario.pool_config()
     if policy is None:
         policy = build_policy(scenario.policy, config, seed=policy_seed,
                               predictor=predictor,
                               **scenario.policy_params)
-    simulation = Simulation(config, policy, scenario=scenario,
-                            event_bus=event_bus)
-    if slot_window is not None:
-        simulation.slot_window = int(slot_window)
-    return simulation
+    return Simulation(config, policy, scenario=scenario,
+                      event_bus=event_bus)

@@ -58,7 +58,7 @@ from ..ran.dag import (DagBuilder, dag_kind_key, plan_task_rows,
                        topology_for_key)
 from ..ran.harq import HarqConfig, HarqManager, _PendingRetransmission
 from ..ran.mac import MacCell
-from ..ran.tasks import CostModel, TaskType, prbs_for_bandwidth
+from ..ran.tasks import CostModel, TaskType
 from ..ran.traffic import CellTraffic
 from ..ran.ue import MCS_TABLE, SlotLoad, UeAllocation, bytes_to_allocations
 from ..workloads.base import WorkloadHost
@@ -98,9 +98,9 @@ MIN_SLOT_WINDOW = 4
 def _slot_directions(cell, slot_index: int) -> tuple:
     """(uplink, traffic-scale) pairs fired by ``cell`` in this slot.
 
-    Must mirror the direction logic of ``_loads_for_slot`` exactly —
-    the slot-window kernel uses it to count how many traffic draws each
-    per-(cell, direction) generator will consume across a window.
+    The window fill draws one load per pair, in this order, and counts
+    the pairs to size each per-(cell, direction) generator's batched
+    traffic draw.
     """
     slot_type = cell.slot_type(slot_index)
     if slot_type is SlotType.FULL_DUPLEX:
@@ -425,30 +425,22 @@ class Simulation:
         self._slots_remaining = 0
         self._slot_event = None
         self._slot_us = pool_config.slot_duration_us
-        #: Slot-window batch kernel (ROADMAP item 1): number of future
-        #: slots whose traffic/HARQ occupancy is pre-drawn and whose
-        #: DAGs are prebuilt in one ``build_many`` pass.  0 disables
-        #: the kernel and falls back to per-slot construction.  The
-        #: kernel only engages for model traffic with i.i.d. allocation
-        #: (see :meth:`_fill_window` for why those are the exact
-        #: configurations whose draw order it can reproduce ahead of
-        #: time); ``kernel_stats`` reports engagement either way.
+        #: Slot window (ROADMAP item 1): number of future slots (at
+        #: least 1) whose traffic, allocations and HARQ state are drawn
+        #: and whose DAGs are built or planned in one pass.  Every
+        #: traffic and allocation mode is sourced this way; the width
+        #: never changes a result (see :meth:`_fill_window`).
         self.slot_window = max(
             MIN_SLOT_WINDOW,
             DEFAULT_WINDOW_JOBS // max(1, 2 * len(pool_config.cells)))
-        self._use_window = False
-        self._win_dags: deque = deque()
-        self._win_idle: deque = deque()
-        #: Per-slot :class:`repro.sim.arraykernel.SlotPlan` (or None),
-        #: kept in lockstep with ``_win_dags``; built at window-fill
-        #: time so the boundary hot path only checks dynamic gates.
-        self._win_plans: deque = deque()
-        #: Per-slot job list for slots whose DAGs were *not* built at
-        #: fill time (plan-direct fill): the boundary either commits
-        #: the slot in closed form without ever building its DAGs, or
-        #: materializes them from the jobs with a byte-identical
-        #: counter-keyed rebuild.  None for materialized slots.
-        self._win_jobs: deque = deque()
+        #: One ``(dags, plan, jobs, idle)`` entry per drawn slot.
+        #: ``plan`` is the slot's :class:`repro.sim.arraykernel.SlotPlan`
+        #: (or None), built at fill time so the boundary hot path only
+        #: checks dynamic gates.  A plan-direct slot has ``dags`` None
+        #: and keeps its ``jobs``: the boundary either commits it in
+        #: closed form without ever building its DAGs, or materializes
+        #: them with a byte-identical counter-keyed rebuild.
+        self._window: deque = deque()
         # kind_key -> (decode indices, memory-bound flags): the task
         # *type* sequence is fully determined by the kind key, so this
         # per-row metadata is shared by every DAG of a kind.
@@ -459,9 +451,8 @@ class Simulation:
         self._idle_base_cache: dict = {}
         self.kernel_stats = {
             "slots": 0,          # slot boundaries fired
-            "window_slots": 0,   # slots served by the window kernel
             "idle_slots": 0,     # of those, slots with zero bytes
-            "windows": 0,        # build_many pre-pass invocations
+            "windows": 0,        # window fills
             "array_slots": 0,    # slots taken by the array kernel
             "vector_slots": 0,   # of those, closed-form vector commits
         }
@@ -485,49 +476,6 @@ class Simulation:
 
             self._array_kernel = ArraySlotKernel(self)
 
-    # -- traffic ----------------------------------------------------------------
-
-    def _draw_bytes(self, cell_index: int, uplink: bool,
-                    scale: float = 1.0) -> int:
-        cell = self._cell_list[cell_index]
-        if self.profiling_traffic:
-            # Offline profiling sweeps the input space uniformly
-            # (paper §4.2: parameters varied every TTI).
-            if self._rng_traffic.random() < 0.1:
-                return 0
-            peak = cell.peak_bytes_per_slot(uplink)
-            return int(self._rng_traffic.uniform(0, peak) * scale)
-        generator = self.traffic[cell_index]
-        source = generator.uplink if uplink else generator.downlink
-        return int(source.next_slot() * scale)
-
-    def _loads_for_slot(self, cell_index: int, slot_index: int) -> list:
-        cell = self._cell_list[cell_index]
-        loads = []
-        for uplink, scale in _slot_directions(cell, slot_index):
-            if self.allocation_mode == "mac":
-                allocations = self._mac[(cell_index, uplink)].step()
-            else:
-                total = self._draw_bytes(cell_index, uplink, scale)
-                alloc_rng = (self._rng_alloc
-                             if self._rng_alloc_cells is None
-                             else self._rng_alloc_cells[cell_index])
-                allocations = bytes_to_allocations(
-                    total, alloc_rng,
-                    max_ues=cell.max_ues_per_slot,
-                    max_layers=cell.max_layers,
-                )
-            if uplink and cell_index in self._harq:
-                allocations = self._harq[cell_index].process_slot(
-                    slot_index, allocations)
-            loads.append(SlotLoad(
-                cell_name=cell.name,
-                slot_index=slot_index,
-                uplink=uplink,
-                allocations=allocations,
-            ))
-        return loads
-
     # -- slot driving --------------------------------------------------------------
 
     def _fill_window(self) -> None:
@@ -536,27 +484,28 @@ class Simulation:
         Byte-identity invariants (what makes this a kernel and not a
         model change):
 
-        * each per-(cell, direction) traffic generator owns a private
-          stream consumed in slot order, so one batched
-          ``next_slots(n)`` call replays exactly the draws the per-slot
-          path would make;
-        * the shared i.i.d. allocation stream is consumed slot-major,
-          cell-major, direction-minor — the same total order the
-          per-slot path uses (fleet shards use per-cell streams, which
-          only need the per-cell slot order);
-        * HARQ draws depend only on the cell's own stream and the
-          allocation features, never on execution outcomes, so the
-          retransmission loop can run in the pre-pass;
+        * every load is drawn in the loop below, slot-major,
+          cell-major, direction-minor: the per-slot total order, so the
+          shared i.i.d. allocation and profiling-traffic streams see
+          the same sequence at any width (fleet shards use per-cell
+          allocation streams, which only need the per-cell slot order);
+        * each per-(cell, direction) model-traffic generator owns a
+          private stream consumed in slot order, so one batched
+          ``next_slots(n)`` call replays exactly the per-slot draws;
+        * MAC pipelines and HARQ draw from per-cell streams and read
+          only the allocations, never an execution outcome, so they
+          can run ahead of the timeline;
         * release timestamps replay the engine's recurring-timer float
           accumulation (``t += slot_us``), so deadlines are bit-equal;
         * per-DAG sampling streams are counter-keyed by
           (cell, slot, direction), so batching slots into one
           ``build_many`` cannot reorder any draw.
 
-        MAC allocation (feedback through HARQ buffers) and profiling
-        traffic (one shared stream with data-dependent draw counts)
-        break the first two invariants; for those the kernel disables
-        itself and the per-slot path runs (see ``run``).
+        Profiling traffic and MAC allocation draw inline rather than
+        in a batch: profiling draws from one shared stream whose draw
+        count per load is data-dependent (an idle draw skips the byte
+        draw), and a MAC pipeline's buffer state advances one
+        ``step()`` at a time.
         """
         wall_start = time.perf_counter()
         count = self._slots_remaining
@@ -573,24 +522,28 @@ class Simulation:
             if start_slot < barrier < start_slot + count:
                 count = barrier - start_slot
         cells = self._cell_list
-        # Direction plan per cell and slot, then one batched traffic
-        # draw per (cell, direction) generator covering the window.
+        mac = self._mac
+        profiling = self.profiling_traffic
+        # Direction plan per cell and slot, then (model traffic) one
+        # batched draw per (cell, direction) generator covering the
+        # window.
         plans = []
         draws = []
         for cell_index, cell in enumerate(cells):
             plan = [_slot_directions(cell, start_slot + rel)
                     for rel in range(count)]
             plans.append(plan)
-            generator = self.traffic[cell_index]
             per_dir = {}
-            for uplink in (True, False):
-                needed = sum(1 for dirs in plan for u, _ in dirs
-                             if u == uplink)
-                if needed:
-                    source = (generator.uplink if uplink
-                              else generator.downlink)
-                    per_dir[uplink] = iter(
-                        source.next_slots(needed).tolist())
+            if not (mac or profiling):
+                generator = self.traffic[cell_index]
+                for uplink in (True, False):
+                    needed = sum(1 for dirs in plan for u, _ in dirs
+                                 if u == uplink)
+                    if needed:
+                        source = (generator.uplink if uplink
+                                  else generator.downlink)
+                        per_dir[uplink] = iter(
+                            source.next_slots(needed).tolist())
             draws.append(per_dir)
         jobs = []
         job_counts = []
@@ -599,6 +552,7 @@ class Simulation:
         harq = self._harq
         alloc_cells = self._rng_alloc_cells
         shared_alloc = self._rng_alloc
+        rng_traffic = self._rng_traffic
         deadline_us = self.pool_config.deadline_us
         slot_us = self._slot_us
         release = self.engine.now
@@ -614,12 +568,25 @@ class Simulation:
                 alloc_rng = (shared_alloc if alloc_cells is None
                              else alloc_cells[cell_index])
                 for uplink, scale in plans[cell_index][rel]:
-                    total = int(next(per_dir[uplink]) * scale)
-                    allocations = bytes_to_allocations(
-                        total, alloc_rng,
-                        max_ues=cell.max_ues_per_slot,
-                        max_layers=cell.max_layers,
-                    )
+                    if mac:
+                        allocations = mac[(cell_index, uplink)].step()
+                    else:
+                        if not profiling:
+                            total = int(next(per_dir[uplink]) * scale)
+                        elif rng_traffic.random() < 0.1:
+                            # Offline profiling sweeps the input space
+                            # uniformly (paper §4.2: parameters varied
+                            # every TTI), idle one TTI in ten.
+                            total = 0
+                        else:
+                            total = int(rng_traffic.uniform(
+                                0, cell.peak_bytes_per_slot(uplink))
+                                * scale)
+                        allocations = bytes_to_allocations(
+                            total, alloc_rng,
+                            max_ues=cell.max_ues_per_slot,
+                            max_layers=cell.max_layers,
+                        )
                     if uplink and cell_index in harq:
                         allocations = harq[cell_index].process_slot(
                             slot_index, allocations)
@@ -642,32 +609,22 @@ class Simulation:
             self._plan_window(jobs, job_counts, idle_flags, slot_meta,
                               slot_us)
         else:
-            # One vectorized cost/feature pass over the whole
-            # *window's* DAGs (the per-slot path batches only within a
-            # slot).
+            # One vectorized cost/feature pass over the whole window's
+            # DAGs.
             dags = self.builder.build_many(jobs)
-            win_dags = self._win_dags
-            win_idle = self._win_idle
-            win_plans = self._win_plans
-            win_jobs = self._win_jobs
+            window = self._window
             build_plan = (self._array_kernel.build_plan
                           if self._use_array else None)
             pos = 0
-            for (n_jobs, idle, meta) in zip(job_counts, idle_flags,
-                                            slot_meta):
+            for n_jobs, idle, (slot_release, slot_deadline) in zip(
+                    job_counts, idle_flags, slot_meta):
                 slot_dags = dags[pos:pos + n_jobs]
-                win_dags.append(slot_dags)
-                win_idle.append(idle)
-                win_jobs.append(None)
-                if build_plan is not None:
-                    win_plans.append(
-                        build_plan(slot_dags, meta[0], meta[1], slot_us))
-                else:
-                    win_plans.append(None)
+                plan = (None if build_plan is None
+                        else build_plan(slot_dags, slot_release,
+                                        slot_deadline, slot_us))
+                window.append((slot_dags, plan, None, idle))
                 pos += n_jobs
-        stats = self.kernel_stats
-        stats["windows"] += 1
-        stats["window_slots"] += count
+        self.kernel_stats["windows"] += 1
         self.fill_wall_s += time.perf_counter() - wall_start
 
     def _plan_window(self, jobs: list, job_counts: list,
@@ -678,8 +635,8 @@ class Simulation:
         For each slot whose static vector gates hold, only a
         :class:`repro.sim.arraykernel.SlotPlan` is computed — from the
         same cost rows, base-cost batch and per-DAG stochastic draws a
-        real build would use (``plan_task_rows`` mirrors the builders
-        parameter-for-parameter, and every DAG's RNG stream is
+        real build uses (``plan_task_rows`` is the builders' only
+        source of cost inputs, and every DAG's RNG stream is
         counter-keyed, so a deferred ``build_many`` of the same jobs
         reproduces the exact task fields later if the boundary has to
         fall back).  Slots that fail the static gates — or contain a
@@ -689,20 +646,17 @@ class Simulation:
         """
         kernel = self._array_kernel
         builder = self.builder
-        # One base-cost batch over every task row of the window,
-        # mirroring build_many's batch bit-for-bit (the ops are
-        # elementwise, so batch composition cannot perturb values).
-        # Idle DAGs dominate low-load runs and their rows (and hence
-        # base costs) depend only on (direction, cell config), so their
-        # bases are served from a per-runner cache after the first
-        # planned window touches the (direction, cell) pair.
+        # One base-cost batch over every task row of the window, the
+        # same row_costs pass build_many runs.  Idle DAGs dominate
+        # low-load runs and their rows (and hence base costs) depend
+        # only on (direction, cell config), so their bases are served
+        # from a per-runner cache after the first planned window
+        # touches the (direction, cell) pair.
         idle_bases = self._idle_base_cache
         rows_per_job: list = []
         job_bases: list = []
         kinds = []
-        flat_rows: list = []
-        consts = []
-        counts = []
+        row_jobs: list = []
         for load, cell, _release, _deadline, _gid in jobs:
             kinds.append(dag_kind_key(load))
             if load.idle:
@@ -714,31 +668,8 @@ class Simulation:
             rows = plan_task_rows(load, cell)
             rows_per_job.append(rows)
             job_bases.append(None)
-            counts.append(len(rows))
-            prbs = prbs_for_bandwidth(cell.bandwidth_mhz,
-                                      cell.numerology)
-            consts.append((float(prbs), float(cell.num_antennas),
-                           float(load.total_bytes)))
-            flat_rows.extend(rows)
-        if flat_rows:
-            (types, cbs, tbytes, margins, rates, shares,
-             layers_col) = zip(*flat_rows)
-            const_arr = np.repeat(np.array(consts), np.array(counts),
-                                  axis=0)
-            costs = builder.cost_model.base_costs_batch(
-                np.array([t.type_code for t in types]),
-                prbs=const_arr[:, 0],
-                antennas=const_arr[:, 1],
-                slot_bytes=const_arr[:, 2],
-                task_codeblocks=np.array(cbs, dtype=np.float64),
-                task_bytes=np.array(tbytes),
-                snr_margin_db=np.array(margins),
-                code_rate=np.array(rates),
-                prb_share=np.array(shares),
-                layers=np.array(layers_col, dtype=np.float64),
-            ).tolist()
-        else:
-            costs = []
+            row_jobs.append((load, cell, rows))
+        costs = builder.row_costs(row_jobs)[0] if row_jobs else []
         decode_type = TaskType.LDPC_DECODE
         build_plan_static = kernel.build_plan_static
         kind_meta = self._plan_kind_meta
@@ -839,27 +770,21 @@ class Simulation:
         for si, n_jobs in mat_slots:
             mat_map[si] = built[pos:pos + n_jobs]
             pos += n_jobs
-        win_dags = self._win_dags
-        win_idle = self._win_idle
-        win_plans = self._win_plans
-        win_jobs = self._win_jobs
+        window = self._window
         build_plan = kernel.build_plan
         for si, entry in enumerate(entries):
-            win_idle.append(idle_flags[si])
             if entry is not None:
                 plan, slot_jobs = entry
-                win_dags.append(None)
-                win_jobs.append(slot_jobs)
-                win_plans.append(plan)
+                window.append((None, plan, slot_jobs, idle_flags[si]))
             else:
                 slot_dags = mat_map[si]
                 release, deadline = slot_meta[si]
-                win_dags.append(slot_dags)
-                win_jobs.append(None)
                 # Registers any new topology templates as a side
                 # effect, unlocking the lazy path for later windows.
-                win_plans.append(
-                    build_plan(slot_dags, release, deadline, slot_us))
+                window.append((slot_dags,
+                               build_plan(slot_dags, release, deadline,
+                                          slot_us),
+                               None, idle_flags[si]))
 
     def _on_slot_boundary(self) -> None:
         if self._reconfig_queue:
@@ -868,42 +793,24 @@ class Simulation:
                 self._apply_due_reconfig()
         stats = self.kernel_stats
         stats["slots"] += 1
-        if self._use_window:
-            if not self._win_dags:
-                self._fill_window()
-            dags = self._win_dags.popleft()
-            plan = self._win_plans.popleft()
-            jobs = self._win_jobs.popleft()
-            if self._win_idle.popleft():
-                stats["idle_slots"] += 1
-        else:
-            plan = None
-            jobs = None
-            now = self.engine.now
-            deadline = now + self.pool_config.deadline_us
-            jobs = []
-            gids = self._cell_gids
-            for cell_index, cell in enumerate(self._cell_list):
-                for load in self._loads_for_slot(cell_index,
-                                                 self._slot_index):
-                    jobs.append((load, cell, now, deadline,
-                                 gids[cell_index]))
-            # One vectorized cost/feature pass over the whole slot's
-            # DAGs (builder batches the numpy work; RNG streams stay
-            # per-DAG).
+        window = self._window
+        if not window:
+            self._fill_window()
+        dags, plan, jobs, idle = window.popleft()
+        if idle:
+            stats["idle_slots"] += 1
+        observer = self.demand_observer
+        holds = self._held_cells or self._backlog
+        if dags is None and (observer is not None or holds
+                             or self._warm_cells):
+            # A plan-direct slot whose DAGs are needed before release.
             dags = self.builder.build_many(jobs)
-        if self.demand_observer is not None:
-            if dags is None:
-                dags = self.builder.build_many(jobs)
-            self.demand_observer(dags)
-        if self._held_cells or self._backlog:
-            if dags is None:
-                dags = self.builder.build_many(jobs)
+        if observer is not None:
+            observer(dags)
+        if holds:
             dags = self._apply_migration_holds(dags)
             plan = None  # the hold changed the slot's DAG list
         if self._warm_cells:
-            if dags is None:
-                dags = self.builder.build_many(jobs)
             self._apply_predictor_warmup(dags)
             plan = None  # inflated WCETs invalidate the plan's fold
         self._slot_index += 1
@@ -938,8 +845,6 @@ class Simulation:
             # fires right after the boundary on the event path.
             kernel.after_fallback_release()
             return
-        if dags is None:
-            dags = self.builder.build_many(jobs)
         pool.release_slot(dags)
 
     # -- reconfiguration (elastic runtime) ---------------------------------------
@@ -1051,7 +956,7 @@ class Simulation:
             raise ValueError(
                 "detach_cell requires i.i.d. allocation (MAC pipelines "
                 "hold non-portable buffer state)")
-        if self._win_dags:
+        if self._window:
             raise ValueError(
                 "detach_cell mid-window: the detach slot must be a "
                 "window barrier (timeline events register theirs; "
@@ -1157,7 +1062,7 @@ class Simulation:
             raise ValueError(
                 f"cell snapshot from slot {snapshot['slot_index']} is "
                 f"ahead of this simulation (slot {self._slot_index})")
-        if self._win_dags:
+        if self._window:
             raise ValueError(
                 "attach_cell mid-window: the attach slot must be a "
                 "window barrier (timeline events register theirs; "
@@ -1257,23 +1162,16 @@ class Simulation:
         self._run_start = start
         self._num_slots = num_slots
         self._slots_remaining = num_slots
-        self._use_window = (
-            self.slot_window > 0
-            and not self.profiling_traffic
-            and self.allocation_mode != "mac"
-        )
         # The array kernel self-disables for configurations whose slot
-        # interiors are observable or whose builds feed back into the
-        # timeline (mirrors the window kernel's gating, plus reconfig:
-        # worker add/remove and cell detach/attach change pool
-        # structure mid-run), and for policies without the closed-form
-        # commit, which is the only way the kernel can take a slot.
+        # interiors are observable (a best-effort workload) or whose
+        # pool structure changes mid-run (reconfig: worker add/remove
+        # and cell detach/attach), and for policies without the
+        # closed-form commit, which is the only way the kernel can take
+        # a slot.
         # Everything event-dependent — observers, bus, pressure,
         # quiescence — is re-checked live per slot.
         self._use_array = (
             self._array_kernel is not None
-            and not self.profiling_traffic
-            and self.allocation_mode != "mac"
             and self.workload_name == "none"
             and not self.scenario.reconfig
             and self.policy.vector_params() is not None

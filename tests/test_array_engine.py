@@ -118,6 +118,20 @@ class TestCertifiedReplayByteIdentity:
             "expected a per-slot mixture of commits and fallback, got "
             f"{stats}")
 
+    def test_mac_allocation_with_harq_certifies_and_matches(self):
+        # MAC pipelines and HARQ read only their own streams and the
+        # allocations, never an execution outcome, so their slots are
+        # drawn in the window and certified like model traffic.
+        array_sim = build_simulation(_fig03_scenario(allocation="mac",
+                                                     harq=True))
+        on = result_digest(array_sim.run(240))
+        event_sim = build_simulation(_fig03_scenario(
+            allocation="mac", harq=True, engine_mode="event"))
+        off = result_digest(event_sim.run(240))
+        assert on == off
+        assert array_sim.kernel_stats["array_slots"] > 0
+        assert event_sim.kernel_stats["array_slots"] == 0
+
     def test_flexran_policy_never_certifies_but_matches(self):
         on, off, sim = _ab(dict(policy="flexran"), slots=40)
         assert on == off
@@ -413,8 +427,6 @@ class TestKernelSelfDisable:
     """Modes the kernel cannot certify must fall back cleanly."""
 
     @pytest.mark.parametrize("overrides", [
-        dict(allocation="mac"),
-        dict(traffic="profiling"),
         dict(workload="redis"),
         dict(reconfig=({"action": "add_worker", "at_slot": 5},)),
     ])

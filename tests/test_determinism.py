@@ -70,6 +70,14 @@ TRAINED_SLOTS = 40
 GOLDEN_TRAINED_DIGEST = \
     "3dfeec2e54d124cf0801f4d8bdbe82f7a75d97e315fbe74df4bd1e07fd729d73"
 
+#: MAC-allocation golden: 7 x 20 MHz pool, buffer-driven MAC
+#: allocation with HARQ, concordia-noml, no workload, load 0.5, seed 23,
+#: MAC_SLOTS slots — captured while MAC loads were still drawn one slot
+#: at a time, before the window fill drew them.
+MAC_SLOTS = 120
+GOLDEN_MAC_DIGEST = \
+    "dd71d791e0e10fcfd6fe58ea064a77d744b5317d68d2cf2f4ab9570ef8a385a1"
+
 
 def _run_digest(policy: str, workload: str) -> str:
     scenario = Scenario(
@@ -98,6 +106,19 @@ def _trained_digest() -> str:
     return result_digest(result)
 
 
+def _mac_digest() -> str:
+    scenario = Scenario(
+        pool={"name": "20mhz"},
+        policy="concordia-noml",
+        workload="none",
+        load_fraction=0.5,
+        seed=23,
+        allocation="mac",
+        harq=True,
+    )
+    return result_digest(build_simulation(scenario).run(MAC_SLOTS))
+
+
 class TestGoldenDigests:
     def test_all_policy_workload_cells_match_golden(self):
         mismatches = {}
@@ -113,6 +134,11 @@ class TestGoldenDigests:
         assert _trained_digest() == GOLDEN_TRAINED_DIGEST, (
             "trained-predictor digest drifted from the golden "
             "(behavioural regression in training or the ML policy)")
+
+    def test_mac_allocation_matches_golden(self):
+        assert _mac_digest() == GOLDEN_MAC_DIGEST, (
+            "MAC+HARQ digest drifted from the golden (behavioural "
+            "regression in MAC allocation, HARQ or slot sourcing)")
 
     def test_digest_is_run_to_run_stable(self):
         first = _run_digest("concordia-noml", "redis")
@@ -174,5 +200,6 @@ if __name__ == "__main__":  # pragma: no cover — golden regeneration aid
     }
     payload = {f"{p}/{w}": d for (p, w), d in current.items()}
     payload["concordia/redis (trained)"] = _trained_digest()
+    payload["mac+harq"] = _mac_digest()
     payload["fleet"] = combined_digest(_fleet_digests(shards=1))
     print(json.dumps(payload, indent=2))

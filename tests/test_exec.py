@@ -151,12 +151,18 @@ class TestBatchRunner:
             entry(conn, payload, attempt)
 
         monkeypatch.setattr(batch_module, "run_job_in_child", die)
+        events = []
         report = run_batch([flexran_spec(seed=12, num_slots=100)],
-                           jobs=2, use_cache=False, retries=1)
+                           jobs=2, use_cache=False, retries=1,
+                           progress=events.append)
         (outcome,) = report.outcomes
         assert report.retried == 1 and outcome.attempts == 2
+        retries = [e for e in events if e["kind"] == "retry"]
+        assert len(retries) == 1
+        assert "without reporting" in retries[0]["error"]
         if deaths == "first":
             assert outcome.status == "ok"
+            assert [e["kind"] for e in events] == ["retry", "ok"]
         else:
             assert outcome.status == "failed"
             assert "without reporting" in outcome.error

@@ -1,20 +1,22 @@
-"""A/B byte-identity tests for the idle-slot/window batch kernel.
+"""Byte-identity tests for the slot window.
 
-The window kernel (``Simulation._fill_window``) pre-draws traffic,
-UE allocations and HARQ state for a whole window of slots, builds the
-non-idle DAGs through one pooled ``build_many`` call and fast-forwards
-idle slots as batched accounting.  It is only admissible because the
-result payload is byte-identical to the per-slot legacy path: every
-RNG stream must be consumed in exactly the per-slot order, and every
-release/deadline float must replay the engine's recurring-timer
-accumulation.
+The window fill (``Simulation._fill_window``) is the only way a slot's
+loads are drawn: it draws traffic, UE allocations and HARQ state for
+a whole window of slots, in every traffic and allocation mode, and
+builds the window's DAGs through one ``build_many`` call.  Its width
+must never change a result: every RNG stream must be consumed in
+exactly the per-slot order, and every release/deadline float must
+replay the engine's recurring-timer accumulation.
 
-These tests run the same scenario with the kernel on (default window)
-and off (``slot_window=0`` → legacy per-slot build) and require equal
-digests — including a HARQ scenario, whose per-cell retransmission
-state threads through the window pre-pass, and low-load scenarios
-where the idle fast path actually engages (on the Fig. 3-calibrated
-run it must cover at least half of the slots).
+These tests run the same scenario at the default width and at width
+1 (``sim.slot_window = 1``: one slot per fill, the per-slot draw
+order) and require equal digests — including a HARQ scenario, whose
+per-cell retransmission state threads through the window, MAC
+allocation and profiling traffic, which draw inline, and low-load
+scenarios where the idle fast path actually engages (on the Fig.
+3-calibrated run it must cover at least half of the slots).  The
+golden digests in ``tests/test_determinism.py``, captured before the
+window existed, are the outside oracle.
 """
 
 import pytest
@@ -37,12 +39,14 @@ def _scenario(**overrides) -> Scenario:
 
 
 def _ab_digests(scenario: Scenario, slots: int):
-    """(windowed digest, legacy digest, windowed simulation)."""
+    """(default-width digest, width-1 digest, default-width simulation)."""
     windowed = build_simulation(scenario)
+    assert windowed.slot_window > 1
     result_on = windowed.run(slots)
-    legacy = build_simulation(scenario, slot_window=0)
-    result_off = legacy.run(slots)
-    assert legacy.kernel_stats["windows"] == 0
+    per_slot = build_simulation(scenario)
+    per_slot.slot_window = 1
+    result_off = per_slot.run(slots)
+    assert per_slot.kernel_stats["windows"] == slots
     return result_digest(result_on), result_digest(result_off), windowed
 
 
@@ -51,8 +55,8 @@ class TestWindowKernelByteIdentity:
         on, off, sim = _ab_digests(_scenario(), slots=60)
         assert on == off
         # The kernel must actually have run for the A/B to mean much.
-        assert sim.kernel_stats["windows"] > 0
-        assert sim.kernel_stats["window_slots"] == 60
+        assert sim.kernel_stats["slots"] == 60
+        assert 0 < sim.kernel_stats["windows"] < 60
 
     def test_windowed_matches_legacy_with_harq(self):
         on, off, sim = _ab_digests(_scenario(harq=True), slots=60)
@@ -100,26 +104,34 @@ class TestWindowKernelByteIdentity:
         # clamped final fill.
         on, off, sim = _ab_digests(_scenario(), slots=37)
         assert on == off
-        assert sim.kernel_stats["window_slots"] == 37
+        assert sim.kernel_stats["slots"] == 37
+        assert sim.kernel_stats["windows"] > 0
+        assert 37 % sim.slot_window != 0
 
     def test_window_size_does_not_change_results(self):
         scenario = _scenario()
         digests = set()
         for window in (1, 8, 64):
-            simulation = build_simulation(scenario, slot_window=window)
+            simulation = build_simulation(scenario)
+            simulation.slot_window = window
             digests.add(result_digest(simulation.run(40)))
         assert len(digests) == 1
 
 
-class TestKernelSelfDisable:
-    """Modes whose draws depend on execution feedback must opt out."""
+class TestEveryModeFillsWindows:
+    """MAC allocation and profiling traffic draw inside the window too.
+
+    Profiling draws from one shared stream and a MAC pipeline advances
+    one ``step()`` at a time, so both draw inline in the fill's
+    slot-major, cell-major, direction-minor loop — the per-slot order.
+    """
 
     @pytest.mark.parametrize("overrides", [
-        dict(allocation="mac"),
+        dict(allocation="mac", harq=True),
         dict(traffic="profiling"),
     ])
-    def test_kernel_disables_itself(self, overrides):
-        simulation = build_simulation(_scenario(**overrides))
-        simulation.run(20)
-        assert simulation.kernel_stats["windows"] == 0
-        assert simulation.kernel_stats["slots"] == 20
+    def test_mode_fills_windows(self, overrides):
+        on, off, sim = _ab_digests(_scenario(**overrides), slots=20)
+        assert on == off
+        assert sim.kernel_stats["slots"] == 20
+        assert sim.kernel_stats["windows"] > 0

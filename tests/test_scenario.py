@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ran.config import PoolConfig, pool_20mhz_7cells
+from repro.ran.ue import SlotLoad, bytes_to_allocations
 from repro.scenario import (
     NAMED_POOLS,
     POLICY_NAMES,
@@ -197,8 +198,21 @@ class TestRngStreams:
         assert len(set(firsts)) == len(firsts)
 
 
+def _slot_loads(cell, seed: int) -> list:
+    """Both directions' half-peak loads of ``cell`` in slot 0."""
+    rng = np.random.default_rng(seed)
+    return [
+        SlotLoad(cell_name=cell.name, slot_index=0, uplink=uplink,
+                 allocations=bytes_to_allocations(
+                     cell.peak_bytes_per_slot(uplink) // 2, rng,
+                     max_ues=cell.max_ues_per_slot,
+                     max_layers=cell.max_layers))
+        for uplink in (True, False)
+    ]
+
+
 class TestDagStreamIndependence:
-    """Tentpole: per-DAG batched draws keyed by (cell, slot, direction)."""
+    """Per-DAG batched draws keyed by (cell, slot, direction)."""
 
     def test_build_order_does_not_change_runtimes(self):
         from repro.ran.dag import DagBuilder
@@ -206,7 +220,10 @@ class TestDagStreamIndependence:
 
         sim = build_simulation(
             Scenario(pool=small_pool(), policy="concordia-noml", seed=3))
-        loads = {i: sim._loads_for_slot(i, 0) for i in (0, 1)}
+        loads = {i: _slot_loads(sim.pool_config.cells[i], seed=i)
+                 for i in (0, 1)}
+        assert not any(load.idle for cell_loads in loads.values()
+                       for load in cell_loads)
 
         def build_all(order):
             builder = DagBuilder(CostModel(rng=np.random.default_rng(0)),
@@ -228,7 +245,7 @@ class TestDagStreamIndependence:
         sim = build_simulation(
             Scenario(pool=small_pool(), policy="concordia-noml", seed=3))
         cell = sim.pool_config.cells[0]
-        load = sim._loads_for_slot(0, 0)[0]
+        load = _slot_loads(cell, seed=3)[0]
         dag = sim.builder.build(load, cell, 0.0, 2000.0, cell_index=0)
         assert all(t.stoch_mult is not None for t in dag.tasks)
         assert all(t.cache_u is not None for t in dag.tasks)

@@ -55,6 +55,32 @@ class TestMarkovBurstTraffic:
         gen = MarkovBurstTraffic(500, 1e9, 1.0, rng=np.random.default_rng(4))
         assert (gen.trace(2000) > 0).all()
 
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+           load=st.one_of(st.sampled_from([0.02, 1.0]),
+                          st.floats(min_value=0.0, max_value=1.0)),
+           n=st.integers(min_value=1, max_value=64),
+           uplink=st.booleans(),
+           active=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_next_slots_equals_repeated_next_slot(self, seed, load, n,
+                                                  uplink, active):
+        # The window fill draws model traffic with next_slots(n); it
+        # must replay n scalar next_slot() draws value for value and
+        # leave the generator in the same state.
+        def source():
+            traffic = CellTraffic.for_cell(cell_20mhz_fdd(), load,
+                                           seed=seed)
+            gen = traffic.uplink if uplink else traffic.downlink
+            gen._active = active
+            return gen
+
+        batched, scalar = source(), source()
+        values = batched.next_slots(n).tolist()
+        assert values == [scalar.next_slot() for _ in range(n)]
+        assert batched._active == scalar._active
+        assert (batched.rng.bit_generator.state
+                == scalar.rng.bit_generator.state)
+
 
 class TestLteCalibration:
     """The paper's Fig. 3 facts about the Cambridge LTE traces."""
