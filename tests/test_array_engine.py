@@ -426,7 +426,10 @@ class TestFleetByteIdentity:
 class TestKernelSelfDisable:
     """Modes the kernel cannot certify must fall back cleanly."""
 
+    # Positions 2 and 3 keep the redis and reconfig cases' ids.
     @pytest.mark.parametrize("overrides", [
+        dict(policy="flexran"),
+        dict(workload="nginx"),
         dict(workload="redis"),
         dict(reconfig=({"action": "add_worker", "at_slot": 5},)),
     ])
