@@ -19,6 +19,12 @@ Commands:
   (``--jobs J`` at once), with an optional serial byte-identity check
   (``--verify-serial``);
 * ``list``    — enumerate available policies, workloads and figures.
+
+No command picks a simulation engine: every simulation commits
+certifiable slots in closed form wherever the array kernel's static
+gates hold (no best-effort workload, no reconfig timeline, a policy
+with a closed form) and runs every other slot on the event heap, with
+byte-identical results (:mod:`repro.sim.arraykernel`).
 """
 
 from __future__ import annotations
@@ -131,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(parallel mode only)")
     sweep_cmd.add_argument("--retries", type=int, default=1,
                            help="retry budget per crashed job")
-    sweep_cmd.add_argument("--engine", choices=("event", "array"),
-                           default="event",
-                           help="slot engine: classic event heap or "
-                                "the certified array-timeline kernel")
     sweep_cmd.add_argument("--json", action="store_true",
                            help="emit machine-readable JSON")
 
@@ -203,9 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_cmd.add_argument("--seed", type=int, default=0)
     fleet_cmd.add_argument("--cores-per-cell", type=float, default=None,
                            help="override the kind's provisioning ratio")
-    fleet_cmd.add_argument("--engine", choices=("event", "array"),
-                           default="event",
-                           help="slot engine for every shard simulation")
     fleet_cmd.add_argument("--reconfig", metavar="SCRIPT",
                            help="JSON reconfig timeline (worker "
                                 "add/remove, cell detach/attach, "
@@ -316,8 +315,7 @@ def _cmd_sweep(args) -> int:
                 specs.append(make_spec(config, args.policy,
                                        workload=args.workload,
                                        load_fraction=load,
-                                       num_slots=slots, seed=seed,
-                                       engine_mode=args.engine))
+                                       num_slots=slots, seed=seed))
                 meta.append({"config": name, "load": load, "seed": seed,
                              "slots": slots})
 
@@ -494,7 +492,6 @@ def _cmd_fleet(args) -> int:
         seed=args.seed,
         num_slots=args.slots,
         reconfig=reconfig,
-        engine_mode=args.engine,
     )
 
     def progress(event) -> None:

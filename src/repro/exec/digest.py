@@ -38,15 +38,6 @@ def canonical_result_payload(payload: dict) -> dict:
     Returns a new dict; the input is not modified.
     """
     clean = dict(payload)
-    scenario = clean.get("scenario")
-    if isinstance(scenario, dict) and "engine_mode" in scenario:
-        # The engine mode is an execution strategy, not a semantic
-        # scenario parameter: the array-timeline kernel is required to
-        # reproduce the event engine's results byte-for-byte, and the
-        # digest is exactly the regression test of that contract.
-        scenario = dict(scenario)
-        del scenario["engine_mode"]
-        clean["scenario"] = scenario
     telemetry = clean.get("telemetry")
     if isinstance(telemetry, dict):
         clean_telemetry = {}

@@ -170,6 +170,9 @@ def _scenario_kwargs(sim_kwargs: dict) -> dict:
     spec schema keeps them and the translation happens here.
     """
     kwargs = dict(sim_kwargs)
+    # Sweeps used to pin an engine choice; the array kernel now runs
+    # wherever its static gates hold, so the key carries nothing.
+    kwargs.pop("engine_mode", None)
     if "profiling_traffic" in kwargs:
         kwargs["traffic"] = ("profiling" if kwargs.pop("profiling_traffic")
                              else "model")

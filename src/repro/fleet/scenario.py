@@ -125,12 +125,6 @@ class FleetScenario:
     #: the target shard's own :class:`~repro.scenario.Scenario`
     #: timeline.  ``cell`` may be a global cell index or a cell name.
     reconfig: tuple = ()
-    #: Per-shard simulation engine ("event" or "array"); passed through
-    #: verbatim to every derived shard scenario.  Array mode certifies
-    #: per slot and falls back to the event path wherever it cannot, so
-    #: fleet digests are unchanged either way.
-    engine_mode: str = "event"
-
     def __post_init__(self) -> None:
         if self.cells < 1:
             raise ValueError("fleet needs at least one cell")
@@ -149,10 +143,6 @@ class FleetScenario:
             raise ValueError("num_slots must be positive")
         if self.cores_per_cell is not None and self.cores_per_cell <= 0:
             raise ValueError("cores_per_cell must be positive")
-        if self.engine_mode not in ("event", "array"):
-            raise ValueError(
-                f"engine_mode must be 'event' or 'array', "
-                f"got {self.engine_mode!r}")
         self.reconfig = reconfig_from_payload(self.reconfig)
         for event in self.reconfig:
             self._validate_event(event)
@@ -265,7 +255,6 @@ class FleetScenario:
                 harq=self.harq,
                 cell_id_base=base,
                 reconfig=routed,
-                engine_mode=self.engine_mode,
             )
             shards.append(ShardSpec(
                 shard_index=shard_index,
@@ -286,10 +275,6 @@ class FleetScenario:
 
     def to_dict(self) -> dict:
         payload = asdict(self)
-        if payload["engine_mode"] == "event":
-            # Event-mode fleets serialize exactly as they did before
-            # the array engine existed (same invariant as reconfig).
-            del payload["engine_mode"]
         if self.reconfig:
             payload["reconfig"] = [e.to_dict() for e in self.reconfig]
             payload["schema"] = FLEET_RECONFIG_SCHEMA
@@ -307,4 +292,6 @@ class FleetScenario:
             raise ValueError(
                 f"unsupported fleet schema {payload.get('schema')!r}")
         fields_ = {k: v for k, v in payload.items() if k != "schema"}
+        # The removed per-shard engine choice (see Scenario.from_dict).
+        fields_.pop("engine_mode", None)
         return cls(**fields_)

@@ -37,7 +37,7 @@ from .ue import SlotLoad, UeAllocation
 
 __all__ = ["DagInstance", "DagBuilder", "DagTopology", "MAX_CBS_PER_TASK",
            "batch_predicted_paths", "dag_kind_key", "topology_from_dag",
-           "topology_for_kind", "topology_for_key", "plan_task_rows"]
+           "topology_for_key", "plan_task_rows"]
 
 #: Maximum codeblocks bundled into one encode/decode task instance.
 MAX_CBS_PER_TASK = 4
@@ -76,7 +76,7 @@ class DagInstance:
     #: group counts)``.  Two DAGs with equal kind keys are wired
     #: identically (same task count, same dependency edges, same
     #: ``dag.tasks`` order), which is what lets the array kernel look
-    #: their topology up in :func:`topology_for_kind` instead of
+    #: their topology up in :func:`topology_for_key` instead of
     #: re-deriving it per slot.
     kind_key: Optional[tuple] = None
 
@@ -192,7 +192,10 @@ class DagTopology:
 
 def topology_from_dag(dag: DagInstance) -> DagTopology:
     """Derive a :class:`DagTopology` from a freshly built DAG."""
-    tasks = dag.tasks
+    return _topology(dag.kind_key, dag.tasks)
+
+
+def _topology(kind_key: tuple, tasks: list) -> DagTopology:
     n = len(tasks)
     index = {id(task): i for i, task in enumerate(tasks)}
     successors = tuple(
@@ -211,7 +214,7 @@ def topology_from_dag(dag: DagInstance) -> DagTopology:
     for i, d in enumerate(depth):
         levels[d].append(i)
     return DagTopology(
-        kind_key=dag.kind_key,
+        kind_key=kind_key,
         num_tasks=n,
         entry_indices=entry_indices,
         pred_counts=tuple(pred_counts),
@@ -220,26 +223,31 @@ def topology_from_dag(dag: DagInstance) -> DagTopology:
     )
 
 
-#: kind_key -> DagTopology, lazily filled from the first DAG of each
-#: kind.  Process-wide: topology is a pure function of the kind key.
+#: kind_key -> DagTopology, filled on first lookup of each kind.
+#: Process-wide: topology is a pure function of the kind key.
 _TOPOLOGY_REGISTRY: dict = {}
 
 
-def topology_for_kind(dag: DagInstance) -> DagTopology:
-    """Registry lookup of ``dag``'s topology template (lazy insert)."""
-    key = dag.kind_key
-    topology = _TOPOLOGY_REGISTRY.get(key)
+def _template_task(task_type: TaskType, cell_name: str) -> TaskInstance:
+    return TaskInstance(task_id=-1, task_type=task_type,
+                        cell_name=cell_name, features=None,
+                        base_cost_us=0.0)
+
+
+def topology_for_key(kind_key: tuple) -> DagTopology:
+    """Topology template of the DAG kind ``kind_key`` (lazy insert).
+
+    A miss wires a throwaway task list with the builder's own wiring
+    functions (:func:`_wire_uplink`/:func:`_wire_downlink`), so a
+    template can never drift from what :meth:`DagBuilder.build_many`
+    builds, and it consumes none of a builder's task or DAG ids.
+    """
+    topology = _TOPOLOGY_REGISTRY.get(kind_key)
     if topology is None:
-        topology = topology_from_dag(dag)
-        _TOPOLOGY_REGISTRY[key] = topology
+        wire = _wire_uplink if kind_key[0] else _wire_downlink
+        topology = _topology(kind_key, wire(_template_task, "", kind_key))
+        _TOPOLOGY_REGISTRY[kind_key] = topology
     return topology
-
-
-def topology_for_key(kind_key: tuple) -> Optional[DagTopology]:
-    """Registry lookup by kind key alone; None until a DAG of that kind
-    has been built (the registry only fills from real DAGs, never from
-    synthesized wiring, so templates can't drift from the builder)."""
-    return _TOPOLOGY_REGISTRY.get(kind_key)
 
 
 #: Below this many tasks per slot the scalar prediction path beats the
@@ -454,22 +462,30 @@ class DagBuilder:
         """Base costs of many DAGs' :func:`plan_task_rows`, one batch.
 
         ``dags`` holds one ``(load, cell, rows)`` triple per DAG.
-        Returns ``(costs, codeblocks, bytes, margins)``: the flat
-        base-cost list and the row columns the feature vectors and
-        ``snr_margin_db`` read, all in row order.  The cost ops are
-        elementwise, so batch composition cannot perturb any value.
+        Returns ``(costs, columns)``: the flat base-cost list and the
+        ``(codeblocks, bytes, margins)`` row columns the feature
+        vectors and ``snr_margin_db`` read, all in row order.  The cost
+        ops are elementwise, so batch composition cannot perturb any
+        value.
         """
         flat = []
         consts = []  # per-DAG (prbs, antennas, slot_bytes)
         counts = []
+        cell_consts = {}
         for load, cell, rows in dags:
             flat.extend(rows)
             counts.append(len(rows))
-            prbs = prbs_for_bandwidth(cell.bandwidth_mhz, cell.numerology)
-            consts.append((float(prbs), float(cell.num_antennas),
-                           float(load.total_bytes)))
+            per_cell = cell_consts.get(id(cell))
+            if per_cell is None:
+                per_cell = cell_consts[id(cell)] = (
+                    prbs_for_bandwidth(cell.bandwidth_mhz, cell.numerology),
+                    cell.num_antennas)
+            consts.append(per_cell + (load.total_bytes,))
+        if not flat:
+            return [], ((), (), ())
         types, cbs, tbytes, margins, rates, shares, layers = zip(*flat)
-        const_arr = np.repeat(np.array(consts), counts, axis=0)
+        const_arr = np.repeat(np.array(consts, dtype=np.float64), counts,
+                              axis=0)
         costs = self.cost_model.base_costs_batch(
             np.array([t.type_code for t in types]),
             prbs=const_arr[:, 0],
@@ -482,9 +498,10 @@ class DagBuilder:
             prb_share=np.array(shares, dtype=np.float64),
             layers=np.array(layers, dtype=np.float64),
         ).tolist()
-        return costs, cbs, tbytes, margins
+        return costs, (cbs, tbytes, margins)
 
-    def build_many(self, jobs: list) -> list:
+    def build_many(self, jobs: list,
+                   costed: Optional[tuple] = None) -> list:
         """Build all DAGs of one slot (or window) in one vectorized batch.
 
         ``jobs`` is a list of ``(load, cell, release_us, deadline_us,
@@ -493,29 +510,33 @@ class DagBuilder:
         ``base_cost_us``, feature vector and ``snr_margin_db`` come from
         :func:`plan_task_rows` through one :meth:`row_costs` batch, so
         the window planner and the builder share one definition of a
-        task's cost inputs.  RNG draws stay on each DAG's private
-        counter-keyed stream (probes, then runtime presamples), so
-        results are byte-identical to building each DAG separately.
+        task's cost inputs.  ``costed`` passes in what the caller
+        already computed from those rows — the window fill computes it
+        once per window: ``(costs, codeblocks, bytes, margins)``, flat
+        in row order, as :meth:`row_costs` returns them.  RNG draws
+        stay on each DAG's private counter-keyed stream (probes, then
+        runtime presamples), so results are byte-identical to building
+        each DAG separately.
         """
         if not jobs:
             return []
         self._drain_retired()
-        build_uplink = self._build_uplink
-        build_downlink = self._build_downlink
+        if costed is None:
+            costs, columns = self.row_costs(
+                [(job[0], job[1], plan_task_rows(job[0], job[1]))
+                 for job in jobs])
+            costed = (costs,) + columns
+        costs, cbs, tbytes, margins = costed
+        new_task = self._new_task
         kinds = []
         dag_tasks = []
-        row_jobs = []
         bases = []
         for load, cell, _release, _deadline, _index in jobs:
             kind = dag_kind_key(load)
             kinds.append(kind)
-            if load.uplink:
-                dag_tasks.append(build_uplink(cell.name, kind))
-            else:
-                dag_tasks.append(build_downlink(cell.name, kind))
-            row_jobs.append((load, cell, plan_task_rows(load, cell)))
+            wire = _wire_uplink if load.uplink else _wire_downlink
+            dag_tasks.append(wire(new_task, cell.name, kind))
             bases.append(slot_base_features(load, cell, load.slot_index))
-        costs, cbs, tbytes, margins = self.row_costs(row_jobs)
         # One (total_tasks, NUM_FEATURES) matrix; each task's feature
         # vector is a row view, in dag.tasks order like the rows.
         feats = np.repeat(np.stack(bases),
@@ -574,72 +595,6 @@ class DagBuilder:
                 task.dag = dag
             dags.append(dag)
         return dags
-
-    def _build_uplink(self, name: str, kind: tuple) -> list:
-        """FFT -> per-UE (ChanEst..RateDematch -> decode groups) -> CRC.
-
-        FlexRAN processes scheduled UEs in parallel branches; the slot's
-        critical path is the front-end FFT plus one UE's chain plus one
-        decode group, not the sum over UEs.  ``kind`` is the load's
-        :func:`dag_kind_key`: its per-allocation group counts are all
-        the wiring reads.
-        """
-        new_task = self._new_task
-        fft = new_task(TaskType.FFT, name)
-        tasks = [fft]
-        if kind[1]:
-            # Front-end processing runs even on empty slots (no PUSCH).
-            return tasks
-        crc = new_task(TaskType.CRC_CHECK, name)
-        decode_type = TaskType.LDPC_DECODE
-        for groups in kind[2]:
-            prev = fft
-            for task_type in _UL_CHAIN_TYPES:
-                task = new_task(task_type, name)
-                _link(prev, task)
-                tasks.append(task)
-                prev = task
-            for _ in range(groups):
-                decode = new_task(decode_type, name)
-                _link(prev, decode)
-                _link(decode, crc)
-                tasks.append(decode)
-        tasks.append(crc)
-        return tasks
-
-    def _build_downlink(self, name: str, kind: tuple) -> list:
-        """CRC -> per-UE (encode groups -> RateMatch..Modulate) -> Precode -> iFFT."""
-        new_task = self._new_task
-        if kind[1]:
-            # Broadcast/control symbols still get modulated and precoded.
-            mod = new_task(TaskType.MODULATION, name)
-            ifft = new_task(TaskType.IFFT, name)
-            _link(mod, ifft)
-            return [mod, ifft]
-        crc = new_task(TaskType.CRC_ATTACH, name)
-        tasks = [crc]
-        precode = new_task(TaskType.PRECODING, name)
-        encode_type = TaskType.LDPC_ENCODE
-        for groups in kind[2]:
-            rate_match = new_task(TaskType.RATE_MATCH, name)
-            for _ in range(groups):
-                encode = new_task(encode_type, name)
-                _link(crc, encode)
-                _link(encode, rate_match)
-                tasks.append(encode)
-            tasks.append(rate_match)
-            prev = rate_match
-            for task_type in _DL_TAIL_TYPES:
-                task = new_task(task_type, name)
-                _link(prev, task)
-                tasks.append(task)
-                prev = task
-            _link(prev, precode)
-        tasks.append(precode)
-        ifft = new_task(TaskType.IFFT, name)
-        _link(precode, ifft)
-        tasks.append(ifft)
-        return tasks
 
     def plan_stoch_mults(self, n: int, decode_indices: list,
                          cell_index: int, slot_index: int,
@@ -729,6 +684,77 @@ _DL_TAIL_TYPES = (TaskType.SCRAMBLING, TaskType.MODULATION)
 _IDLE_UL_ROWS = [(TaskType.FFT,) + _PLAN_DEFAULT_ROW]
 _IDLE_DL_ROWS = [(TaskType.MODULATION,) + _PLAN_DEFAULT_ROW,
                  (TaskType.IFFT,) + _PLAN_DEFAULT_ROW]
+
+
+def _wire_uplink(new_task: Callable, name: str, kind: tuple) -> list:
+    """FFT -> per-UE (ChanEst..RateDematch -> decode groups) -> CRC.
+
+    FlexRAN processes scheduled UEs in parallel branches; the slot's
+    critical path is the front-end FFT plus one UE's chain plus one
+    decode group, not the sum over UEs.  ``kind`` is the load's
+    :func:`dag_kind_key`: its per-allocation group counts are all the
+    wiring reads.  ``new_task(task_type, name)`` makes each task, so
+    :meth:`DagBuilder.build_many` and :func:`topology_for_key` share
+    this one definition of the wiring.
+    """
+    fft = new_task(TaskType.FFT, name)
+    tasks = [fft]
+    if kind[1]:
+        # Front-end processing runs even on empty slots (no PUSCH).
+        return tasks
+    crc = new_task(TaskType.CRC_CHECK, name)
+    decode_type = TaskType.LDPC_DECODE
+    for groups in kind[2]:
+        prev = fft
+        for task_type in _UL_CHAIN_TYPES:
+            task = new_task(task_type, name)
+            _link(prev, task)
+            tasks.append(task)
+            prev = task
+        for _ in range(groups):
+            decode = new_task(decode_type, name)
+            _link(prev, decode)
+            _link(decode, crc)
+            tasks.append(decode)
+    tasks.append(crc)
+    return tasks
+
+
+def _wire_downlink(new_task: Callable, name: str, kind: tuple) -> list:
+    """CRC -> per-UE (encode groups -> RateMatch..Modulate) -> Precode -> iFFT.
+
+    Same contract as :func:`_wire_uplink`.
+    """
+    if kind[1]:
+        # Broadcast/control symbols still get modulated and precoded.
+        mod = new_task(TaskType.MODULATION, name)
+        ifft = new_task(TaskType.IFFT, name)
+        _link(mod, ifft)
+        return [mod, ifft]
+    crc = new_task(TaskType.CRC_ATTACH, name)
+    tasks = [crc]
+    precode = new_task(TaskType.PRECODING, name)
+    encode_type = TaskType.LDPC_ENCODE
+    for groups in kind[2]:
+        rate_match = new_task(TaskType.RATE_MATCH, name)
+        for _ in range(groups):
+            encode = new_task(encode_type, name)
+            _link(crc, encode)
+            _link(encode, rate_match)
+            tasks.append(encode)
+        tasks.append(rate_match)
+        prev = rate_match
+        for task_type in _DL_TAIL_TYPES:
+            task = new_task(task_type, name)
+            _link(prev, task)
+            tasks.append(task)
+            prev = task
+        _link(prev, precode)
+    tasks.append(precode)
+    ifft = new_task(TaskType.IFFT, name)
+    _link(precode, ifft)
+    tasks.append(ifft)
+    return tasks
 
 
 def _codeblock_groups(alloc: UeAllocation) -> list:

@@ -63,7 +63,6 @@ NAMED_POOLS = {
 
 _ALLOCATION_MODES = ("iid", "mac")
 _TRAFFIC_MODES = ("model", "profiling")
-_ENGINE_MODES = ("event", "array")
 
 
 # -- pool configuration (de)serialization -----------------------------------------
@@ -200,25 +199,11 @@ class Scenario:
     #: keeps the legacy schema and digests byte-identical; non-empty
     #: scenarios serialize as :data:`RECONFIG_SCHEMA`.
     reconfig: tuple = ()
-    #: Simulation engine: "event" runs every task completion and tick
-    #: through the discrete-event heap; "array" additionally commits
-    #: provably contention-free slots in closed form through the
-    #: array-timeline kernel (:mod:`repro.sim.arraykernel`), bypassing
-    #: the heap while reproducing the event engine's results
-    #: byte-identically.  Slots
-    #: (or whole runs) that cannot be certified fall back to the event
-    #: path, so "array" is always safe to request.
-    engine_mode: str = "event"
-
     def __post_init__(self) -> None:
         if self.allocation not in _ALLOCATION_MODES:
             raise ValueError(
                 f"allocation must be one of {_ALLOCATION_MODES}, "
                 f"got {self.allocation!r}")
-        if self.engine_mode not in _ENGINE_MODES:
-            raise ValueError(
-                f"engine_mode must be one of {_ENGINE_MODES}, "
-                f"got {self.engine_mode!r}")
         if self.traffic not in _TRAFFIC_MODES:
             raise ValueError(
                 f"traffic must be one of {_TRAFFIC_MODES}, "
@@ -251,10 +236,6 @@ class Scenario:
             # the fleet layer existed, keeping cached results and the
             # golden result digests byte-identical.
             del payload["cell_id_base"]
-        if payload["engine_mode"] == "event":
-            # Same invariant again: event-mode scenarios serialize
-            # exactly as they did before the array engine existed.
-            del payload["engine_mode"]
         if self.reconfig:
             payload["reconfig"] = [e.to_dict() for e in self.reconfig]
             payload["schema"] = RECONFIG_SCHEMA
@@ -271,6 +252,9 @@ class Scenario:
             raise ValueError(
                 f"unsupported scenario schema {payload.get('schema')!r}")
         fields_ = {k: v for k, v in payload.items() if k != "schema"}
+        # The removed engine choice: the array kernel now runs wherever
+        # its static gates hold, so either old value loads the same.
+        fields_.pop("engine_mode", None)
         if fields_.pop("record_tasks", False) is not False:
             raise ValueError("record_tasks is no longer supported; "
                              "observe tasks via pool.task_observers")

@@ -14,10 +14,13 @@ before ``release_slot``, this kernel sends the slot one of two ways:
   counters, OS-model draw, cache churn events, availability listener,
   metrics) at the same simulated times, without touching the heap;
 * **event path** — every other slot is released through
-  ``pool.release_slot`` and runs on the event heap exactly as in event
-  mode, followed by :meth:`ArraySlotKernel.after_fallback_release`.
+  ``pool.release_slot`` and runs on the event heap, followed by
+  :meth:`ArraySlotKernel.after_fallback_release`.
 
-Results are byte-identical to the event engine: the closed form is
+The runner arms the kernel wherever its static gates hold (no
+best-effort workload, no reconfig timeline, a policy with
+:meth:`SchedulerPolicy.vector_params`).  Results are byte-identical
+to an all-event run: the closed form is
 taken only where it provably equals the per-event trace, and every
 other slot *is* the per-event trace.
 
@@ -46,7 +49,8 @@ boundary; any failure sends that slot alone down the event path):
   count.
 
 On top of the contract the closed form needs the slot plan's static
-gates (:meth:`ArraySlotKernel.build_plan`) and per-boundary trace
+gates (:meth:`ArraySlotKernel.base_gate` and
+:meth:`ArraySlotKernel.build_plan`) and per-boundary trace
 checks (:meth:`ArraySlotKernel._vector_replay`): the wakeup must not go
 overdue, no tick may collide with a timer firing, and the release hold
 must end inside the slot.
@@ -67,7 +71,7 @@ Core rotation entries stay in the real heap and fire after the commit
 returns; rotation only permutes the worker preference order, and no
 digest-relevant observable depends on worker identity (runtimes depend
 on the running *count*, wakeup latencies come from a shared stream in
-arrival order), so commits and event mode stay byte-identical across
+arrival order), so commits and the event path stay byte-identical across
 rotations that land inside a committed slot.
 """
 
@@ -76,8 +80,6 @@ from __future__ import annotations
 import math
 from heapq import heappop, heappush
 from typing import Optional
-
-from ..ran.dag import topology_for_kind
 
 __all__ = ["ArraySlotKernel", "SlotPlan"]
 
@@ -110,24 +112,24 @@ class SlotPlan:
     """Static per-slot precompute for the closed-form commit.
 
     Built off the boundary hot path (at window-fill time) by
-    :meth:`ArraySlotKernel.build_plan` or
-    :meth:`ArraySlotKernel.build_plan_static`.  Only a plan whose
-    static vector gates held has ``ok`` set; it then carries the
-    certification ceiling sum (checked against the boundary's makespan
-    budget) and the closed-form schedule.
+    :meth:`ArraySlotKernel.build_plan`, and only for a slot whose
+    static vector gates held.  It carries the certification ceiling
+    sum (checked against the boundary's makespan budget) and the
+    closed-form schedule.
     """
 
-    __slots__ = ("ok", "ceiling_sum", "runtimes", "completion",
+    __slots__ = ("ceiling_sum", "runtimes", "completion",
                  "n_tasks", "release_us", "deadline_us")
 
-    def __init__(self, release_us: float, deadline_us: float) -> None:
+    def __init__(self, release_us: float, deadline_us: float,
+                 ceiling_sum: float, runtimes: list, completion: tuple,
+                 n_tasks: int) -> None:
         self.release_us = release_us
         self.deadline_us = deadline_us
-        self.ok = False
-        self.ceiling_sum = None
-        self.runtimes = None
-        self.completion = None
-        self.n_tasks = 0
+        self.ceiling_sum = ceiling_sum
+        self.runtimes = runtimes
+        self.completion = completion
+        self.n_tasks = n_tasks
 
 
 class ArraySlotKernel:
@@ -182,11 +184,10 @@ class ArraySlotKernel:
         """Whether the side-channel gates are open.
 
         The stable part of :meth:`_gate_budget`; policy certification,
-        pool quiescence and the horizon vary per boundary.  Window fill
-        asks it before deferring DAG materialization: while any of
-        these trips, the boundary would reject every slot anyway and
-        lazily planned slots would each pay a per-slot materialization
-        instead of the window-batched build.
+        pool quiescence and the horizon vary per boundary.  The window
+        fill asks it before planning any slot: while any of these
+        trips, the boundary would reject every slot anyway, so the
+        fill builds every DAG in its window-batched build instead.
         """
         pool = self.pool
         return (not pool.side_channels_open()
@@ -200,27 +201,41 @@ class ArraySlotKernel:
             vp = self._vp = self.pool.policy.vector_params()
         return vp
 
-    def _merged_order(self, dags: list) -> tuple:
+    def base_gate(self, bases, release_us: float, deadline_us: float,
+                  slot_us: float) -> bool:
+        """Static predicted-work gate of one slot, from base costs alone.
+
+        ``bases`` iterates the slot's task base costs (any order: the
+        sum is an ``fsum``).  The inflated predicted-work bound must
+        keep the summed DAG utilization at most
+        :data:`_VECTOR_UTIL_FRACTION` of the post-slot slack — the
+        demand stays exactly one core — and leave more than a tick
+        period of slack over the critical path, so no tick can enter
+        the critical-stage escalation.  The window fill asks this before
+        drawing a slot's stochastic multipliers, so a slot that can
+        never commit costs no draws and no plan.
+        """
+        margin_slack = deadline_us - (release_us + slot_us)
+        if margin_slack <= 0.0:
+            return False
+        vp = self._vector_params()
+        bound = _PRED_SUM_INFLATION * vp["wcet_margin"] * math.fsum(bases)
+        return (bound <= _VECTOR_UTIL_FRACTION * margin_slack
+                and bound + vp["tick_us"] + _MAKESPAN_MARGIN_US
+                < margin_slack)
+
+    def _merged_order(self, key: tuple, topos: list) -> tuple:
         """(flat execution order, completion order) for one slot's DAGs.
 
         Simulates the pool's merged EDF queue for the certified case —
         uniform deadlines, a single serving core, entry tasks pushed
-        dag-by-dag at release — over the per-kind topology templates.
-        With equal deadlines the EDF key ``(deadline, seq)`` reduces to
-        FIFO by push sequence, so the order depends only on the tuple
-        of DAG kinds and is cached on it.  Flat indices are dag-major
-        in ``dag.tasks`` order; the completion order is sorted
-        ``(last execution position, dag index)`` pairs.
+        dag-by-dag at release — over the per-kind topology templates
+        ``topos``.  With equal deadlines the EDF key ``(deadline, seq)``
+        reduces to FIFO by push sequence, so the order depends only on
+        ``key``, the tuple of DAG kinds, and is cached on it.  Flat
+        indices are dag-major in ``dag.tasks`` order; the completion
+        order is sorted ``(last execution position, dag index)`` pairs.
         """
-        key = tuple(dag.kind_key for dag in dags)
-        cached = self._order_cache.get(key)
-        if cached is not None:
-            return cached
-        return self._merged_order_for(
-            key, [topology_for_kind(dag) for dag in dags])
-
-    def _merged_order_for(self, key: tuple, topos: list) -> tuple:
-        """:meth:`_merged_order` body, from topology templates alone."""
         cached = self._order_cache.get(key)
         if cached is not None:
             return cached
@@ -263,121 +278,47 @@ class ArraySlotKernel:
         self._order_cache[key] = cached
         return cached
 
-    def build_plan(self, dags: list, release_us: float,
-                   deadline_us: float, slot_us: float) -> "SlotPlan":
-        """Precompute one slot's certification fold and vector schedule.
+    def build_plan(self, key: tuple, topos: list, bases: list,
+                   mults: list, membound: list, release_us: float,
+                   deadline_us: float,
+                   slot_us: float) -> Optional[SlotPlan]:
+        """One slot's certification fold and vector schedule, or None.
 
-        Called by the runner at window-fill time, off the boundary hot
-        path.  ``plan.ok`` is True only when the static vector gates
-        hold:
-
-        * every DAG is kind-keyed with the slot's uniform release and
-          deadline and strictly positive base costs (so EDF reduces to
-          FIFO and each Concordia DAG state keeps positive work);
-        * the inflated predicted-work bound keeps the summed DAG
-          utilization at most :data:`_VECTOR_UTIL_FRACTION` of the
-          post-slot slack — the demand stays exactly one core — and
-          leaves more than a tick period of slack over the critical
-          path, so no tick can enter the critical-stage escalation.
-
-        The remaining conditions (certification gates, makespan budget,
-        wakeup timing, tick-grid collisions) are per-boundary and are
-        checked when the slot is offered for commit.
-        """
-        plan = SlotPlan(release_us, deadline_us)
-        total = 0.0
-        runtimes_flat: list[float] = []
-        bases: list[float] = []
-        for dag in dags:
-            if (dag.kind_key is None or dag.release_us != release_us
-                    or dag.deadline_us != deadline_us):
-                return plan
-            for task in dag.tasks:
-                mult = task.stoch_mult
-                if mult is None:
-                    return plan  # presampling disabled: never certified
-                base = task.base_cost_us
-                if base <= 0.0:
-                    return plan
-                runtime = ceiling = base * mult
-                if task.memory_bound:
-                    ceiling *= _STALL_CEIL
-                total += ceiling if ceiling > 0.3 else 0.3
-                # Pressure-0 single-core runtime: base · stoch · 1.0 ·
-                # 1.0, clamped exactly like CostModel.sample_runtime.
-                runtimes_flat.append(runtime if runtime > 0.3 else 0.3)
-                bases.append(base)
-        return self._finish_plan(plan, total, runtimes_flat, bases,
-                                 slot_us, math.inf,
-                                 lambda: self._merged_order(dags))
-
-    def build_plan_static(self, key: tuple, topos: list, bases: list,
-                          mults: list, membound: list, release_us: float,
-                          deadline_us: float,
-                          slot_us: float) -> "SlotPlan":
-        """Build a slot plan from cost rows alone — no DAG objects.
-
+        Built from cost rows alone, at window-fill time, off the
+        boundary hot path, for a slot that passed :meth:`base_gate`.
         ``bases``/``mults``/``membound`` are flat dag-major lists in
-        ``dag.tasks`` order (``repro.ran.dag.plan_task_rows`` order);
-        ``key`` is the tuple of per-DAG kind keys and ``topos`` their
-        registered topology templates.  Applies the same gates and
-        folds as :meth:`build_plan` — bit-identical, since the inputs
-        equal what the built tasks would carry — plus a static budget
-        pre-check (for a certified window the boundary budget depends
-        only on the slot length), so a plan that comes back ``ok``
-        almost never forces its DAGs to be materialized at the
-        boundary.
+        ``dag.tasks`` order (``repro.ran.dag.plan_task_rows`` order) —
+        exactly the values the slot's built tasks carry; ``key`` is the
+        tuple of per-DAG kind keys and ``topos`` their topology
+        templates.  Returns None unless every base cost is strictly
+        positive (each Concordia DAG state keeps positive work) and the
+        ceiling fold fits the makespan budget, which for a certified
+        boundary depends only on the slot length.  The remaining
+        conditions (certification gates, wakeup timing, tick-grid
+        collisions) are per-boundary and are checked when the slot is
+        offered for commit.
         """
-        plan = SlotPlan(release_us, deadline_us)
         total = 0.0
         runtimes_flat: list[float] = []
         for base, mult, is_membound in zip(bases, mults, membound):
             if base <= 0.0:
-                return plan
+                return None
             runtime = ceiling = base * mult
             if is_membound:
                 ceiling *= _STALL_CEIL
             total += ceiling if ceiling > 0.3 else 0.3
+            # Pressure-0 single-core runtime: base · stoch · 1.0 · 1.0,
+            # clamped exactly like CostModel.sample_runtime.
             runtimes_flat.append(runtime if runtime > 0.3 else 0.3)
-        # The boundary budget would (modulo float dust) reject a larger
-        # ceiling sum; keep such a slot on the materialized path.
-        budget = slot_us - _MAKESPAN_MARGIN_US - self._wake_bound_us
-        return self._finish_plan(plan, total, runtimes_flat, bases,
-                                 slot_us, budget,
-                                 lambda: self._merged_order_for(key, topos))
+        if total > slot_us - _MAKESPAN_MARGIN_US - self._wake_bound_us:
+            return None
+        order, completion = self._merged_order(key, topos)
+        return SlotPlan(release_us, deadline_us, total,
+                        [runtimes_flat[i] for i in order], completion,
+                        len(runtimes_flat))
 
-    def _finish_plan(self, plan: SlotPlan, total: float,
-                     runtimes_flat: list, bases: list, slot_us: float,
-                     budget: float, merged_order) -> SlotPlan:
-        """Shared gate/order tail of :meth:`build_plan` and its static twin.
-
-        ``total`` is the slot's ceiling fold, ``runtimes_flat`` and
-        ``bases`` its per-task pressure-0 runtimes and base costs
-        (dag-major, ``dag.tasks`` order).  A fold above ``budget``
-        keeps the plan off the closed form; ``merged_order()`` yields
-        the slot's (execution, completion) order once every gate held.
-        """
-        if total > budget:
-            return plan
-        vp = self._vector_params()
-        if vp is None:
-            return plan
-        margin_slack = plan.deadline_us - (plan.release_us + slot_us)
-        if margin_slack <= 0.0:
-            return plan
-        bound = (_PRED_SUM_INFLATION * vp["wcet_margin"]
-                 * math.fsum(bases))
-        if bound > _VECTOR_UTIL_FRACTION * margin_slack:
-            return plan
-        if bound + vp["tick_us"] + _MAKESPAN_MARGIN_US >= margin_slack:
-            return plan
-        order, completion = merged_order()
-        plan.ceiling_sum = total
-        plan.runtimes = [runtimes_flat[i] for i in order]
-        plan.completion = completion
-        plan.n_tasks = len(runtimes_flat)
-        plan.ok = True
-        return plan
+    #: Old name of :meth:`build_plan`; ``bench/tracer.py`` still wraps it.
+    build_plan_static = build_plan
 
     # -- deferred metrics --------------------------------------------------
 
@@ -436,13 +377,13 @@ class ArraySlotKernel:
                 plan: Optional[SlotPlan]) -> bool:
         """Certify and vector-commit one slot, or prepare the fallback.
 
-        A slot commits only with a plan whose static gates held, when
+        A slot commits only with a plan (its static gates held), when
         the certification gates and the makespan budget hold at the
         boundary and :meth:`_vector_replay` accepts the per-boundary
         trace.  A rejection changes nothing but the deferred metrics,
         which are flushed because the event path records live.
         """
-        if plan is not None and plan.ok:
+        if plan is not None:
             now = self.engine._now
             slot_end = now + self.sim._slot_us
             budget = self._gate_budget(now, slot_end)
@@ -459,7 +400,7 @@ class ArraySlotKernel:
         """Commit one certified slot in closed form; False to fall back.
 
         Preconditions (established by the caller): the structural
-        certification gates hold and ``plan.ok`` is True.  This method
+        certification gates hold and the slot has a plan.  This method
         re-checks everything that can vary per boundary, derives the
         unique trace the per-event path would produce — wake at
         ``now + L``, serial FIFO execution on one core, yield at the
@@ -486,15 +427,14 @@ class ArraySlotKernel:
         if tick_event is None:
             return False
         vp = self._vector_params()
-        if vp is None:
-            return False
         if plan.release_us != now:
             return False
         if dags is not None:
             # Re-checked dynamically: predictor warmup can inflate
-            # WCETs after the window (and its plans) were built.  A
-            # lazily planned slot (dags None) never saw warmup — the
-            # runner materializes the whole window while warmup holds.
+            # WCETs after the window (and its plans) were built.  An
+            # unbuilt planned slot (dags None) never saw warmup — while
+            # warmup holds, the runner builds the slot and drops its
+            # plan.
             for dag in dags:
                 if dag.wcet_inflation != 1.0:
                     return False

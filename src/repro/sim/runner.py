@@ -45,6 +45,7 @@ scheduling-side randomness.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import deque
@@ -63,6 +64,7 @@ from ..ran.traffic import CellTraffic
 from ..ran.ue import MCS_TABLE, SlotLoad, UeAllocation, bytes_to_allocations
 from ..workloads.base import WorkloadHost
 from ..workloads.catalog import MixController, make_workload
+from .arraykernel import ArraySlotKernel
 from .cache import CacheInterferenceModel
 from .engine import Engine
 from .metrics import LatencySummary, Metrics
@@ -433,22 +435,21 @@ class Simulation:
         self.slot_window = max(
             MIN_SLOT_WINDOW,
             DEFAULT_WINDOW_JOBS // max(1, 2 * len(pool_config.cells)))
-        #: One ``(dags, plan, jobs, idle)`` entry per drawn slot.
+        #: One ``(dags, plan, source, idle)`` entry per drawn slot.
         #: ``plan`` is the slot's :class:`repro.sim.arraykernel.SlotPlan`
         #: (or None), built at fill time so the boundary hot path only
-        #: checks dynamic gates.  A plan-direct slot has ``dags`` None
-        #: and keeps its ``jobs``: the boundary either commits it in
-        #: closed form without ever building its DAGs, or materializes
-        #: them with a byte-identical counter-keyed rebuild.
+        #: checks dynamic gates.  A planned slot may have ``dags`` None
+        #: and keep its ``source`` (the window's jobs and costed rows,
+        #: and the slot's span of them): the boundary either commits it
+        #: in closed form without ever building its DAGs, or
+        #: materializes them with a byte-identical counter-keyed
+        #: rebuild (:meth:`_build_source`).
         self._window: deque = deque()
-        # kind_key -> (decode indices, memory-bound flags): the task
-        # *type* sequence is fully determined by the kind key, so this
-        # per-row metadata is shared by every DAG of a kind.
+        # kind_key -> (topology template, decode indices, memory-bound
+        # flags): the task *type* sequence is fully determined by the
+        # kind key, so this per-row metadata is shared by every DAG of
+        # a kind.
         self._plan_kind_meta: dict = {}
-        # (uplink, id(cell)) -> (cell, tuple of idle-DAG base costs);
-        # idle rows are load-independent so the batch output is
-        # reusable, and the held reference keeps the id stable.
-        self._idle_base_cache: dict = {}
         self.kernel_stats = {
             "slots": 0,          # slot boundaries fired
             "idle_slots": 0,     # of those, slots with zero bytes
@@ -460,26 +461,26 @@ class Simulation:
         #: fold), read by the per-layer split of ``bench/run.py --trace``.
         self.fill_wall_s = 0.0
         self.summary_wall_s = 0.0
-        #: Array-timeline engine: "array" commits certified slots in
-        #: closed form inside the boundary callback, bypassing the
-        #: event heap; "event" (the default) is the per-event path.
-        #: Slots the kernel cannot certify take the event path mid-run,
-        #: so results are byte-identical either way (see
+        #: Array-timeline kernel: commits certified slots in closed
+        #: form inside the boundary callback, bypassing the event heap,
+        #: wherever the static gates of :meth:`start` hold.  Slots it
+        #: cannot certify take the event path mid-run, so results are
+        #: byte-identical to an all-event run (see
         #: repro.sim.arraykernel).
-        self.engine_mode = getattr(scenario, "engine_mode", "event")
-        self._array_kernel = None
+        self._array_kernel = ArraySlotKernel(self)
         self._use_array = False
-        if self.engine_mode == "array":
-            # Lazy import: the kernel is opt-in and the hot default
-            # path should not pay for it.
-            from .arraykernel import ArraySlotKernel
-
-            self._array_kernel = ArraySlotKernel(self)
 
     # -- slot driving --------------------------------------------------------------
 
     def _fill_window(self) -> None:
-        """Pre-draw traffic and prebuild DAGs for the coming window.
+        """Draw the coming window's slots and plan or build each one.
+
+        One pass: draw every slot's loads; compute the window's cost
+        rows and one base-cost batch; when the array kernel is on, plan
+        the slots that pass its base-cost gate (:meth:`_plan_slots`);
+        then build, in one ``build_many`` from the same rows and
+        costs, the DAGs of every slot without a plan (of every slot
+        while a demand observer is attached).
 
         Byte-identity invariants (what makes this a kernel and not a
         model change):
@@ -524,21 +525,21 @@ class Simulation:
         cells = self._cell_list
         mac = self._mac
         profiling = self.profiling_traffic
-        # Direction plan per cell and slot, then (model traffic) one
+        # Directions per cell and slot, then (model traffic) one
         # batched draw per (cell, direction) generator covering the
         # window.
-        plans = []
+        cell_dirs = []
         draws = []
         for cell_index, cell in enumerate(cells):
-            plan = [_slot_directions(cell, start_slot + rel)
-                    for rel in range(count)]
-            plans.append(plan)
+            dirs_by_slot = [_slot_directions(cell, start_slot + rel)
+                            for rel in range(count)]
+            cell_dirs.append(dirs_by_slot)
             per_dir = {}
             if not (mac or profiling):
                 generator = self.traffic[cell_index]
                 for uplink in (True, False):
-                    needed = sum(1 for dirs in plan for u, _ in dirs
-                                 if u == uplink)
+                    needed = sum(1 for dirs in dirs_by_slot
+                                 for u, _ in dirs if u == uplink)
                     if needed:
                         source = (generator.uplink if uplink
                                   else generator.downlink)
@@ -567,7 +568,7 @@ class Simulation:
                 per_dir = draws[cell_index]
                 alloc_rng = (shared_alloc if alloc_cells is None
                              else alloc_cells[cell_index])
-                for uplink, scale in plans[cell_index][rel]:
+                for uplink, scale in cell_dirs[cell_index][rel]:
                     if mac:
                         allocations = mac[(cell_index, uplink)].step()
                     else:
@@ -602,189 +603,125 @@ class Simulation:
             job_counts.append(n_jobs)
             idle_flags.append(idle)
             release += slot_us
-        if (self._use_array and self.demand_observer is None
-                and self._array_kernel.lazy_ok()):
-            # Plan-direct fill: certify from cost rows, defer (most)
-            # DAG construction to the slots that actually need it.
-            self._plan_window(jobs, job_counts, idle_flags, slot_meta,
-                              slot_us)
+        # Cost rows, base costs and the row columns build_many reads,
+        # once per window: one row_costs batch.
+        builder = self.builder
+        job_rows = [plan_task_rows(job[0], job[1]) for job in jobs]
+        costs, columns = builder.row_costs(
+            [(job[0], job[1], rows) for job, rows in zip(jobs, job_rows)])
+        costed = (costs,) + columns
+        # Per slot: (first job, end job, first row, end row).
+        row_ends = list(itertools.accumulate(map(len, job_rows)))
+        spans = []
+        first = row = 0
+        for n_jobs in job_counts:
+            end = first + n_jobs
+            row_end = row_ends[end - 1] if n_jobs else row
+            spans.append((first, end, row, row_end))
+            first = end
+            row = row_end
+        if self._use_array and self._array_kernel.lazy_ok():
+            plans = self._plan_slots(jobs, job_rows, costs, spans,
+                                     slot_meta)
         else:
-            # One vectorized cost/feature pass over the whole window's
-            # DAGs.
-            dags = self.builder.build_many(jobs)
-            window = self._window
-            build_plan = (self._array_kernel.build_plan
-                          if self._use_array else None)
-            pos = 0
-            for n_jobs, idle, (slot_release, slot_deadline) in zip(
-                    job_counts, idle_flags, slot_meta):
-                slot_dags = dags[pos:pos + n_jobs]
-                plan = (None if build_plan is None
-                        else build_plan(slot_dags, slot_release,
-                                        slot_deadline, slot_us))
-                window.append((slot_dags, plan, None, idle))
+            plans = [None] * count
+        # One batched build, from the same costed rows, for every slot
+        # without a plan, and for every slot while a demand observer
+        # needs each slot's DAGs (per-DAG streams make the split from
+        # the unbuilt slots draw-safe).
+        build_all = self.demand_observer is not None or not any(plans)
+        if build_all:
+            built = builder.build_many(jobs, costed)
+        else:
+            mat_jobs = []
+            mat_costed = ([], [], [], [])
+            for (first, end, row, row_end), plan in zip(spans, plans):
+                if plan is None:
+                    mat_jobs.extend(jobs[first:end])
+                    for mat, column in zip(mat_costed, costed):
+                        mat.extend(column[row:row_end])
+            built = (builder.build_many(mat_jobs, mat_costed)
+                     if mat_jobs else [])
+        window = self._window
+        pos = 0
+        for span, plan, idle in zip(spans, plans, idle_flags):
+            if build_all or plan is None:
+                n_jobs = span[1] - span[0]
+                window.append((built[pos:pos + n_jobs], plan, None, idle))
                 pos += n_jobs
+            else:
+                window.append((None, plan, (jobs, costed, span), idle))
         self.kernel_stats["windows"] += 1
         self.fill_wall_s += time.perf_counter() - wall_start
 
-    def _plan_window(self, jobs: list, job_counts: list,
-                     idle_flags: list, slot_meta: list,
-                     slot_us: float) -> None:
-        """Plan-direct window fill: build plans, not DAGs.
+    def _plan_slots(self, jobs: list, job_rows: list, costs: list,
+                    spans: list, slot_meta: list) -> list:
+        """One :class:`repro.sim.arraykernel.SlotPlan` (or None) per slot.
 
-        For each slot whose static vector gates hold, only a
-        :class:`repro.sim.arraykernel.SlotPlan` is computed — from the
-        same cost rows, base-cost batch and per-DAG stochastic draws a
-        real build uses (``plan_task_rows`` is the builders' only
-        source of cost inputs, and every DAG's RNG stream is
-        counter-keyed, so a deferred ``build_many`` of the same jobs
-        reproduces the exact task fields later if the boundary has to
-        fall back).  Slots that fail the static gates — or contain a
-        DAG kind with no registered topology template yet (templates
-        only ever come from real DAGs) — are materialized here in one
-        batched build, exactly like the non-lazy fill.
+        ``costs`` holds the window's base costs in row order and
+        ``spans`` each slot's (first job, end job, first row, end row).
+        The base-cost gate runs first, so a slot that can never commit
+        costs no stochastic draw, no topology lookup and no plan.  For
+        the slots that pass, every DAG's multipliers come from one
+        batched draw over the same counter-keyed streams a build uses
+        (so a later ``build_many`` of the same jobs reproduces the
+        exact task fields), and the plan is built from the rows, the
+        base costs and those draws.
         """
         kernel = self._array_kernel
-        builder = self.builder
-        # One base-cost batch over every task row of the window, the
-        # same row_costs pass build_many runs.  Idle DAGs dominate
-        # low-load runs and their rows (and hence base costs) depend
-        # only on (direction, cell config), so their bases are served
-        # from a per-runner cache after the first planned window
-        # touches the (direction, cell) pair.
-        idle_bases = self._idle_base_cache
-        rows_per_job: list = []
-        job_bases: list = []
-        kinds = []
-        row_jobs: list = []
-        for load, cell, _release, _deadline, _gid in jobs:
-            kinds.append(dag_kind_key(load))
-            if load.idle:
-                cached = idle_bases.get((load.uplink, id(cell)))
-                if cached is not None:
-                    rows_per_job.append(None)
-                    job_bases.append(cached[1])
-                    continue
-            rows = plan_task_rows(load, cell)
-            rows_per_job.append(rows)
-            job_bases.append(None)
-            row_jobs.append((load, cell, rows))
-        costs = builder.row_costs(row_jobs)[0] if row_jobs else []
+        base_gate = kernel.base_gate
+        slot_us = self._slot_us
+        passing = [si for si, (_f, _e, row, row_end) in enumerate(spans)
+                   if base_gate(costs[row:row_end], *slot_meta[si],
+                                slot_us)]
+        plans: list = [None] * len(spans)
+        if not passing:
+            return plans
         decode_type = TaskType.LDPC_DECODE
-        build_plan_static = kernel.build_plan_static
         kind_meta = self._plan_kind_meta
-        n_total = len(jobs)
-        # Pass A (flat, job order): resolve every job's base costs from
-        # the window batch, filling the idle cache as pairs first
-        # appear.
-        task_idx = 0
-        for jj in range(n_total):
-            if job_bases[jj] is None:
-                rows = rows_per_job[jj]
-                n = len(rows)
-                job_base = costs[task_idx:task_idx + n]
-                task_idx += n
+        kinds = {}
+        reqs = []
+        for si in passing:
+            first, end = spans[si][:2]
+            for jj in range(first, end):
                 load = jobs[jj][0]
-                if load.idle:
-                    cell = jobs[jj][1]
-                    # The held cell reference pins the id.
-                    idle_bases[(load.uplink, id(cell))] = \
-                        (cell, tuple(job_base))
-                job_bases[jj] = job_base
-        # Pass B: resolve topologies per slot; collect the stochastic
-        # draw requests of every plannable slot's DAGs in job order
-        # (each DAG draws from its own counter-keyed stream, so the
-        # materialized slots skipped here lose nothing).
-        slot_topos: list = []
-        metas: list = [None] * n_total
-        reqs: list = []
-        job_idx = 0
-        for n_jobs in job_counts:
-            topos: Optional[list] = []
-            for j in range(n_jobs):
-                topo = topology_for_key(kinds[job_idx + j])
-                if topo is None:
-                    topos = None
-                    break
-                topos.append(topo)
-            slot_topos.append(topos)
-            if topos is not None:
-                for j in range(n_jobs):
-                    jj = job_idx + j
-                    load = jobs[jj][0]
-                    kind = kinds[jj]
-                    meta = kind_meta.get(kind)
-                    if meta is None:
-                        rows = rows_per_job[jj]
-                        if rows is None:
-                            rows = plan_task_rows(load, jobs[jj][1])
-                        meta = ([i for i, row in enumerate(rows)
-                                 if row[0] is decode_type],
-                                [row[0].is_memory_bound for row in rows])
-                        kind_meta[kind] = meta
-                    metas[jj] = meta
-                    reqs.append((len(job_bases[jj]), meta[0],
-                                 jobs[jj][4], load.slot_index,
-                                 load.uplink))
-            job_idx += n_jobs
+                kind = kinds[jj] = dag_kind_key(load)
+                meta = kind_meta.get(kind)
+                if meta is None:
+                    rows = job_rows[jj]
+                    meta = kind_meta[kind] = (
+                        topology_for_key(kind),
+                        [i for i, row in enumerate(rows)
+                         if row[0] is decode_type],
+                        [row[0].is_memory_bound for row in rows])
+                reqs.append((len(job_rows[jj]), meta[1], jobs[jj][4],
+                             load.slot_index, load.uplink))
         # One batched draw pass over every planned DAG of the window.
-        all_mults = builder.plan_stoch_window(reqs)
-        # Pass C: assemble and gate one plan per plannable slot.
-        entries: list = []      # (plan, slot_jobs) or None (materialize)
-        mat_jobs: list = []
-        mat_slots: list = []    # (slot position, n_jobs) of materialized
-        job_idx = 0
-        moff = 0
-        for si, n_jobs in enumerate(job_counts):
-            topos = slot_topos[si]
-            plan = None
-            if topos is not None:
-                bases: list = []
-                membound: list = []
-                m_end = moff
-                for j in range(n_jobs):
-                    jj = job_idx + j
-                    job_base = job_bases[jj]
-                    bases.extend(job_base)
-                    membound.extend(metas[jj][1])
-                    m_end += len(job_base)
-                release, deadline = slot_meta[si]
-                plan = build_plan_static(
-                    tuple(kinds[job_idx:job_idx + n_jobs]), topos,
-                    bases, all_mults[moff:m_end], membound,
-                    release, deadline, slot_us)
-                moff = m_end
-            slot_jobs = jobs[job_idx:job_idx + n_jobs]
-            if plan is not None and plan.ok:
-                entries.append((plan, slot_jobs))
-            else:
-                entries.append(None)
-                mat_jobs.extend(slot_jobs)
-                mat_slots.append((si, n_jobs))
-            job_idx += n_jobs
-        # One batched build for every slot that needs real DAGs (the
-        # per-DAG streams make the split from the lazy slots draw-safe).
-        built = builder.build_many(mat_jobs) if mat_jobs else []
-        mat_map = {}
-        pos = 0
-        for si, n_jobs in mat_slots:
-            mat_map[si] = built[pos:pos + n_jobs]
-            pos += n_jobs
-        window = self._window
+        mults = self.builder.plan_stoch_window(reqs)
         build_plan = kernel.build_plan
-        for si, entry in enumerate(entries):
-            if entry is not None:
-                plan, slot_jobs = entry
-                window.append((None, plan, slot_jobs, idle_flags[si]))
-            else:
-                slot_dags = mat_map[si]
-                release, deadline = slot_meta[si]
-                # Registers any new topology templates as a side
-                # effect, unlocking the lazy path for later windows.
-                window.append((slot_dags,
-                               build_plan(slot_dags, release, deadline,
-                                          slot_us),
-                               None, idle_flags[si]))
+        moff = 0
+        for si in passing:
+            first, end, row, row_end = spans[si]
+            key = tuple(kinds[jj] for jj in range(first, end))
+            topos = []
+            membound = []
+            for jj in range(first, end):
+                meta = kind_meta[kinds[jj]]
+                topos.append(meta[0])
+                membound.extend(meta[2])
+            m_end = moff + row_end - row
+            release, deadline = slot_meta[si]
+            plans[si] = build_plan(key, topos, costs[row:row_end],
+                                   mults[moff:m_end], membound, release,
+                                   deadline, slot_us)
+            moff = m_end
+        return plans
+
+    def _build_source(self, source: tuple) -> list:
+        """Build one planned slot's DAGs from its window ``source``."""
+        jobs, costed, (first, end, row, row_end) = source
+        return self.builder.build_many(
+            jobs[first:end], tuple(column[row:row_end] for column in costed))
 
     def _on_slot_boundary(self) -> None:
         if self._reconfig_queue:
@@ -796,15 +733,15 @@ class Simulation:
         window = self._window
         if not window:
             self._fill_window()
-        dags, plan, jobs, idle = window.popleft()
+        dags, plan, source, idle = window.popleft()
         if idle:
             stats["idle_slots"] += 1
         observer = self.demand_observer
         holds = self._held_cells or self._backlog
         if dags is None and (observer is not None or holds
                              or self._warm_cells):
-            # A plan-direct slot whose DAGs are needed before release.
-            dags = self.builder.build_many(jobs)
+            # A planned slot whose DAGs are needed before release.
+            dags = self._build_source(source)
         if observer is not None:
             observer(dags)
         if holds:
@@ -833,10 +770,10 @@ class Simulation:
                 if kernel.try_vector(plan):
                     stats["array_slots"] += 1
                     return
-                # Dynamic rejection of a lazily planned slot: build the
-                # DAGs now (byte-identical counter-keyed rebuild) for
-                # the event path.
-                dags = self.builder.build_many(jobs)
+                # Dynamic rejection of an unbuilt planned slot: build
+                # the DAGs now (byte-identical counter-keyed rebuild)
+                # for the event path.
+                dags = self._build_source(source)
             elif kernel.replay(dags, plan):
                 stats["array_slots"] += 1
                 return
@@ -961,9 +898,8 @@ class Simulation:
                 "detach_cell mid-window: the detach slot must be a "
                 "window barrier (timeline events register theirs; "
                 "planners call add_window_barrier before the run)")
-        if self._array_kernel is not None:
-            # The snapshot boundary must see fully applied metrics.
-            self._array_kernel.flush_pending()
+        # The snapshot boundary must see fully applied metrics.
+        self._array_kernel.flush_pending()
         for index, cell in enumerate(self._cell_list):
             if cell.name == name:
                 break
@@ -1067,8 +1003,7 @@ class Simulation:
                 "attach_cell mid-window: the attach slot must be a "
                 "window barrier (timeline events register theirs; "
                 "planners call add_window_barrier before the run)")
-        if self._array_kernel is not None:
-            self._array_kernel.flush_pending()
+        self._array_kernel.flush_pending()
         # Lazy: repro.scenario imports this module for build_simulation.
         from ..scenario.scenario import cell_config_from_dict
 
@@ -1162,17 +1097,16 @@ class Simulation:
         self._run_start = start
         self._num_slots = num_slots
         self._slots_remaining = num_slots
-        # The array kernel self-disables for configurations whose slot
-        # interiors are observable (a best-effort workload) or whose
-        # pool structure changes mid-run (reconfig: worker add/remove
-        # and cell detach/attach), and for policies without the
-        # closed-form commit, which is the only way the kernel can take
-        # a slot.
+        # The array kernel's static gates: it stays off for
+        # configurations whose slot interiors are observable (a
+        # best-effort workload) or whose pool structure changes mid-run
+        # (reconfig: worker add/remove and cell detach/attach), and for
+        # policies without the closed-form commit, which is the only
+        # way the kernel can take a slot.
         # Everything event-dependent — observers, bus, pressure,
         # quiescence — is re-checked live per slot.
         self._use_array = (
-            self._array_kernel is not None
-            and self.workload_name == "none"
+            self.workload_name == "none"
             and not self.scenario.reconfig
             and self.policy.vector_params() is not None
         )
@@ -1217,9 +1151,8 @@ class Simulation:
 
     def finish(self) -> SimulationResult:
         """Drain in-flight DAGs, finalize metrics, build the result."""
-        if self._array_kernel is not None:
-            # Deferred vector-slot metrics precede any finalization.
-            self._array_kernel.flush_pending()
+        # Deferred vector-slot metrics precede any finalization.
+        self._array_kernel.flush_pending()
         # Drain: let in-flight DAGs finish (bounded by 4 deadlines).
         drain_limit = self._end_time + 4 * self.pool_config.deadline_us
         while self.pool.active_dags and self.engine.now < drain_limit:

@@ -1,13 +1,19 @@
-"""A/B byte-identity tests for the array-timeline engine mode.
+"""A/B byte-identity tests for the array-timeline kernel.
 
-``engine_mode="array"`` commits certified slots in closed form inside
-the slot-boundary callback (``repro.sim.arraykernel``), bypassing the
-event heap; every other slot takes the event path.  It is only
-admissible because the result payload is byte-identical to the event
-engine: the canonical digest must match on every workload, whether a
-run commits almost every slot (fig03-calibrated low load), none (the
-load-0.5 goldens), or a per-slot mixture — and the kernel must cleanly
-self-disable under every mode whose interior it cannot certify.
+Wherever its static gates hold, the kernel commits certified slots in
+closed form inside the slot-boundary callback
+(``repro.sim.arraykernel``), bypassing the event heap; every other slot
+takes the event path.  It is only admissible because the result
+payload is byte-identical to an all-event run: the canonical digest
+must match on every workload, whether a run commits almost every slot
+(fig03-calibrated low load), none (the load-0.5 goldens), or a
+per-slot mixture — and the kernel must cleanly stand aside under every
+mode whose interior it cannot certify.
+
+The all-event reference is the same scenario run with a no-op entry in
+``pool.task_observers``: an open side channel closes the kernel's gate
+for every slot (asserted by ``array_slots == 0``) and changes no
+number.
 """
 
 import numpy as np
@@ -24,6 +30,7 @@ from tests.test_determinism import (
     SLOTS,
 )
 
+import repro.ran.dag as dag_mod
 from repro.exec.digest import result_digest
 from repro.fleet import FleetScenario, Planner, combined_digest
 from repro.fleet.report import histogram_percentile, latency_histogram
@@ -32,7 +39,7 @@ from repro.ran.dag import (
     DagBuilder,
     dag_kind_key,
     plan_task_rows,
-    topology_for_kind,
+    topology_for_key,
     topology_from_dag,
 )
 from repro.ran.tasks import CostModel, TaskType, prbs_for_bandwidth
@@ -48,7 +55,6 @@ def _scenario(**overrides) -> Scenario:
         workload="none",
         load_fraction=0.5,
         seed=SEED,
-        engine_mode="array",
     )
     base.update(overrides)
     return Scenario(**base)
@@ -60,19 +66,32 @@ def _fig03_scenario(**overrides) -> Scenario:
     return _scenario(pool=pool, load_fraction=0.02, seed=7, **overrides)
 
 
+def _observed(scenario: Scenario):
+    """A simulation with a no-op task observer: the side channel is
+    open, so every slot takes the event path."""
+    simulation = build_simulation(scenario)
+    simulation.pool.task_observers.append(lambda task: None)
+    return simulation
+
+
+def _reference_digest(scenario: Scenario, slots: int) -> str:
+    """Digest of the all-event reference run of ``scenario``."""
+    simulation = _observed(scenario)
+    digest = result_digest(simulation.run(slots))
+    assert simulation.kernel_stats["array_slots"] == 0
+    return digest
+
+
 def _ab(scenario_kwargs: dict, slots: int):
-    """(array digest, event digest, array simulation)."""
+    """(kernel digest, reference digest, kernel simulation)."""
     array_sim = build_simulation(_scenario(**scenario_kwargs))
     on = result_digest(array_sim.run(slots))
-    event_sim = build_simulation(_scenario(engine_mode="event",
-                                           **scenario_kwargs))
-    off = result_digest(event_sim.run(slots))
-    assert event_sim.kernel_stats["array_slots"] == 0
+    off = _reference_digest(_scenario(**scenario_kwargs), slots)
     return on, off, array_sim
 
 
 class TestGoldenWorkloadsByteIdentity:
-    """Array mode must reproduce the four frozen golden digests."""
+    """The kernel must reproduce the four frozen golden digests."""
 
     @pytest.mark.parametrize("policy,workload",
                              list(GOLDEN_DIGESTS.keys()))
@@ -80,15 +99,7 @@ class TestGoldenWorkloadsByteIdentity:
         scenario = _scenario(policy=policy, workload=workload)
         result = build_simulation(scenario).run(SLOTS)
         assert result_digest(result) == GOLDEN_DIGESTS[(policy, workload)], (
-            f"array-mode digest drifted from the golden for "
-            f"({policy}, {workload})")
-
-    def test_engine_mode_not_digest_relevant(self):
-        # The digest canonicalization strips engine_mode: the mode is
-        # an execution strategy, and the digest is the regression test
-        # of its byte-identity contract.
-        on, off, _ = _ab({}, slots=40)
-        assert on == off
+            f"digest drifted from the golden for ({policy}, {workload})")
 
 
 class TestCertifiedReplayByteIdentity:
@@ -100,9 +111,7 @@ class TestCertifiedReplayByteIdentity:
         # divide evenly).
         array_sim = build_simulation(_fig03_scenario())
         on = result_digest(array_sim.run(240))
-        event_sim = build_simulation(_fig03_scenario(engine_mode="event"))
-        off = result_digest(event_sim.run(240))
-        assert on == off
+        assert on == _reference_digest(_fig03_scenario(), 240)
         stats = array_sim.kernel_stats
         assert stats["array_slots"] / stats["slots"] >= 0.5
 
@@ -125,12 +134,9 @@ class TestCertifiedReplayByteIdentity:
         array_sim = build_simulation(_fig03_scenario(allocation="mac",
                                                      harq=True))
         on = result_digest(array_sim.run(240))
-        event_sim = build_simulation(_fig03_scenario(
-            allocation="mac", harq=True, engine_mode="event"))
-        off = result_digest(event_sim.run(240))
-        assert on == off
+        assert on == _reference_digest(
+            _fig03_scenario(allocation="mac", harq=True), 240)
         assert array_sim.kernel_stats["array_slots"] > 0
-        assert event_sim.kernel_stats["array_slots"] == 0
 
     def test_flexran_policy_never_certifies_but_matches(self):
         on, off, sim = _ab(dict(policy="flexran"), slots=40)
@@ -151,9 +157,7 @@ class TestVectorKernelInterleave:
     def test_fig03_vector_and_event_slots_interleave(self):
         array_sim = build_simulation(_fig03_scenario())
         on = result_digest(array_sim.run(240))
-        event_sim = build_simulation(_fig03_scenario(engine_mode="event"))
-        off = result_digest(event_sim.run(240))
-        assert on == off
+        assert on == _reference_digest(_fig03_scenario(), 240)
         stats = array_sim.kernel_stats
         # The kernel takes a slot only in closed form; the remainder
         # (overdue-wakeup tail draws, ~5 % of slots) runs on the event
@@ -161,7 +165,6 @@ class TestVectorKernelInterleave:
         # mean anything.
         assert stats["vector_slots"] == stats["array_slots"]
         assert 0 < stats["vector_slots"] < stats["slots"]
-        assert event_sim.kernel_stats["vector_slots"] == 0
 
     def test_mixed_load_vector_slots_subset_of_array_slots(self):
         on, off, sim = _ab(dict(load_fraction=0.1, seed=7), slots=120)
@@ -187,15 +190,53 @@ class TestVectorKernelInterleave:
         assert 0 < stats["vector_slots"] < stats["slots"]
 
 
+#: ``kernel_stats`` of three pinned runs (concordia-noml, no workload,
+#: seed 7), captured when the kernel was still an opt-in engine mode.
+#: Which slots commit depends only on the scenario — never on which
+#: topology templates earlier runs in the process registered.
+PATH_COUNT_GOLDENS = {
+    "fig03@2000": (
+        dict(pool=PoolConfig(cells=(cell_20mhz_fdd("c0"),), num_cores=4,
+                             deadline_us=2000.0),
+             load_fraction=0.02),
+        2000,
+        {"slots": 2000, "idle_slots": 1011, "windows": 63,
+         "array_slots": 1923, "vector_slots": 1923}),
+    "7x20mhz@0.1": (
+        dict(pool={"name": "20mhz"}, load_fraction=0.1),
+        300,
+        {"slots": 300, "idle_slots": 0, "windows": 75,
+         "array_slots": 8, "vector_slots": 8}),
+    "2x100mhz@0.5": (
+        dict(pool={"name": "100mhz"}, load_fraction=0.5),
+        300,
+        {"slots": 300, "idle_slots": 46, "windows": 19,
+         "array_slots": 12, "vector_slots": 12}),
+}
+
+
+class TestPathCountGoldens:
+    @pytest.mark.parametrize("name", list(PATH_COUNT_GOLDENS))
+    def test_path_counts_match_golden(self, name, monkeypatch):
+        kwargs, slots, expected = PATH_COUNT_GOLDENS[name]
+        # A cold registry first, then the same run on the registry the
+        # first one warmed: a first-of-kind slot must commit either way.
+        monkeypatch.setattr(dag_mod, "_TOPOLOGY_REGISTRY", {})
+        for _ in range(2):
+            simulation = build_simulation(_scenario(seed=7, **kwargs))
+            simulation.run(slots)
+            assert simulation.kernel_stats == expected
+
+
 class TestGeneratedScenariosMatchEventEngine:
     """Differential oracle for the kernel's one fallback.
 
     Whatever mix of closed-form commits and event-path slots a small
     random scenario produces — including the boundary-tick hand-over
-    in ``after_fallback_release`` — its digest must equal the event
-    engine's.  Examples are derandomized, so the mixture check below
-    is reproducible, and not shrunk, so a failure reports in seconds
-    rather than minutes.
+    in ``after_fallback_release`` — its digest must equal the
+    all-event reference run's.  Examples are derandomized, so the
+    mixture check below is reproducible, and not shrunk, so a failure
+    reports in seconds rather than minutes.
     """
 
     def test_array_digest_equals_event_digest(self):
@@ -217,9 +258,7 @@ class TestGeneratedScenariosMatchEventEngine:
                           seed=seed, harq=harq)
             array_sim = build_simulation(_scenario(**kwargs))
             on = result_digest(array_sim.run(slots))
-            event_sim = build_simulation(
-                _scenario(engine_mode="event", **kwargs))
-            assert on == result_digest(event_sim.run(slots))
+            assert on == _reference_digest(_scenario(**kwargs), slots)
             stats = array_sim.kernel_stats
             if 0 < stats["vector_slots"] < stats["slots"]:
                 mixed.append(stats)
@@ -239,9 +278,9 @@ def _load_catalog() -> list:
     """One SlotLoad per structurally distinct DAG kind.
 
     Covers idle and busy slots in both directions, multi-allocation
-    slots with multi-group LDPC splits, and a zero-codeblock
-    allocation (a HARQ artifact: scheduled UE, empty transport block),
-    whose decode/encode group count is zero.
+    slots with multi-group LDPC splits, and zero-codeblock allocations
+    (a HARQ artifact: scheduled UE, empty transport block), whose
+    decode/encode group count is zero — alone and among others.
     """
     multi = (
         _alloc(0, 12000, 18.0, 2),  # 12 codeblocks -> 3 decode groups
@@ -249,6 +288,7 @@ def _load_catalog() -> list:
         _alloc(2, 0, 12.0, 1),      # 0 codeblocks -> 0 groups
     )
     single = (_alloc(3, 40000, 22.0, 4),)  # 38 codeblocks -> 10 groups
+    empty = (_alloc(4, 0, 9.0, 1),)        # only a 0-group allocation
     return [
         SlotLoad("cat", 3, True, ()),
         SlotLoad("cat", 3, False, ()),
@@ -256,18 +296,20 @@ def _load_catalog() -> list:
         SlotLoad("cat", 5, False, multi),
         SlotLoad("cat", 9, True, single),
         SlotLoad("cat", 9, False, single),
+        SlotLoad("cat", 11, True, empty),
+        SlotLoad("cat", 11, False, empty),
     ]
 
 
 class TestTopologyTemplatesAndPlanPipeline:
-    """The plan-direct fill must mirror the builder bit for bit.
+    """The window fill's plans must mirror the builder bit for bit.
 
     The window fill certifies slots from ``plan_task_rows`` +
-    ``base_costs_batch`` + ``plan_stoch_window`` without constructing
-    task objects; a later fallback build of the same jobs must then
-    reproduce exactly the values the plan was computed from.  These
-    tests pin that equivalence per DAG kind, against freshly built
-    DAGs.
+    ``base_costs_batch`` + ``plan_stoch_window`` and topology templates
+    wired from the kind key, without constructing task objects; a
+    later fallback build of the same jobs must then reproduce exactly
+    the values and wiring the plan was computed from.  These tests pin
+    that equivalence per DAG kind, against freshly built DAGs.
     """
 
     CELL_INDEX = 4
@@ -280,17 +322,20 @@ class TestTopologyTemplatesAndPlanPipeline:
 
     @pytest.mark.parametrize("load", _load_catalog(),
                              ids=lambda load: repr(dag_kind_key(load)))
-    def test_topology_template_matches_fresh_dag(self, load):
+    def test_topology_template_matches_fresh_dag(self, load, monkeypatch):
+        # On an empty registry the template is wired from the kind key
+        # alone, before any DAG of the kind exists.
+        monkeypatch.setattr(dag_mod, "_TOPOLOGY_REGISTRY", {})
+        kind = dag_kind_key(load)
+        template = topology_for_key(kind)
+        assert dag_mod._TOPOLOGY_REGISTRY == {kind: template}
+        assert topology_for_key(kind) is template
         builder = self._builder()
         cell = cell_20mhz_fdd("cat")
-        dag = builder.build(load, cell, 0.0, 2000.0,
-                            cell_index=self.CELL_INDEX)
-        assert dag.kind_key == dag_kind_key(load)
-        template = topology_for_kind(dag)
         fresh = builder.build(load, cell, 0.0, 2000.0,
                               cell_index=self.CELL_INDEX)
-        derived = topology_from_dag(fresh)
-        assert derived == template
+        assert fresh.kind_key == kind
+        assert topology_from_dag(fresh) == template
         # The level-synchronous schedule and the edge matrix describe
         # the same wiring.
         matrix = template.dependency_matrix()
@@ -342,6 +387,25 @@ class TestTopologyTemplatesAndPlanPipeline:
             n, decode_indices, self.CELL_INDEX, load.slot_index,
             load.uplink)
         assert mults == [task.stoch_mult for task in dag.tasks]
+
+    def test_template_wiring_consumes_no_builder_ids(self, monkeypatch):
+        # Wiring a template between two builds must not shift the
+        # builder's task or DAG ids.
+        cell = cell_20mhz_fdd("cat")
+        loads = _load_catalog()
+        plain = self._builder()
+        expected = [plain.build(load, cell, 0.0, 2000.0)
+                    for load in loads]
+        monkeypatch.setattr(dag_mod, "_TOPOLOGY_REGISTRY", {})
+        interleaved = self._builder()
+        built = []
+        for load in loads:
+            topology_for_key(dag_kind_key(load))
+            built.append(interleaved.build(load, cell, 0.0, 2000.0))
+        assert [dag.dag_id for dag in built] == \
+            [dag.dag_id for dag in expected]
+        assert [task.task_id for dag in built for task in dag.tasks] == \
+            [task.task_id for dag in expected for task in dag.tasks]
 
     def test_window_batched_stoch_equals_per_dag_calls(self):
         builder = self._builder()
@@ -410,13 +474,11 @@ class TestBatchLatencyIngest:
 
 class TestFleetByteIdentity:
     def test_array_fleet_matches_golden(self):
-        # Fleet shards drive slots through run_to_barrier, whose
-        # horizon ends at each boundary, so certification's run_end
-        # gate falls back every slot — and the digests must still be
-        # exactly the event-mode goldens.
+        # Fleet shards attach a demand observer, so every slot's DAGs
+        # are built; slots that certify still commit through replay,
+        # and the digests must be exactly the goldens.
         fleet = FleetScenario(cells=FLEET_CELLS, shards=2,
-                              num_slots=FLEET_SLOTS, seed=SEED,
-                              engine_mode="array")
+                              num_slots=FLEET_SLOTS, seed=SEED)
         report = Planner(fleet, jobs=1).run()
         assert report.ok, report.failures
         assert len(report.cell_digests) == FLEET_CELLS
@@ -467,13 +529,11 @@ class TestPredictedPathBatchCutoff:
         # on_slot_start's WCET/critical-path fill picks a scalar or
         # numpy implementation by slot size; forcing each branch for a
         # whole run must not move a single float.
-        import repro.ran.dag as dag_mod
-
         digests = set()
         for cutoff in (0, 10**9):
             monkeypatch.setattr(dag_mod, "_BATCH_PATH_CUTOFF", cutoff)
-            simulation = build_simulation(
-                _scenario(engine_mode="event", load_fraction=0.3))
+            # All-event, so every slot goes through on_slot_start.
+            simulation = _observed(_scenario(load_fraction=0.3))
             digests.add(result_digest(simulation.run(40)))
         assert len(digests) == 1
 

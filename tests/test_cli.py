@@ -26,6 +26,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--engine", "array"],
+        ["fleet", "--cells", "2", "--engine", "event"],
+    ])
+    def test_removed_engine_option_exits_2(self, argv, capsys):
+        # The array kernel runs wherever its static gates hold; there
+        # is no engine to choose any more.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):

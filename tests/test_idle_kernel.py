@@ -85,18 +85,22 @@ class TestWindowKernelByteIdentity:
         # direction, so the idle fast path must cover at least half of
         # the run (140 of 240 slots at this seed).  The run is
         # deterministic, so a drop means the fast path stopped
-        # engaging.  The array engine must see the same slots.
+        # engaging.  The array kernel must see the same slots as the
+        # all-event reference (a no-op task observer keeps every slot
+        # on the event path).
         pool = PoolConfig(cells=(cell_20mhz_fdd("c0"),), num_cores=4,
                           deadline_us=2000.0)
         digests = []
-        for engine_mode in ("event", "array"):
+        for observed in (True, False):
             simulation = build_simulation(_scenario(
-                pool=pool, load_fraction=0.02, seed=7, workload="none",
-                engine_mode=engine_mode))
+                pool=pool, load_fraction=0.02, seed=7, workload="none"))
+            if observed:
+                simulation.pool.task_observers.append(lambda task: None)
             digests.append(result_digest(simulation.run(240)))
             stats = simulation.kernel_stats
             assert stats["slots"] == 240
             assert stats["idle_slots"] / stats["slots"] >= 0.5
+            assert (stats["array_slots"] == 0) == observed
         assert digests[0] == digests[1]
 
     def test_partial_trailing_window(self):

@@ -1,7 +1,12 @@
 """Tests for the scenario assembly layer and the RNG-stream refactor."""
 
+import json
+
 import numpy as np
 import pytest
+
+from repro.exec.spec import _scenario_kwargs
+from repro.fleet import FleetScenario
 
 from repro.ran.config import PoolConfig, pool_20mhz_7cells
 from repro.ran.ue import SlotLoad, bytes_to_allocations
@@ -88,6 +93,26 @@ class TestScenario:
         payload["record_tasks"] = True
         with pytest.raises(ValueError, match="record_tasks"):
             Scenario.from_dict(payload)
+
+    @pytest.mark.parametrize("engine_mode", ["event", "array"])
+    def test_removed_engine_mode_key_loads(self, engine_mode):
+        # Payloads written while the engine was a choice still load,
+        # and serialize exactly like a payload that never had the key.
+        default = Scenario(pool={"name": "20mhz"}).to_dict()
+        legacy = dict(default, engine_mode=engine_mode)
+        loaded = Scenario.from_dict(legacy)
+        assert json.dumps(loaded.to_dict()) == json.dumps(default)
+
+    @pytest.mark.parametrize("engine_mode", ["event", "array"])
+    def test_fleet_removed_engine_mode_key_loads(self, engine_mode):
+        default = FleetScenario(cells=4, shards=2, num_slots=10).to_dict()
+        legacy = dict(default, engine_mode=engine_mode)
+        loaded = FleetScenario.from_dict(legacy)
+        assert json.dumps(loaded.to_dict()) == json.dumps(default)
+
+    def test_spec_drops_removed_engine_mode_key(self):
+        assert _scenario_kwargs({"engine_mode": "array", "harq": True}) \
+            == {"harq": True}
 
     def test_invalid_allocation_raises(self):
         with pytest.raises(ValueError, match="allocation"):
