@@ -1,10 +1,11 @@
 """Per-cell sampling digests and federated core-demand rollups.
 
 The :class:`ShardDemandRecorder` hangs off
-``Simulation.demand_observer`` and sees every slot's freshly built DAG
-batch — after the counter-keyed Philox draws have fixed each task's
-``base_cost_us``/``stoch_mult``/``cache_*`` presamples, but before any
-scheduling happens.  From that it derives two things:
+``Simulation.demand_observer`` and sees every slot's DAG rows when the
+window fill draws them — after the counter-keyed Philox draws have
+fixed each task's base cost, ``stoch_mult`` and ``cache_*`` presamples,
+before any scheduling happens, and whether or not the slot's DAGs are
+ever built.  From that it derives two things:
 
 * **per-cell sampling digests** — a SHA-256 over each cell's complete
   sampled demand trace (slot, direction, task costs and stochastic
@@ -30,6 +31,7 @@ from typing import Dict, Sequence
 from ..core.federated import CoreDemand, aggregate_demand, \
     federated_core_demand
 from ..ran.config import CellConfig
+from ..ran.dag import dag_kind_key, topology_for_key
 
 __all__ = ["ShardDemandRecorder"]
 
@@ -49,31 +51,44 @@ class ShardDemandRecorder:
         self._slots = {cell.name: 0 for cell in cells}
         self._dags = {cell.name: 0 for cell in cells}
 
-    def __call__(self, dags: list) -> None:
-        """Observe one slot boundary's DAG batch (all cells)."""
+    def __call__(self, jobs: list, costed: tuple, span: tuple) -> None:
+        """Observe one slot's DAG rows (all cells) at window-fill time.
+
+        ``jobs`` and ``costed`` are the window's build jobs and
+        :meth:`~repro.ran.dag.DagBuilder.costed_rows` columns; ``span``
+        is this slot's ``(first job, end job, first row, end row)``.
+        """
+        costs, _cbs, _bytes, _margins, _probes, mults, cache_us, \
+            cache_tails = costed
+        first, end, row = span[:3]
         slot_work: Dict[str, float] = {}
         slot_crit: Dict[str, float] = {}
-        for dag in dags:
-            name = dag.cell_name
-            tasks = dag.tasks
+        for load, cell, _release, _deadline, _index in jobs[first:end]:
+            name = cell.name
+            topology = topology_for_key(dag_kind_key(load))
+            rows = slice(row, row + topology.num_tasks)
+            row = rows.stop
+            bases = costs[rows]
+            factors = mults[rows]
+            sampled = [base * mult for base, mult in zip(bases, factors)]
             # The digest covers everything sampling determines for the
             # DAG: structure (task count tracks the UE allocations) and
             # the presampled stochastic draws.  repr() renders the
             # shortest exact round-trip of each double, so any
             # ULP-level drift changes the digest.
-            parts = [f"{dag.slot_index}|{1 if dag.uplink else 0}"
-                     f"|{len(tasks)}"]
-            work = 0.0
-            for task in tasks:
-                cost = task.base_cost_us * task.stoch_mult
-                work += cost
-                parts.append(f"{task.base_cost_us!r},{task.stoch_mult!r},"
-                             f"{task.cache_u!r},{task.cache_tail!r}")
+            parts = [f"{load.slot_index}|{1 if load.uplink else 0}"
+                     f"|{topology.num_tasks}"]
+            parts.extend(f"{base!r},{mult!r},{cache_u!r},{cache_tail!r}"
+                         for base, mult, cache_u, cache_tail in zip(
+                             bases, factors, cache_us[rows],
+                             cache_tails[rows]))
             self._hash[name].update(";".join(parts).encode())
-            crit = dag.remaining_critical_path_us(
-                _sampled_cost, dag.release_us)
+            work = 0.0
+            for cost in sampled:  # left fold; sum() compensates (3.12+)
+                work += cost
             slot_work[name] = slot_work.get(name, 0.0) + work
-            slot_crit[name] = max(slot_crit.get(name, 0.0), crit)
+            slot_crit[name] = max(slot_crit.get(name, 0.0),
+                                  _critical_path(topology, sampled))
             self._dags[name] += 1
         for name, work in slot_work.items():
             self._work_sum[name] += work
@@ -162,6 +177,18 @@ class ShardDemandRecorder:
         }
 
 
-def _sampled_cost(task) -> float:
-    """Build-time WCET proxy: the presampled isolated runtime."""
-    return task.base_cost_us * task.stoch_mult
+def _critical_path(topology, costs: list) -> float:
+    """Longest chain of ``costs`` through one DAG's ``topology``.
+
+    ``costs`` are the presampled isolated runtimes (a build-time WCET
+    proxy) in topological order, so one reverse sweep suffices.
+    """
+    longest = costs[:]
+    successors = topology.successors
+    for i in range(len(costs) - 1, -1, -1):
+        tail = 0.0
+        for j in successors[i]:
+            if longest[j] > tail:
+                tail = longest[j]
+        longest[i] += tail
+    return max(longest)

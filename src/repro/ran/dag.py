@@ -45,6 +45,7 @@ MAX_CBS_PER_TASK = 4
 _RAND_IDX = FEATURE_INDEX["rand_probe"]
 _TASK_CB_IDX = FEATURE_INDEX["task_codeblocks"]
 _TASK_BYTES_IDX = FEATURE_INDEX["task_bytes"]
+_DECODE_CODE = TaskType.LDPC_DECODE.type_code
 
 
 @dataclass(slots=True)
@@ -94,47 +95,6 @@ class DagInstance:
     def entry_tasks(self) -> list:
         return [t for t in self.tasks if t.predecessors_remaining == 0
                 and t.start_time is None]
-
-    def remaining_work_us(self, wcet: Callable[[TaskInstance], float],
-                          now: float) -> float:
-        """Sum of predicted-remaining WCETs over unfinished tasks."""
-        total = 0.0
-        for task in self.tasks:
-            if task.finish_time is not None:
-                continue
-            estimate = wcet(task)
-            if task.start_time is not None:
-                estimate = max(0.0, estimate - (now - task.start_time))
-            total += estimate
-        return total
-
-    def remaining_critical_path_us(self, wcet: Callable[[TaskInstance], float],
-                                   now: float) -> float:
-        """Longest remaining chain of predicted WCETs through the DAG.
-
-        Tasks are stored in topological order, so a single reverse sweep
-        computes the longest path to any sink.  Finished tasks contribute
-        zero; running tasks contribute their remaining estimate.
-        """
-        if self.tasks_remaining == 0:
-            return 0.0
-        longest_from: dict[int, float] = {}
-        best = 0.0
-        for task in reversed(self.tasks):
-            if task.finish_time is not None:
-                cost = 0.0
-            else:
-                cost = wcet(task)
-                if task.start_time is not None:
-                    cost = max(0.0, cost - (now - task.start_time))
-            tail = max(
-                (longest_from.get(id(s), 0.0) for s in task.successors),
-                default=0.0,
-            )
-            longest_from[id(task)] = cost + tail
-            if cost + tail > best:
-                best = cost + tail
-        return best
 
 
 def _link(parent: TaskInstance, child: TaskInstance) -> None:
@@ -326,15 +286,15 @@ def batch_predicted_paths(dags: list, margin: float) -> list:
 class DagBuilder:
     """Factory turning :class:`SlotLoad` objects into task DAGs.
 
-    Stochastic sampling is *batched per DAG*: every build derives a
-    private RNG stream keyed by ``(cell_index, slot_index, direction)``
-    and draws all of the DAG's randomness (rand_probe features plus the
-    :meth:`CostModel.sample_runtimes` presamples) from it in a few
-    vectorized calls.  Keying by DAG identity rather than by draw order
-    makes the streams independent of execution interleaving: a DAG's
-    runtimes are identical whether it is built before or after its
-    neighbours, which is what keeps serial and parallel experiment
-    drivers byte-identical.
+    Stochastic sampling is *batched per DAG*: every DAG owns a private
+    RNG stream keyed by ``(cell_index, slot_index, direction)``, and
+    :meth:`draw_window` draws all of its randomness (rand_probe
+    features plus the runtime presamples) from it in two calls.
+    Keying by DAG identity rather than by draw order makes the streams
+    independent of execution interleaving: a DAG's runtimes are
+    identical whether it is built before or after its neighbours,
+    which is what keeps serial and parallel experiment drivers
+    byte-identical.
 
     Stream derivation is counter-based: ``seed_seq`` (a SeedSequence
     child of the simulation seed) generates a 128-bit Philox key once,
@@ -458,36 +418,39 @@ class DagBuilder:
         return self.build_many(
             [(load, cell, release_us, deadline_us, cell_index)])[0]
 
-    def row_costs(self, dags: list) -> tuple:
-        """Base costs of many DAGs' :func:`plan_task_rows`, one batch.
+    def costed_rows(self, jobs: list, job_rows: list) -> tuple:
+        """Every per-task number of many DAGs, flat in row order.
 
-        ``dags`` holds one ``(load, cell, rows)`` triple per DAG.
-        Returns ``(costs, columns)``: the flat base-cost list and the
-        ``(codeblocks, bytes, margins)`` row columns the feature
-        vectors and ``snr_margin_db`` read, all in row order.  The cost
-        ops are elementwise, so batch composition cannot perturb any
-        value.
+        ``jobs`` are :meth:`build_many` jobs and ``job_rows`` their
+        :func:`plan_task_rows`.  One base-cost batch, then one
+        :meth:`draw_window`; returns the eight columns :meth:`build_many`
+        assigns: ``(costs, codeblocks, bytes, margins, probes, mults,
+        cache_u, cache_tail)``.  The cost ops are elementwise and every
+        draw comes from its DAG's own stream, so batch composition
+        cannot perturb any value.
         """
         flat = []
         consts = []  # per-DAG (prbs, antennas, slot_bytes)
         counts = []
         cell_consts = {}
-        for load, cell, rows in dags:
+        for job, rows in zip(jobs, job_rows):
             flat.extend(rows)
             counts.append(len(rows))
+            cell = job[1]
             per_cell = cell_consts.get(id(cell))
             if per_cell is None:
                 per_cell = cell_consts[id(cell)] = (
                     prbs_for_bandwidth(cell.bandwidth_mhz, cell.numerology),
                     cell.num_antennas)
-            consts.append(per_cell + (load.total_bytes,))
+            consts.append(per_cell + (job[0].total_bytes,))
         if not flat:
-            return [], ((), (), ())
+            return ((),) * 8
         types, cbs, tbytes, margins, rates, shares, layers = zip(*flat)
+        codes = np.array([t.type_code for t in types])
         const_arr = np.repeat(np.array(consts, dtype=np.float64), counts,
                               axis=0)
         costs = self.cost_model.base_costs_batch(
-            np.array([t.type_code for t in types]),
+            codes,
             prbs=const_arr[:, 0],
             antennas=const_arr[:, 1],
             slot_bytes=const_arr[:, 2],
@@ -498,7 +461,47 @@ class DagBuilder:
             prb_share=np.array(shares, dtype=np.float64),
             layers=np.array(layers, dtype=np.float64),
         ).tolist()
-        return costs, (cbs, tbytes, margins)
+        return (costs, cbs, tbytes, margins) + self.draw_window(
+            jobs, counts, codes)
+
+    def draw_window(self, jobs: list, counts: list,
+                    type_codes: np.ndarray) -> tuple:
+        """All randomness of many DAGs, each drawn once from its stream.
+
+        ``counts`` holds each job's task count and ``type_codes`` the
+        rows' :data:`~repro.ran.tasks.TYPE_CODE` column.  Per DAG, in job
+        order, ``random(5n)`` then ``standard_normal(n)`` from its
+        counter-keyed stream; the uniform block's five n-wide bands are
+        the rand_probe features, the isolated-tail trigger, the LDPC
+        decode-iteration jitter (§A.1; inverse-CDF exponential), the
+        cache-interference trigger and tail magnitude.  The transform
+        runs once over the whole window and is elementwise, so it
+        equals any per-DAG split.  Returns four flat lists in row
+        order: ``(probes, mults, cache_u, cache_tail)``.
+
+        ``stoch_mult`` folds everything state-independent: lognormal
+        noise, the rare isolated tail, then the decode jitter.  The
+        cache tail needs execution-time state (churn, pressure), so
+        only its randomness is presampled; the pool compares
+        ``cache_u`` against the state-dependent tail probability at
+        dispatch, which is equivalent in distribution to drawing there.
+        """
+        blocks = []
+        normals = []
+        for job, n in zip(jobs, counts):
+            load = job[0]
+            rng = self._dag_rng(job[4], load.slot_index, load.uplink)
+            blocks.append(rng.random(5 * n).reshape(5, n))
+            normals.append(rng.standard_normal(n))
+        u = np.concatenate(blocks, axis=1)
+        cm = self.cost_model
+        mult = np.exp(np.concatenate(normals) * cm.noise_sigma)
+        mult[u[1] < cm.isolated_tail_prob] *= cm.isolated_tail_scale
+        decode = type_codes == _DECODE_CODE
+        mult[decode] *= 1.0 + cm.decode_iteration_jitter * (
+            -np.log1p(-u[2, decode]))
+        return (u[0].tolist(), mult.tolist(), u[3].tolist(),
+                (1.5 + u[4]).tolist())
 
     def build_many(self, jobs: list,
                    costed: Optional[tuple] = None) -> list:
@@ -506,27 +509,21 @@ class DagBuilder:
 
         ``jobs`` is a list of ``(load, cell, release_us, deadline_us,
         cell_index)`` tuples.  Structural construction (task wiring)
-        runs per DAG from its :func:`dag_kind_key`; every task's
-        ``base_cost_us``, feature vector and ``snr_margin_db`` come from
-        :func:`plan_task_rows` through one :meth:`row_costs` batch, so
-        the window planner and the builder share one definition of a
-        task's cost inputs.  ``costed`` passes in what the caller
-        already computed from those rows — the window fill computes it
-        once per window: ``(costs, codeblocks, bytes, margins)``, flat
-        in row order, as :meth:`row_costs` returns them.  RNG draws
-        stay on each DAG's private counter-keyed stream (probes, then
-        runtime presamples), so results are byte-identical to building
-        each DAG separately.
+        runs per DAG from its :func:`dag_kind_key`; every number a task
+        carries comes from :meth:`costed_rows`, so the window planner
+        and the builder share one definition of a task's costs and
+        draws.  ``costed`` passes in the jobs' :meth:`costed_rows`
+        columns when the caller already has them (the window fill
+        computes them once per window); a build then only assigns.
         """
         if not jobs:
             return []
         self._drain_retired()
         if costed is None:
-            costs, columns = self.row_costs(
-                [(job[0], job[1], plan_task_rows(job[0], job[1]))
-                 for job in jobs])
-            costed = (costs,) + columns
-        costs, cbs, tbytes, margins = costed
+            costed = self.costed_rows(
+                jobs, [plan_task_rows(job[0], job[1]) for job in jobs])
+        (costs, cbs, tbytes, margins, probes, mults, cache_us,
+         cache_tails) = costed
         new_task = self._new_task
         kinds = []
         dag_tasks = []
@@ -543,28 +540,24 @@ class DagBuilder:
                           [len(tasks) for tasks in dag_tasks], axis=0)
         feats[:, _TASK_CB_IDX] = cbs
         feats[:, _TASK_BYTES_IDX] = tbytes
+        feats[:, _RAND_IDX] = probes
         # list(feats) splits the matrix into row views in one C call;
         # per-row feats[i] indexing costs a Python-level __getitem__
         # per task.
-        for task, row, cost, margin in zip(
+        for task, row, cost, margin, mult, cache_u, cache_tail in zip(
                 itertools.chain.from_iterable(dag_tasks), list(feats),
-                costs, margins):
+                costs, margins, mults, cache_us, cache_tails):
             task.features = row
             task.base_cost_us = cost
             task.snr_margin_db = margin
-        sample_runtimes = self.cost_model.sample_runtimes
+            task.stoch_mult = mult
+            task.cache_u = cache_u
+            task.cache_tail = cache_tail
+        dag_pool = self._dag_pool
         dags = []
         for job, tasks, kind in zip(jobs, dag_tasks, kinds):
-            load, cell, release_us, deadline_us, cell_index = job
+            load, cell, release_us, deadline_us, _index = job
             n = len(tasks)
-            rng = self._dag_rng(cell_index, load.slot_index, load.uplink)
-            # Probes are drawn and assigned in dag.tasks (topological)
-            # order, exactly like the old scalar path.
-            probes = rng.random(n).tolist()
-            for task, probe in zip(tasks, probes):
-                task.features[_RAND_IDX] = probe
-            sample_runtimes(tasks, rng)
-            dag_pool = self._dag_pool
             if dag_pool:
                 dag = dag_pool.pop()
                 dag.dag_id = next(self._dag_ids)
@@ -595,80 +588,6 @@ class DagBuilder:
                 task.dag = dag
             dags.append(dag)
         return dags
-
-    def plan_stoch_mults(self, n: int, decode_indices: list,
-                         cell_index: int, slot_index: int,
-                         uplink: bool) -> list:
-        """The ``task.stoch_mult`` values one DAG build would produce.
-
-        Consumes exactly the draws :meth:`build_many` would from the
-        DAG's counter-keyed stream — the probe block first, then the
-        :meth:`CostModel.sample_runtimes` block — so a later real build
-        of the same (cell, slot, direction) sees identical randomness.
-        ``decode_indices`` lists the LDPC-decode positions in
-        ``dag.tasks`` order; the cache_u/cache_tail draws are consumed
-        but not returned (they only matter at event-path dispatch).
-        """
-        cm = self.cost_model
-        rng = self._dag_rng(cell_index, slot_index, uplink)
-        # One 5n draw replaces the probe block's random(n) followed by
-        # sample_runtimes' random(4n): Generator.random consumes one
-        # uint64 per double, so consecutive calls concatenate — the
-        # block is bitwise the same stream prefix.
-        block = rng.random(5 * n)
-        u = block[n:]  # probes block[:n] feed only predictor features
-        mult = np.exp(rng.standard_normal(n) * cm.noise_sigma)
-        mult[u[:n] < cm.isolated_tail_prob] *= cm.isolated_tail_scale
-        mults = mult.tolist()
-        if decode_indices:
-            jitters = (-np.log1p(-u[n:2 * n])).tolist()
-            coeff = cm.decode_iteration_jitter
-            for i in decode_indices:
-                m = mults[i]
-                m *= 1.0 + coeff * jitters[i]
-                mults[i] = m
-        return mults
-
-    def plan_stoch_window(self, reqs: list) -> list:
-        """Batched :meth:`plan_stoch_mults` over many DAGs.
-
-        ``reqs`` holds one ``(n, decode_indices, cell_index,
-        slot_index, uplink)`` tuple per DAG.  Each DAG's uniform and
-        normal blocks are drawn from its own counter-keyed stream in
-        request order, exactly like the per-DAG calls; only the
-        elementwise transform (noise exp, tail scaling) is fused
-        across DAGs, which cannot perturb any value.  Returns the
-        multipliers as one flat list in request order (``n`` values
-        per request).
-        """
-        if not reqs:
-            return []
-        cm = self.cost_model
-        dag_rng = self._dag_rng
-        blocks = []
-        zs = []
-        for n, _d, cell_index, slot_index, uplink in reqs:
-            rng = dag_rng(cell_index, slot_index, uplink)
-            blocks.append(rng.random(5 * n))
-            zs.append(rng.standard_normal(n))
-        mult_all = np.exp(np.concatenate(zs) * cm.noise_sigma)
-        tail_u = np.concatenate(
-            [block[req[0]:2 * req[0]]
-             for block, req in zip(blocks, reqs)])
-        mult_all[tail_u < cm.isolated_tail_prob] *= \
-            cm.isolated_tail_scale
-        mults = mult_all.tolist()
-        coeff = cm.decode_iteration_jitter
-        offset = 0
-        for block, (n, decode_indices, _c, _s, _u) in zip(blocks, reqs):
-            if decode_indices:
-                jitters = (-np.log1p(-block[2 * n:3 * n])).tolist()
-                for i in decode_indices:
-                    m = mults[offset + i]
-                    m *= 1.0 + coeff * jitters[i]
-                    mults[offset + i] = m
-            offset += n
-        return mults
 
 
 #: Cost-row tail of parameter-less tasks (front end, CRC, precoding):

@@ -131,10 +131,10 @@ class TaskInstance:
     runtime, fixed at DAG construction.  The stochastic multipliers
     (noise, multi-core memory stalls, cache interference) are applied by
     :meth:`CostModel.sample_runtime` when the task actually executes.
-    :meth:`CostModel.sample_runtimes` presamples the state-independent
-    part of those draws into ``stoch_mult``/``cache_u``/``cache_tail``
-    at DAG construction, one vectorized draw per DAG instead of several
-    scalar RNG calls per task at dispatch.
+    :meth:`repro.ran.dag.DagBuilder.draw_window` presamples the
+    state-independent part of those draws into
+    ``stoch_mult``/``cache_u``/``cache_tail``, one vectorized draw per
+    DAG instead of several scalar RNG calls per task at dispatch.
     """
 
     task_id: int
@@ -435,62 +435,6 @@ class CostModel:
         runtime = base * mult * interference_multiplier * tail_multiplier
         return runtime if runtime > 0.3 else 0.3
 
-    def sample_runtimes(
-        self,
-        tasks: list,
-        rng: np.random.Generator,
-    ) -> None:
-        """Presample the state-independent stochastic draws for a DAG.
-
-        One vectorized pass replaces the 3-5 scalar RNG calls that
-        :meth:`sample_runtime` and the cache model would otherwise make
-        per task at dispatch time.  Everything that does NOT depend on
-        execution-time state is drawn here from the DAG's own ``rng``
-        stream (see :class:`repro.ran.dag.DagBuilder` for how that
-        stream is keyed) and folded into ``task.stoch_mult``:
-
-        * multiplicative lognormal noise,
-        * the data-dependent LDPC decode iteration jitter (§A.1),
-        * the rare isolated-workload tail.
-
-        The cache-interference tail needs execution-time state (cache
-        churn/pressure), so only its *randomness* is presampled: a
-        uniform trigger ``cache_u`` and a tail magnitude ``cache_tail``.
-        The pool compares ``cache_u`` against the state-dependent tail
-        probability at dispatch, which is equivalent in distribution to
-        drawing there.  Multi-core memory-stall penalties remain an
-        execution-time computation (:meth:`core_penalty`) because they
-        depend on how many cores are active when the task starts.
-        """
-        n = len(tasks)
-        if n == 0:
-            return
-        # Two generator calls cover all five per-task draws: generator
-        # dispatch overhead dominates actual sampling at DAG sizes
-        # (~15-40 tasks), so the uniforms come from one block and the
-        # exponential jitter via inverse-CDF from a slice of it.
-        u = rng.random(4 * n)
-        mult = np.exp(rng.standard_normal(n) * self.noise_sigma)
-        mult[u[:n] < self.isolated_tail_prob] *= self.isolated_tail_scale
-        mults = mult.tolist()
-        jitters = (-np.log1p(-u[n:2 * n])).tolist()
-        cache_us = u[2 * n:3 * n].tolist()
-        cache_tails = (1.5 + u[3 * n:]).tolist()
-        coeff = self.decode_iteration_jitter
-        decode = TaskType.LDPC_DECODE
-        for i, task in enumerate(tasks):
-            m = mults[i]
-            if task.task_type is decode:
-                m *= 1.0 + coeff * jitters[i]
-            task.stoch_mult = m
-            task.cache_u = cache_us[i]
-            task.cache_tail = cache_tails[i]
-
-
-_TASK_CB_IDX = FEATURE_INDEX["task_codeblocks"]
-_TASK_BYTES_IDX = FEATURE_INDEX["task_bytes"]
-_RAND_IDX = FEATURE_INDEX["rand_probe"]
-
 
 def slot_base_features(
     load: SlotLoad,
@@ -500,8 +444,9 @@ def slot_base_features(
     """Slot-level part of the feature vector X, shared by all tasks.
 
     Per-task fields (task_codeblocks, task_bytes, rand_probe) are filled
-    in by :func:`task_feature_vector`; computing the slot aggregates
-    once per DAG keeps task construction off the profile.
+    in per task by :meth:`repro.ran.dag.DagBuilder.build_many`;
+    computing the slot aggregates once per DAG keeps task construction
+    off the profile.
     """
     allocations = load.allocations
     if allocations:
@@ -534,17 +479,3 @@ def slot_base_features(
         ],
         dtype=np.float64,
     )
-
-
-def task_feature_vector(
-    base: np.ndarray,
-    task_codeblocks: int,
-    task_bytes: float,
-    rand_probe: float,
-) -> np.ndarray:
-    """Complete the per-task copy of a slot's base feature vector."""
-    features = base.copy()
-    features[_TASK_CB_IDX] = task_codeblocks
-    features[_TASK_BYTES_IDX] = task_bytes
-    features[_RAND_IDX] = rand_probe
-    return features

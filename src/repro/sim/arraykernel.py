@@ -234,7 +234,7 @@ class ArraySlotKernel:
         reduces to FIFO by push sequence, so the order depends only on
         ``key``, the tuple of DAG kinds, and is cached on it.  Flat
         indices are dag-major in ``dag.tasks`` order; the completion
-        order is sorted ``(last execution position, dag index)`` pairs.
+        order is each DAG's last execution position, ascending.
         """
         cached = self._order_cache.get(key)
         if cached is not None:
@@ -272,8 +272,7 @@ class ArraySlotKernel:
         last_pos = [0] * len(topos)
         for pos, flat in enumerate(order):
             last_pos[owner[flat]] = pos
-        completion = tuple(sorted(
-            (last_pos[di], di) for di in range(len(topos))))
+        completion = tuple(sorted(last_pos))
         cached = (tuple(order), completion)
         self._order_cache[key] = cached
         return cached
@@ -352,51 +351,39 @@ class ArraySlotKernel:
 
     # -- the slot decision -------------------------------------------------
 
-    def try_vector(self, plan: Optional[SlotPlan]) -> bool:
-        """Commit a lazily planned slot, whose DAGs were never built.
+    def try_vector(self, plan: SlotPlan) -> bool:
+        """Commit a planned slot, whose DAGs were never built.
 
-        Called from the boundary for slots the window fill left
-        unmaterialized.  False means the caller must materialize the
-        slot's DAGs (a counter-keyed rebuild, byte-identical to having
-        built them at fill time) and release them on the event path.
+        A slot commits when the certification gates and the makespan
+        budget hold at the boundary and :meth:`_vector_replay` accepts
+        the per-boundary trace.  False means the caller must build the
+        slot's DAGs and release them on the event path; a rejection
+        changes nothing but the deferred metrics, which are flushed
+        because the event path records live.
         """
-        return self._commit(None, plan)
-
-    def replay(self, dags: list,
-               plan: Optional[SlotPlan] = None) -> bool:
-        """Commit a materialized slot; False means "run the event path".
-
-        Called from the slot-boundary callback with the boundary's
-        DAGs, before ``release_slot``.  On True the slot is fully
-        processed (release, execution, ticks, completions) and the
-        engine clock is still at the boundary time.
-        """
-        return self._commit(dags, plan)
-
-    def _commit(self, dags: Optional[list],
-                plan: Optional[SlotPlan]) -> bool:
-        """Certify and vector-commit one slot, or prepare the fallback.
-
-        A slot commits only with a plan (its static gates held), when
-        the certification gates and the makespan budget hold at the
-        boundary and :meth:`_vector_replay` accepts the per-boundary
-        trace.  A rejection changes nothing but the deferred metrics,
-        which are flushed because the event path records live.
-        """
-        if plan is not None:
-            now = self.engine._now
-            slot_end = now + self.sim._slot_us
-            budget = self._gate_budget(now, slot_end)
-            if (budget is not None and plan.ceiling_sum <= budget
-                    and self._vector_replay(dags, plan, now, slot_end)):
-                return True
+        now = self.engine._now
+        slot_end = now + self.sim._slot_us
+        budget = self._gate_budget(now, slot_end)
+        if (budget is not None and plan.ceiling_sum <= budget
+                and self._vector_replay(plan, now, slot_end)):
+            return True
         self.flush_pending()
         return False
 
+    def replay(self, dags: list) -> None:
+        """Prepare a built slot's event-path release.
+
+        Called from the slot-boundary callback with the boundary's
+        DAGs, before ``release_slot``: the event path records metrics
+        live, so the deferred ones are flushed first.  The name
+        predates this role; ``bench/tracer.py`` still times it.
+        """
+        self.flush_pending()
+
     # -- the closed-form commit --------------------------------------------
 
-    def _vector_replay(self, dags: Optional[list], plan: SlotPlan,
-                       now: float, slot_end: float) -> bool:
+    def _vector_replay(self, plan: SlotPlan, now: float,
+                       slot_end: float) -> bool:
         """Commit one certified slot in closed form; False to fall back.
 
         Preconditions (established by the caller): the structural
@@ -429,15 +416,6 @@ class ArraySlotKernel:
         vp = self._vector_params()
         if plan.release_us != now:
             return False
-        if dags is not None:
-            # Re-checked dynamically: predictor warmup can inflate
-            # WCETs after the window (and its plans) were built.  An
-            # unbuilt planned slot (dags None) never saw warmup — while
-            # warmup holds, the runner builds the slot and drops its
-            # plan.
-            for dag in dags:
-                if dag.wcet_inflation != 1.0:
-                    return False
         # Wakeup: peek the latency the (single) _wake would draw, then
         # the serial FIFO finish fold — one spinning core, each task
         # starts the instant its predecessor run finishes, so the fold
@@ -522,17 +500,14 @@ class ArraySlotKernel:
         listener = pool._available_listener
         if listener is not None:
             listener(now, pool.num_cores - 1)
-        # DAG completions in (last finish position, dag index) order —
-        # the order the per-event path observes them.
-        recycler = pool.dag_recycler if dags is not None else None
+        # DAG completions in last-finish order — the order the
+        # per-event path observes them.
         lat = self._pend_lat
         dls = self._pend_dl
         deadline_lat = plan.deadline_us - now
-        for pos, di in plan.completion:
+        for pos in plan.completion:
             lat.append(finishes[pos] - now)
             dls.append(deadline_lat)
-            if recycler is not None:
-                recycler(dags[di])
         # Core-time segments: reserved from wake to yield, busy while a
         # task runs.  The first busy segment starts at t_awake (the
         # pre-wake reserved span is charged at running-change with the

@@ -131,7 +131,7 @@ class CacheInterferenceModel:
 
         ``u`` is a uniform [0, 1) trigger and ``tail_value`` the tail
         magnitude, both drawn ahead of time (vectorized per DAG by
-        :meth:`repro.ran.tasks.CostModel.sample_runtimes`).  Comparing
+        :meth:`repro.ran.dag.DagBuilder.draw_window`).  Comparing
         the presampled uniform against the *state-dependent* tail
         probability here yields the same distribution as drawing at
         execution time, while computing churn only once per call.

@@ -59,7 +59,7 @@ from ..ran.dag import (DagBuilder, dag_kind_key, plan_task_rows,
                        topology_for_key)
 from ..ran.harq import HarqConfig, HarqManager, _PendingRetransmission
 from ..ran.mac import MacCell
-from ..ran.tasks import CostModel, TaskType
+from ..ran.tasks import CostModel
 from ..ran.traffic import CellTraffic
 from ..ran.ue import MCS_TABLE, SlotLoad, UeAllocation, bytes_to_allocations
 from ..workloads.base import WorkloadHost
@@ -392,8 +392,10 @@ class Simulation:
                         rng=_stream_rng(seed, 9, cell_base + index,
                                         int(uplink)),
                     )
-        #: Optional hook receiving each slot's freshly built DAG batch
-        #: (after sampling, before release to the pool).  The fleet
+        #: Optional hook called once per slot at window-fill time with
+        #: ``(jobs, costed, span)``: the window's build jobs, its
+        #: ``DagBuilder.costed_rows`` columns and the slot's span of
+        #: them.  It reads rows, so it forces no DAG build.  The fleet
         #: layer attaches a demand recorder here to compute per-cell
         #: sampling digests and federated core-demand rollups.
         self.demand_observer = None
@@ -436,19 +438,18 @@ class Simulation:
             MIN_SLOT_WINDOW,
             DEFAULT_WINDOW_JOBS // max(1, 2 * len(pool_config.cells)))
         #: One ``(dags, plan, source, idle)`` entry per drawn slot.
-        #: ``plan`` is the slot's :class:`repro.sim.arraykernel.SlotPlan`
-        #: (or None), built at fill time so the boundary hot path only
-        #: checks dynamic gates.  A planned slot may have ``dags`` None
-        #: and keep its ``source`` (the window's jobs and costed rows,
-        #: and the slot's span of them): the boundary either commits it
-        #: in closed form without ever building its DAGs, or
-        #: materializes them with a byte-identical counter-keyed
-        #: rebuild (:meth:`_build_source`).
+        #: A slot either has built ``dags`` or a
+        #: :class:`repro.sim.arraykernel.SlotPlan`, built at fill time
+        #: so the boundary hot path only checks dynamic gates.  A
+        #: planned slot keeps its ``source`` (the window's jobs and
+        #: costed columns, and the slot's span of them): the boundary
+        #: either commits it in closed form without ever building its
+        #: DAGs, or builds them from those columns
+        #: (:meth:`_build_source`).
         self._window: deque = deque()
-        # kind_key -> (topology template, decode indices, memory-bound
-        # flags): the task *type* sequence is fully determined by the
-        # kind key, so this per-row metadata is shared by every DAG of
-        # a kind.
+        # kind_key -> (topology template, memory-bound flags): the task
+        # *type* sequence is fully determined by the kind key, so this
+        # per-row metadata is shared by every DAG of a kind.
         self._plan_kind_meta: dict = {}
         self.kernel_stats = {
             "slots": 0,          # slot boundaries fired
@@ -476,11 +477,12 @@ class Simulation:
         """Draw the coming window's slots and plan or build each one.
 
         One pass: draw every slot's loads; compute the window's cost
-        rows and one base-cost batch; when the array kernel is on, plan
+        rows, one base-cost batch and one draw of every DAG's
+        randomness (:meth:`DagBuilder.costed_rows`); hand each slot's
+        rows to the demand observer; when the array kernel is on, plan
         the slots that pass its base-cost gate (:meth:`_plan_slots`);
-        then build, in one ``build_many`` from the same rows and
-        costs, the DAGs of every slot without a plan (of every slot
-        while a demand observer is attached).
+        then build, in one ``build_many`` from the same columns, the
+        DAGs of every slot without a plan.
 
         Byte-identity invariants (what makes this a kernel and not a
         model change):
@@ -499,8 +501,8 @@ class Simulation:
         * release timestamps replay the engine's recurring-timer float
           accumulation (``t += slot_us``), so deadlines are bit-equal;
         * per-DAG sampling streams are counter-keyed by
-          (cell, slot, direction), so batching slots into one
-          ``build_many`` cannot reorder any draw.
+          (cell, slot, direction), so drawing a whole window at once
+          cannot reorder any draw.
 
         Profiling traffic and MAC allocation draw inline rather than
         in a batch: profiling draws from one shared stream whose draw
@@ -603,13 +605,11 @@ class Simulation:
             job_counts.append(n_jobs)
             idle_flags.append(idle)
             release += slot_us
-        # Cost rows, base costs and the row columns build_many reads,
-        # once per window: one row_costs batch.
+        # Every per-task number, once per window: one base-cost batch
+        # and one draw of every DAG's randomness.
         builder = self.builder
         job_rows = [plan_task_rows(job[0], job[1]) for job in jobs]
-        costs, columns = builder.row_costs(
-            [(job[0], job[1], rows) for job, rows in zip(jobs, job_rows)])
-        costed = (costs,) + columns
+        costed = builder.costed_rows(jobs, job_rows)
         # Per slot: (first job, end job, first row, end row).
         row_ends = list(itertools.accumulate(map(len, job_rows)))
         spans = []
@@ -620,101 +620,78 @@ class Simulation:
             spans.append((first, end, row, row_end))
             first = end
             row = row_end
+        observer = self.demand_observer
+        if observer is not None:
+            for span in spans:
+                observer(jobs, costed, span)
         if self._use_array and self._array_kernel.lazy_ok():
-            plans = self._plan_slots(jobs, job_rows, costs, spans,
+            plans = self._plan_slots(jobs, job_rows, costed, spans,
                                      slot_meta)
         else:
             plans = [None] * count
-        # One batched build, from the same costed rows, for every slot
-        # without a plan, and for every slot while a demand observer
-        # needs each slot's DAGs (per-DAG streams make the split from
-        # the unbuilt slots draw-safe).
-        build_all = self.demand_observer is not None or not any(plans)
-        if build_all:
-            built = builder.build_many(jobs, costed)
-        else:
-            mat_jobs = []
-            mat_costed = ([], [], [], [])
-            for (first, end, row, row_end), plan in zip(spans, plans):
-                if plan is None:
-                    mat_jobs.extend(jobs[first:end])
-                    for mat, column in zip(mat_costed, costed):
-                        mat.extend(column[row:row_end])
-            built = (builder.build_many(mat_jobs, mat_costed)
-                     if mat_jobs else [])
+        # One batched build, from the same columns, for every slot
+        # without a plan.
+        mat_jobs = []
+        mat_costed = tuple([] for _ in costed)
+        for (first, end, row, row_end), plan in zip(spans, plans):
+            if plan is None:
+                mat_jobs.extend(jobs[first:end])
+                for mat, column in zip(mat_costed, costed):
+                    mat.extend(column[row:row_end])
+        built = builder.build_many(mat_jobs, mat_costed) if mat_jobs else []
         window = self._window
         pos = 0
         for span, plan, idle in zip(spans, plans, idle_flags):
-            if build_all or plan is None:
+            if plan is None:
                 n_jobs = span[1] - span[0]
-                window.append((built[pos:pos + n_jobs], plan, None, idle))
+                window.append((built[pos:pos + n_jobs], None, None, idle))
                 pos += n_jobs
             else:
                 window.append((None, plan, (jobs, costed, span), idle))
         self.kernel_stats["windows"] += 1
         self.fill_wall_s += time.perf_counter() - wall_start
 
-    def _plan_slots(self, jobs: list, job_rows: list, costs: list,
+    def _plan_slots(self, jobs: list, job_rows: list, costed: tuple,
                     spans: list, slot_meta: list) -> list:
         """One :class:`repro.sim.arraykernel.SlotPlan` (or None) per slot.
 
-        ``costs`` holds the window's base costs in row order and
-        ``spans`` each slot's (first job, end job, first row, end row).
-        The base-cost gate runs first, so a slot that can never commit
-        costs no stochastic draw, no topology lookup and no plan.  For
-        the slots that pass, every DAG's multipliers come from one
-        batched draw over the same counter-keyed streams a build uses
-        (so a later ``build_many`` of the same jobs reproduces the
-        exact task fields), and the plan is built from the rows, the
-        base costs and those draws.
+        ``costed`` holds the window's :meth:`DagBuilder.costed_rows`
+        columns and ``spans`` each slot's (first job, end job, first
+        row, end row).  A slot that fails the base-cost gate gets no
+        topology lookup and no plan; the others are planned from their
+        rows, base costs and multipliers — exactly the values a build
+        of the same jobs assigns.
         """
         kernel = self._array_kernel
         base_gate = kernel.base_gate
-        slot_us = self._slot_us
-        passing = [si for si, (_f, _e, row, row_end) in enumerate(spans)
-                   if base_gate(costs[row:row_end], *slot_meta[si],
-                                slot_us)]
-        plans: list = [None] * len(spans)
-        if not passing:
-            return plans
-        decode_type = TaskType.LDPC_DECODE
-        kind_meta = self._plan_kind_meta
-        kinds = {}
-        reqs = []
-        for si in passing:
-            first, end = spans[si][:2]
-            for jj in range(first, end):
-                load = jobs[jj][0]
-                kind = kinds[jj] = dag_kind_key(load)
-                meta = kind_meta.get(kind)
-                if meta is None:
-                    rows = job_rows[jj]
-                    meta = kind_meta[kind] = (
-                        topology_for_key(kind),
-                        [i for i, row in enumerate(rows)
-                         if row[0] is decode_type],
-                        [row[0].is_memory_bound for row in rows])
-                reqs.append((len(job_rows[jj]), meta[1], jobs[jj][4],
-                             load.slot_index, load.uplink))
-        # One batched draw pass over every planned DAG of the window.
-        mults = self.builder.plan_stoch_window(reqs)
         build_plan = kernel.build_plan
-        moff = 0
-        for si in passing:
-            first, end, row, row_end = spans[si]
-            key = tuple(kinds[jj] for jj in range(first, end))
+        slot_us = self._slot_us
+        costs, mults = costed[0], costed[5]
+        kind_meta = self._plan_kind_meta
+        plans = []
+        for (first, end, row, row_end), (release, deadline) in zip(
+                spans, slot_meta):
+            bases = costs[row:row_end]
+            if not base_gate(bases, release, deadline, slot_us):
+                plans.append(None)
+                continue
+            kinds = []
             topos = []
             membound = []
             for jj in range(first, end):
-                meta = kind_meta[kinds[jj]]
+                kind = dag_kind_key(jobs[jj][0])
+                meta = kind_meta.get(kind)
+                if meta is None:
+                    meta = kind_meta[kind] = (
+                        topology_for_key(kind),
+                        [task_row[0].is_memory_bound
+                         for task_row in job_rows[jj]])
+                kinds.append(kind)
                 topos.append(meta[0])
-                membound.extend(meta[2])
-            m_end = moff + row_end - row
-            release, deadline = slot_meta[si]
-            plans[si] = build_plan(key, topos, costs[row:row_end],
-                                   mults[moff:m_end], membound, release,
-                                   deadline, slot_us)
-            moff = m_end
+                membound.extend(meta[1])
+            plans.append(build_plan(tuple(kinds), topos, bases,
+                                    mults[row:row_end], membound, release,
+                                    deadline, slot_us))
         return plans
 
     def _build_source(self, source: tuple) -> list:
@@ -736,20 +713,15 @@ class Simulation:
         dags, plan, source, idle = window.popleft()
         if idle:
             stats["idle_slots"] += 1
-        observer = self.demand_observer
         holds = self._held_cells or self._backlog
-        if dags is None and (observer is not None or holds
-                             or self._warm_cells):
-            # A planned slot whose DAGs are needed before release.
+        if dags is None and (holds or self._warm_cells):
+            # A hold changes the slot's DAG list and inflated WCETs
+            # invalidate a plan's fold: build, and take the event path.
             dags = self._build_source(source)
-        if observer is not None:
-            observer(dags)
         if holds:
             dags = self._apply_migration_holds(dags)
-            plan = None  # the hold changed the slot's DAG list
         if self._warm_cells:
             self._apply_predictor_warmup(dags)
-            plan = None  # inflated WCETs invalidate the plan's fold
         self._slot_index += 1
         self._slots_remaining -= 1
         pool = self.pool
@@ -770,13 +742,11 @@ class Simulation:
                 if kernel.try_vector(plan):
                     stats["array_slots"] += 1
                     return
-                # Dynamic rejection of an unbuilt planned slot: build
-                # the DAGs now (byte-identical counter-keyed rebuild)
-                # for the event path.
+                # Dynamic rejection of a planned slot: build its DAGs
+                # now from the window's columns for the event path.
                 dags = self._build_source(source)
-            elif kernel.replay(dags, plan):
-                stats["array_slots"] += 1
-                return
+            else:
+                kernel.replay(dags)
             pool.release_slot(dags)
             # A boundary-coincident tick parked by a previous commit
             # fires right after the boundary on the event path.
@@ -819,7 +789,7 @@ class Simulation:
     def _apply_migration_holds(self, dags: list) -> list:
         """State-transfer delay: buffer held cells' DAGs, release late.
 
-        A freshly attached cell's DAGs are built and demand-observed on
+        A freshly attached cell's DAGs are drawn and demand-observed on
         schedule (so per-cell sampling digests are unchanged by the
         migration) but withheld from the pool for ``transfer_slots``
         boundaries, then released with their *original* deadlines — the

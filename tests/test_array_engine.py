@@ -313,12 +313,14 @@ class TestTopologyTemplatesAndPlanPipeline:
     """
 
     CELL_INDEX = 4
+    ENTROPY = 123
 
     def _builder(self) -> DagBuilder:
         return DagBuilder(
             CostModel(rng=np.random.default_rng(0)),
             rng=np.random.default_rng(1),
-            seed_seq=np.random.SeedSequence(entropy=123, spawn_key=(6,)))
+            seed_seq=np.random.SeedSequence(entropy=self.ENTROPY,
+                                            spawn_key=(6,)))
 
     @pytest.mark.parametrize("load", _load_catalog(),
                              ids=lambda load: repr(dag_kind_key(load)))
@@ -379,14 +381,10 @@ class TestTopologyTemplatesAndPlanPipeline:
             layers=np.array(layers_col, dtype=np.float64),
         ).tolist()
         assert costs == [task.base_cost_us for task in dag.tasks]
-        # Stochastic multipliers: replaying the DAG's counter-keyed
-        # stream through the plan path yields the built values.
-        decode_indices = [i for i, row in enumerate(rows)
-                          if row[0] is TaskType.LDPC_DECODE]
-        mults = builder.plan_stoch_mults(
-            n, decode_indices, self.CELL_INDEX, load.slot_index,
-            load.uplink)
-        assert mults == [task.stoch_mult for task in dag.tasks]
+        # Draws: the reference replay of the DAG's stream yields the
+        # built values.
+        assert self._reference_draw(builder, load, rows) == _drawn_fields(
+            dag.tasks)
 
     def test_template_wiring_consumes_no_builder_ids(self, monkeypatch):
         # Wiring a template between two builds must not shift the
@@ -408,19 +406,78 @@ class TestTopologyTemplatesAndPlanPipeline:
             [task.task_id for dag in expected for task in dag.tasks]
 
     def test_window_batched_stoch_equals_per_dag_calls(self):
+        # One window draw over every catalog kind equals a per-DAG
+        # reference draw from a freshly constructed stream.
         builder = self._builder()
         cell = cell_20mhz_fdd("cat")
-        reqs = []
-        expected = []
-        for load in _load_catalog():
-            rows = plan_task_rows(load, cell)
-            decode_indices = [i for i, row in enumerate(rows)
-                              if row[0] is TaskType.LDPC_DECODE]
-            req = (len(rows), decode_indices, self.CELL_INDEX,
-                   load.slot_index, load.uplink)
-            reqs.append(req)
-            expected.extend(builder.plan_stoch_mults(*req))
-        assert builder.plan_stoch_window(reqs) == expected
+        loads = _load_catalog()
+        jobs = [(load, cell, 0.0, 2000.0, self.CELL_INDEX)
+                for load in loads]
+        job_rows = [plan_task_rows(load, cell) for load in loads]
+        expected = ([], [], [], [])
+        for load, rows in zip(loads, job_rows):
+            for column, values in zip(
+                    expected, self._reference_draw(builder, load, rows)):
+                column.extend(values)
+        drawn = builder.costed_rows(jobs, job_rows)[4:]
+        assert tuple(list(column) for column in drawn) == expected
+        assert sum(row[0] is TaskType.LDPC_DECODE
+                   for rows in job_rows for row in rows) > 0
+
+    def test_build_with_and_without_costed_columns_agree(self):
+        cell = cell_20mhz_fdd("cat")
+        loads = _load_catalog()
+        jobs = [(load, cell, 0.0, 2000.0, self.CELL_INDEX)
+                for load in loads]
+        plain = self._builder().build_many(jobs)
+        builder = self._builder()
+        costed = builder.costed_rows(
+            jobs, [plan_task_rows(load, cell) for load in loads])
+        given_columns = builder.build_many(jobs, costed)
+        for left, right in zip(plain, given_columns):
+            assert _drawn_fields(left.tasks) == _drawn_fields(right.tasks)
+            assert [(t.base_cost_us, t.snr_margin_db, t.features.tolist())
+                    for t in left.tasks] == \
+                [(t.base_cost_us, t.snr_margin_db, t.features.tolist())
+                 for t in right.tasks]
+
+    def _reference_draw(self, builder: DagBuilder, load: SlotLoad,
+                        rows: list) -> tuple:
+        """One DAG's (probes, mults, cache_u, cache_tail), drawn without
+        the builder: a fresh generator on the DAG's counter, the probe
+        block, the 4n runtime block, the normals, then a per-task
+        transform."""
+        key = np.random.SeedSequence(
+            entropy=self.ENTROPY, spawn_key=(6,)).generate_state(
+                2, np.uint64)
+        rng = np.random.Generator(np.random.Philox(
+            key=key, counter=(0, self.CELL_INDEX, load.slot_index,
+                              1 if load.uplink else 0)))
+        n = len(rows)
+        probes = rng.random(n).tolist()
+        u = rng.random(4 * n)
+        cm = builder.cost_model
+        noise = np.exp(rng.standard_normal(n) * cm.noise_sigma).tolist()
+        jitters = (-np.log1p(-u[n:2 * n])).tolist()
+        u = u.tolist()
+        mults = []
+        for i, row in enumerate(rows):
+            m = noise[i]
+            if u[i] < cm.isolated_tail_prob:
+                m *= cm.isolated_tail_scale
+            if row[0] is TaskType.LDPC_DECODE:
+                m *= 1.0 + cm.decode_iteration_jitter * jitters[i]
+            mults.append(m)
+        return (probes, mults, u[2 * n:3 * n],
+                [1.5 + x for x in u[3 * n:]])
+
+
+def _drawn_fields(tasks: list) -> tuple:
+    """The four drawn columns a built DAG's tasks carry."""
+    return ([t.feature("rand_probe") for t in tasks],
+            [t.stoch_mult for t in tasks],
+            [t.cache_u for t in tasks],
+            [t.cache_tail for t in tasks])
 
 
 class TestBatchLatencyIngest:
@@ -474,9 +531,10 @@ class TestBatchLatencyIngest:
 
 class TestFleetByteIdentity:
     def test_array_fleet_matches_golden(self):
-        # Fleet shards attach a demand observer, so every slot's DAGs
-        # are built; slots that certify still commit through replay,
-        # and the digests must be exactly the goldens.
+        # Fleet shards attach a demand observer, which reads each
+        # slot's rows at window-fill time and forces no build; the
+        # digests must be exactly the goldens (the low-load fleet
+        # golden covers shards that commit slots).
         fleet = FleetScenario(cells=FLEET_CELLS, shards=2,
                               num_slots=FLEET_SLOTS, seed=SEED)
         report = Planner(fleet, jobs=1).run()

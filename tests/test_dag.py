@@ -118,30 +118,6 @@ class TestDagInstance:
         dag.completion_us = 900.0
         assert dag.latency_us == 800.0
 
-    def test_remaining_work_decreases_after_finish(self, builder):
-        dag = builder.build(_load(10_000), cell_100mhz_tdd(), 0.0, 1500.0)
-        wcet = lambda t: t.base_cost_us
-        before = dag.remaining_work_us(wcet, 0.0)
-        task = dag.entry_tasks()[0]
-        task.finish_time = 10.0
-        dag.tasks_remaining -= 1
-        after = dag.remaining_work_us(wcet, 10.0)
-        assert after == pytest.approx(before - task.base_cost_us)
-
-    def test_critical_path_bounds(self, builder):
-        dag = builder.build(_load(10_000), cell_100mhz_tdd(), 0.0, 1500.0)
-        wcet = lambda t: t.base_cost_us
-        path = dag.remaining_critical_path_us(wcet, 0.0)
-        work = dag.remaining_work_us(wcet, 0.0)
-        longest_single = max(t.base_cost_us for t in dag.tasks)
-        assert longest_single <= path <= work
-
-    def test_finished_dag_has_zero_path(self, builder):
-        dag = builder.build(_load(0), cell_100mhz_tdd(), 0.0, 1500.0)
-        dag.tasks[0].finish_time = 5.0
-        dag.tasks_remaining = 0
-        assert dag.remaining_critical_path_us(lambda t: 1.0, 5.0) == 0.0
-
 
 @given(st.integers(min_value=0, max_value=120_000),
        st.booleans(),

@@ -34,6 +34,7 @@ from repro.exec import run_batch
 from repro.exec.digest import result_digest
 from repro.experiments.common import make_spec
 from repro.fleet import FleetScenario, Planner, combined_digest
+from repro.fleet.demand import ShardDemandRecorder
 from repro.ran.config import pool_20mhz_7cells
 from repro.scenario import Scenario, build_simulation
 
@@ -47,6 +48,15 @@ FLEET_CELLS = 50
 FLEET_SLOTS = 40
 GOLDEN_FLEET_DIGEST = \
     "09afc0cea67eadc9ee0326c89bf6568343c2758f4562286fbec94ab38173d0b9"
+
+#: Low-load fleet golden: the same 50-cell metro at load 0.05, where
+#: small shards commit most slots in closed form without building
+#: their DAGs, so the demand recorder hashes rows drawn at window-fill
+#: time.  Captured while every observed slot's DAGs were still built.
+LOW_LOAD_FRACTION = 0.05
+LOW_LOAD_SHARDS = 25
+GOLDEN_FLEET_LOW_LOAD_DIGEST = \
+    "79648969e50ac847ba14b8d483418eb2334424bb14a0ccbe0ff995a5d645fad4"
 
 #: (policy, workload) -> SHA-256 of the canonical result payload,
 #: captured before the fast-path work (fixed 20 MHz / 7-cell pool,
@@ -146,9 +156,11 @@ class TestGoldenDigests:
         assert first == second
 
 
-def _fleet_digests(shards: int, jobs: int = 1) -> dict:
+def _fleet_digests(shards: int, jobs: int = 1,
+                   load_fraction: float = 0.5) -> dict:
     fleet = FleetScenario(cells=FLEET_CELLS, shards=shards,
-                          num_slots=FLEET_SLOTS, seed=SEED)
+                          num_slots=FLEET_SLOTS, seed=SEED,
+                          load_fraction=load_fraction)
     report = Planner(fleet, jobs=jobs).run()
     assert report.ok, report.failures
     return report.cell_digests
@@ -176,6 +188,29 @@ class TestFleetShardingInvariance:
         assert sharded == serial
         assert combined_digest(sharded) == GOLDEN_FLEET_DIGEST
 
+    def test_low_load_committed_slots_match_golden(self):
+        # Two-cell shards at load 0.05 commit most slots through the
+        # array kernel; their digests must equal the serial run's.
+        fleet = FleetScenario(cells=FLEET_CELLS, shards=LOW_LOAD_SHARDS,
+                              num_slots=FLEET_SLOTS, seed=SEED,
+                              load_fraction=LOW_LOAD_FRACTION)
+        committed = 0
+        for shard in fleet.derive_shards():
+            simulation = build_simulation(shard.scenario)
+            config = shard.scenario.pool_config()
+            simulation.demand_observer = ShardDemandRecorder(
+                config.cells, config.deadline_us)
+            simulation.run(shard.num_slots)
+            committed += simulation.kernel_stats["array_slots"]
+        assert committed > FLEET_SLOTS * LOW_LOAD_SHARDS // 2
+        sharded = _fleet_digests(shards=LOW_LOAD_SHARDS,
+                                 load_fraction=LOW_LOAD_FRACTION)
+        assert combined_digest(sharded) == GOLDEN_FLEET_LOW_LOAD_DIGEST, (
+            "low-load fleet sampling drifted from the golden digest "
+            "(behavioural regression)")
+        serial = _fleet_digests(shards=1, load_fraction=LOW_LOAD_FRACTION)
+        assert sharded == serial
+
 
 class TestSerialParallelEquivalence:
     def test_serial_and_two_jobs_byte_identical(self):
@@ -202,4 +237,6 @@ if __name__ == "__main__":  # pragma: no cover — golden regeneration aid
     payload["concordia/redis (trained)"] = _trained_digest()
     payload["mac+harq"] = _mac_digest()
     payload["fleet"] = combined_digest(_fleet_digests(shards=1))
+    payload["fleet (low load)"] = combined_digest(
+        _fleet_digests(shards=1, load_fraction=LOW_LOAD_FRACTION))
     print(json.dumps(payload, indent=2))

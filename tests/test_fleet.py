@@ -165,6 +165,39 @@ class TestShardExecution:
         per_cell = [recorder.cell_demand(c.name) for c in config.cells]
         assert demand.cores == sum(d.cores for d in per_cell)
 
+    def test_recorder_forces_no_dag_builds(self):
+        # The recorder reads each slot's rows at window-fill time, so
+        # a slot the array kernel commits is never built, observed or
+        # not: 7 x 20 MHz at load 0.05 commits some of its 1,000 slots.
+        from repro.fleet.demand import ShardDemandRecorder
+        from repro.scenario import Scenario, build_simulation
+
+        def dags_built(observe: bool) -> tuple:
+            scenario = Scenario(pool={"name": "20mhz"},
+                                policy="concordia-noml",
+                                load_fraction=0.05, seed=7,
+                                cell_id_base=0)
+            simulation = build_simulation(scenario)
+            build_many = simulation.builder.build_many
+            built = []
+
+            def counting(jobs, costed=None):
+                dags = build_many(jobs, costed)
+                built.append(len(dags))
+                return dags
+
+            simulation.builder.build_many = counting
+            if observe:
+                config = scenario.pool_config()
+                simulation.demand_observer = ShardDemandRecorder(
+                    config.cells, config.deadline_us)
+            simulation.run(1000)
+            return sum(built), simulation.kernel_stats["array_slots"]
+
+        plain, committed = dags_built(observe=False)
+        assert committed > 0
+        assert dags_built(observe=True) == (plain, committed)
+
 
 class TestShardingInvariance:
     def _digests(self, shards, jobs=1):
