@@ -35,7 +35,7 @@ from typing import Optional
 
 from ..obs.events import REC_TICK
 from ..obs.registry import MetricsRegistry
-from ..ran.dag import DagInstance, batch_predicted_paths
+from ..ran.dag import DagInstance
 from ..ran.tasks import TaskInstance
 from ..sim.policy import SchedulerPolicy
 from .predictor import ConcordiaPredictor
@@ -130,24 +130,6 @@ class ConcordiaScheduler(SchedulerPolicy):
         """Predict every task's WCET and register the new DAGs."""
         start = time.perf_counter()
         predictor = self.predictor
-        if predictor is None and dags:
-            # No predictor: every task's WCET is base_cost * margin, so
-            # the whole slot's predictions and critical paths collapse
-            # into one vectorized pass (bit-identical to the scalar
-            # loop below — see batch_predicted_paths).
-            triples = batch_predicted_paths(dags, self.wcet_fallback_margin)
-            for dag, (work, critical, frontier) in zip(dags, triples):
-                state = _DagState(dag)
-                state.work_us = work
-                state.critical_path_us = critical
-                state.computed_at = now
-                state.frontier = frontier
-                self._states[dag.dag_id] = state
-                dag.policy_state = state
-            self._prediction_wall.value += time.perf_counter() - start
-            self._prediction_calls.value += 1
-            self._reschedule(now, kind="slot_start")
-            return
         for dag in dags:
             state = _DagState(dag)
             # Predictor warm-up after an elastic cell migration: the

@@ -31,10 +31,18 @@ def _decode_task(model: CostModel, codeblocks: int,
 
 
 def run(samples_per_point: int = None, seed: int = 0) -> dict:
-    """Sample decode runtimes for the Fig. 6 grid."""
+    """Sample decode runtimes for the Fig. 6 grid.
+
+    Each grid point draws its raw variates from one seeded generator
+    and turns them into runtime multipliers with the simulator's own
+    :meth:`CostModel.stoch_multipliers`, so the figure shows exactly
+    the noise model the pool executes.
+    """
     if samples_per_point is None:
         samples_per_point = scaled_slots(4000, minimum=500)
-    model = CostModel(rng=np.random.default_rng(seed))
+    model = CostModel()
+    rng = np.random.default_rng(seed)
+    decode = np.ones(samples_per_point, dtype=bool)
     codeblock_counts = (3, 6, 9, 12, 15)
     core_counts = (1, 4, 6)
     runtimes = {}
@@ -42,8 +50,14 @@ def run(samples_per_point: int = None, seed: int = 0) -> dict:
     for cores in core_counts:
         for cbs in codeblock_counts:
             task = _decode_task(model, cbs)
-            samples = [model.sample_runtime(task, active_cores=cores)
-                       for __ in range(samples_per_point)]
+            tail_u, jitter_u = rng.random((2, samples_per_point))
+            mults = model.stoch_multipliers(
+                rng.standard_normal(samples_per_point), tail_u, jitter_u,
+                decode)
+            samples = []
+            for mult in mults.tolist():
+                task.stoch_mult = mult
+                samples.append(model.sample_runtime(task, active_cores=cores))
             runtimes[(cores, cbs)] = violin_summary(samples)
             stalls[(cores, cbs)] = model.memory_stalls_per_cycle(cbs, cores)
     return {

@@ -36,7 +36,7 @@ from .tasks import (
 from .ue import SlotLoad, UeAllocation
 
 __all__ = ["DagInstance", "DagBuilder", "DagTopology", "MAX_CBS_PER_TASK",
-           "batch_predicted_paths", "dag_kind_key", "topology_from_dag",
+           "dag_kind_key", "topology_from_dag",
            "topology_for_key", "plan_task_rows"]
 
 #: Maximum codeblocks bundled into one encode/decode task instance.
@@ -127,11 +127,8 @@ class DagTopology:
     """Immutable index-space view of one DAG kind's wiring.
 
     All fields refer to positions in ``dag.tasks`` (topological
-    order).  ``levels`` is the level-synchronous schedule — level k
-    holds every task whose longest entry distance is k — and
-    ``dependency_matrix()`` materialises the edge set; both exist so
-    batch kernels (and the template-equality tests) can reason about
-    the shape without touching task objects.
+    order), so batch kernels can reason about the shape without
+    touching task objects.
     """
 
     kind_key: tuple
@@ -139,15 +136,6 @@ class DagTopology:
     entry_indices: tuple
     pred_counts: tuple
     successors: tuple  # tuple of per-task successor index tuples
-    levels: tuple      # tuple of per-level task index tuples
-
-    def dependency_matrix(self) -> np.ndarray:
-        """Boolean ``(num_tasks, num_tasks)`` matrix: [i, j] = i -> j."""
-        matrix = np.zeros((self.num_tasks, self.num_tasks), dtype=bool)
-        for i, succ in enumerate(self.successors):
-            for j in succ:
-                matrix[i, j] = True
-        return matrix
 
 
 def topology_from_dag(dag: DagInstance) -> DagTopology:
@@ -164,22 +152,12 @@ def _topology(kind_key: tuple, tasks: list) -> DagTopology:
     for succ in successors:
         for j in succ:
             pred_counts[j] += 1
-    entry_indices = tuple(i for i in range(n) if pred_counts[i] == 0)
-    depth = [0] * n
-    for i in range(n):  # tasks are topologically ordered
-        for j in successors[i]:
-            if depth[i] + 1 > depth[j]:
-                depth[j] = depth[i] + 1
-    levels: list[list[int]] = [[] for _ in range(max(depth, default=-1) + 1)]
-    for i, d in enumerate(depth):
-        levels[d].append(i)
     return DagTopology(
         kind_key=kind_key,
         num_tasks=n,
-        entry_indices=entry_indices,
+        entry_indices=tuple(i for i in range(n) if pred_counts[i] == 0),
         pred_counts=tuple(pred_counts),
         successors=successors,
-        levels=tuple(tuple(level) for level in levels),
     )
 
 
@@ -208,79 +186,6 @@ def topology_for_key(kind_key: tuple) -> DagTopology:
         topology = _topology(kind_key, wire(_template_task, "", kind_key))
         _TOPOLOGY_REGISTRY[kind_key] = topology
     return topology
-
-
-#: Below this many tasks per slot the scalar prediction path beats the
-#: vectorized one (array allocation + tolist() overhead dominates).
-_BATCH_PATH_CUTOFF = 24
-
-
-def batch_predicted_paths(dags: list, margin: float) -> list:
-    """Vectorized WCET prediction + critical-path fill for a slot batch.
-
-    Bit-identical replacement for the scalar per-task loop in
-    ``ConcordiaScheduler.on_slot_start`` when no predictor is attached:
-    every task's ``predicted_wcet_us`` is ``base_cost_us * margin``
-    (times the DAG's ``wcet_inflation`` as a *second* multiply when it
-    is not 1.0 — same two-step rounding as the scalar code), and
-    ``path_us`` is filled by the same reverse topological sweep.  The
-    per-task multiplies collapse into one numpy pass over the whole
-    batch; the float left-fold of ``work_us`` and the running max of
-    the critical path keep the scalar path's exact operation order.
-
-    Returns one ``(work_us, critical_us, frontier)`` triple per DAG,
-    where ``frontier`` maps entry-task ids to their ``path_us``.
-    """
-    flat = [task for dag in dags for task in dag.tasks]
-    if len(flat) < _BATCH_PATH_CUTOFF:
-        # Mostly-idle slots carry a handful of tasks; numpy's array
-        # fill + tolist() round trip costs more than it saves there.
-        # Scalar IEEE multiplies in the same two-step order are
-        # bit-identical to the vectorized pass.
-        predicted = []
-        for dag in dags:
-            inflation = dag.wcet_inflation
-            if inflation != 1.0:
-                predicted.extend(task.base_cost_us * margin * inflation
-                                 for task in dag.tasks)
-            else:
-                predicted.extend(task.base_cost_us * margin
-                                 for task in dag.tasks)
-    else:
-        base = np.empty(len(flat))
-        for i, task in enumerate(flat):
-            base[i] = task.base_cost_us
-        predicted_arr = base * margin
-        offset = 0
-        for dag in dags:
-            n = len(dag.tasks)
-            if dag.wcet_inflation != 1.0:
-                predicted_arr[offset:offset + n] *= dag.wcet_inflation
-            offset += n
-        predicted = predicted_arr.tolist()
-    results = []
-    offset = 0
-    for dag in dags:
-        tasks = dag.tasks
-        work = 0.0
-        for task, value in zip(tasks, predicted[offset:offset + len(tasks)]):
-            task.predicted_wcet_us = value
-            work += value
-        offset += len(tasks)
-        critical = 0.0
-        frontier = {}
-        for task in reversed(tasks):
-            tail = 0.0
-            for successor in task.successors:
-                if successor.path_us > tail:
-                    tail = successor.path_us
-            task.path_us = task.predicted_wcet_us + tail
-            if task.predecessors_remaining == 0:
-                frontier[task.task_id] = task.path_us
-                if task.path_us > critical:
-                    critical = task.path_us
-        results.append((work, critical, frontier))
-    return results
 
 
 class DagBuilder:
@@ -479,8 +384,9 @@ class DagBuilder:
         equals any per-DAG split.  Returns four flat lists in row
         order: ``(probes, mults, cache_u, cache_tail)``.
 
-        ``stoch_mult`` folds everything state-independent: lognormal
-        noise, the rare isolated tail, then the decode jitter.  The
+        ``stoch_mult`` folds everything state-independent
+        (:meth:`~repro.ran.tasks.CostModel.stoch_multipliers`: lognormal
+        noise, the rare isolated tail, then the decode jitter).  The
         cache tail needs execution-time state (churn, pressure), so
         only its randomness is presampled; the pool compares
         ``cache_u`` against the state-dependent tail probability at
@@ -494,12 +400,8 @@ class DagBuilder:
             blocks.append(rng.random(5 * n).reshape(5, n))
             normals.append(rng.standard_normal(n))
         u = np.concatenate(blocks, axis=1)
-        cm = self.cost_model
-        mult = np.exp(np.concatenate(normals) * cm.noise_sigma)
-        mult[u[1] < cm.isolated_tail_prob] *= cm.isolated_tail_scale
-        decode = type_codes == _DECODE_CODE
-        mult[decode] *= 1.0 + cm.decode_iteration_jitter * (
-            -np.log1p(-u[2, decode]))
+        mult = self.cost_model.stoch_multipliers(
+            np.concatenate(normals), u[1], u[2], type_codes == _DECODE_CODE)
         return (u[0].tolist(), mult.tolist(), u[3].tolist(),
                 (1.5 + u[4]).tolist())
 

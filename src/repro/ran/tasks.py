@@ -21,13 +21,11 @@ ones, so that Algorithm 1's feature selection has real work to do.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ..sim.fastrng import FastRng
 from .config import CellConfig
 from .ue import SlotLoad
 
@@ -128,13 +126,12 @@ class TaskInstance:
     """One runnable signal-processing task within a slot DAG.
 
     ``base_cost_us`` is the deterministic part of the ground-truth
-    runtime, fixed at DAG construction.  The stochastic multipliers
-    (noise, multi-core memory stalls, cache interference) are applied by
-    :meth:`CostModel.sample_runtime` when the task actually executes.
-    :meth:`repro.ran.dag.DagBuilder.draw_window` presamples the
-    state-independent part of those draws into
-    ``stoch_mult``/``cache_u``/``cache_tail``, one vectorized draw per
-    DAG instead of several scalar RNG calls per task at dispatch.
+    runtime, fixed at DAG construction.  All of a task's randomness
+    comes from its DAG's stream: :meth:`repro.ran.dag.DagBuilder.draw_window`
+    draws it into ``stoch_mult``/``cache_u``/``cache_tail`` when the DAG
+    is built, and :meth:`CostModel.sample_runtime` combines those with
+    the execution-time state (active cores, cache interference) when the
+    task starts.
     """
 
     task_id: int
@@ -157,13 +154,15 @@ class TaskInstance:
     #: by the Concordia scheduler at slot start for O(1) critical-path
     #: maintenance.
     path_us: float = 0.0
-    #: Presampled state-independent runtime multiplier (lognormal noise ×
-    #: decode-iteration jitter × isolated tail), or None to fall back to
-    #: scalar draws in :meth:`CostModel.sample_runtime`.
+    #: Presampled state-independent runtime multiplier
+    #: (:meth:`CostModel.stoch_multipliers`: lognormal noise, isolated
+    #: tail, decode-iteration jitter); None until the builder assigns it,
+    #: and :meth:`CostModel.sample_runtime` requires it.
     stoch_mult: Optional[float] = None
     #: Presampled uniform for the cache-interference tail trigger; the
     #: pool compares it against the state-dependent tail probability at
     #: dispatch time (equivalent in distribution to drawing there).
+    #: None until the builder assigns it.
     cache_u: Optional[float] = None
     #: Presampled cache-interference tail magnitude, applied iff
     #: ``cache_u`` lands under the tail probability.
@@ -232,21 +231,22 @@ def _iteration_factor(snr_margin_db: float) -> float:
 class CostModel:
     """Ground-truth runtime generator for signal-processing tasks.
 
-    Deterministic base costs are functions of the slot/task features;
-    :meth:`sample_runtime` layers multiplicative noise, the multi-core
-    memory-stall penalty, and the caller-supplied cache-interference
-    multiplier on top.
+    Deterministic base costs are functions of the slot/task features.
+    The model draws nothing itself: :meth:`stoch_multipliers` turns raw
+    variates (drawn per DAG by
+    :meth:`repro.ran.dag.DagBuilder.draw_window`) into the
+    state-independent runtime multiplier, and :meth:`sample_runtime`
+    layers the multi-core memory-stall penalty and the caller-supplied
+    cache-interference multipliers on top.
     """
 
     def __init__(
         self,
-        rng: Optional[np.random.Generator] = None,
         noise_sigma: float = 0.04,
         isolated_tail_prob: float = 0.001,
         isolated_tail_scale: float = 1.35,
         decode_iteration_jitter: float = 0.06,
     ) -> None:
-        self.rng = FastRng(rng if rng is not None else np.random.default_rng(0))
         self.noise_sigma = noise_sigma
         self.isolated_tail_prob = isolated_tail_prob
         self.isolated_tail_scale = isolated_tail_scale
@@ -399,6 +399,28 @@ class CostModel:
         spread = 0.0 if active_cores <= 1 else min(1.0, (active_cores - 1) / 5.0)
         return base * (1.0 + 6.0 * spread)
 
+    def stoch_multipliers(self, normal: np.ndarray, tail_u: np.ndarray,
+                          jitter_u: np.ndarray,
+                          decode: np.ndarray) -> np.ndarray:
+        """State-independent runtime multipliers from raw variates.
+
+        ``normal`` holds standard normals, ``tail_u``/``jitter_u``
+        uniforms in [0, 1), and ``decode`` marks the LDPC-decode rows.
+        Lognormal noise, then the rare isolated tail, then the decode
+        jitter: the realized iteration count is data-dependent, so two
+        decodes with identical parameters can need very different
+        numbers of iterations (§A.1).  The exponential tail (inverse
+        CDF of ``jitter_u``) is what makes Gaussian prediction
+        intervals under-cover decode runtimes while the quantile tree's
+        distribution-free leaf maximum absorbs it (Fig. 14).  Every op
+        is elementwise, so any split of the rows gives the same values.
+        """
+        mult = np.exp(normal * self.noise_sigma)
+        mult[tail_u < self.isolated_tail_prob] *= self.isolated_tail_scale
+        mult[decode] *= 1.0 + self.decode_iteration_jitter * (
+            -np.log1p(-jitter_u[decode]))
+        return mult
+
     def sample_runtime(
         self,
         task: TaskInstance,
@@ -406,10 +428,12 @@ class CostModel:
         interference_multiplier: float = 1.0,
         tail_multiplier: float = 1.0,
     ) -> float:
-        """Draw the actual execution time of ``task`` (µs).
+        """The actual execution time of ``task`` (µs).
 
-        ``interference_multiplier``/``tail_multiplier`` come from the
-        cache-interference model; 1.0 means the vRAN runs in isolation.
+        Applies the task's presampled ``stoch_mult`` and the multi-core
+        memory-stall penalty; ``interference_multiplier``/
+        ``tail_multiplier`` come from the cache-interference model, and
+        1.0 means the vRAN runs in isolation.
         """
         base = task.base_cost_us
         # Inline of core_penalty(): one method call per task execution
@@ -418,21 +442,7 @@ class CostModel:
             spread = (active_cores - 1) * 0.2
             base *= 1.0 + _MAX_CORE_PENALTY * (
                 1.0 if spread >= 1.0 else spread)
-        mult = task.stoch_mult
-        if mult is None:
-            mult = math.exp(self.rng.normal(0.0, self.noise_sigma))
-            if task.task_type is TaskType.LDPC_DECODE:
-                # Realized iteration count is data-dependent: two decodes
-                # with identical parameters can need very different numbers
-                # of iterations (§A.1).  The exponential tail is what makes
-                # Gaussian prediction intervals under-cover decode runtimes
-                # while the quantile tree's distribution-free leaf maximum
-                # absorbs it (Fig. 14).
-                mult *= 1.0 + self.decode_iteration_jitter * \
-                    self.rng.exponential(1.0)
-            if self.rng.random() < self.isolated_tail_prob:
-                mult *= self.isolated_tail_scale
-        runtime = base * mult * interference_multiplier * tail_multiplier
+        runtime = base * task.stoch_mult * interference_multiplier * tail_multiplier
         return runtime if runtime > 0.3 else 0.3
 
 

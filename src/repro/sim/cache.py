@@ -26,10 +26,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
-from .fastrng import FastRng
-
 __all__ = ["CacheInterferenceModel"]
 
 #: Scheduling-event rate (events/ms) at which churn saturates.  Vanilla
@@ -42,10 +38,15 @@ _CHURN_TAU_US = 5000.0
 
 
 class CacheInterferenceModel:
-    """Tracks collocation pressure/churn and samples runtime inflation."""
+    """Tracks collocation pressure/churn and turns it into runtime inflation.
 
-    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
-        self.rng = FastRng(rng if rng is not None else np.random.default_rng(13))
+    The model draws nothing itself: each task brings its presampled
+    trigger and tail magnitude (``cache_u``/``cache_tail``, drawn per
+    DAG by :meth:`repro.ran.dag.DagBuilder.draw_window`) to
+    :meth:`multipliers_for`.
+    """
+
+    def __init__(self) -> None:
         self.pressure = 0.0  # set by the active best-effort workloads
         self._churn_rate_per_ms = 0.0
         self._last_event_us: Optional[float] = None
@@ -113,28 +114,18 @@ class CacheInterferenceModel:
         churn = self.churn_factor(now_us)
         return 0.55 * self.pressure * churn * churn
 
-    def sample_multipliers(self, now_us: float) -> tuple[float, float]:
+    def multipliers_for(self, now_us: float, u: float,
+                        tail_value: float) -> tuple[float, float]:
         """(mean multiplier, tail multiplier) for one task execution.
 
         The mean multiplier converts extra stalls into runtime; the tail
         multiplier is 1.0 except for rare cache-thrash spikes whose
         probability grows with pressure and churn (heavier-tailed
-        distributions of Fig. 7b).
-        """
-        return self.multipliers_for(
-            now_us, self.rng.random(), float(self.rng.uniform(1.5, 2.5))
-        )
-
-    def multipliers_for(self, now_us: float, u: float,
-                        tail_value: float) -> tuple[float, float]:
-        """Like :meth:`sample_multipliers` but with presampled randomness.
-
-        ``u`` is a uniform [0, 1) trigger and ``tail_value`` the tail
-        magnitude, both drawn ahead of time (vectorized per DAG by
-        :meth:`repro.ran.dag.DagBuilder.draw_window`).  Comparing
-        the presampled uniform against the *state-dependent* tail
-        probability here yields the same distribution as drawing at
-        execution time, while computing churn only once per call.
+        distributions of Fig. 7b).  ``u`` is the task's uniform [0, 1)
+        trigger and ``tail_value`` its spike magnitude, both drawn ahead
+        of time; comparing the presampled uniform against the
+        *state-dependent* tail probability here yields the same
+        distribution as drawing at execution time.
         """
         # Inline of churn_factor()/decayed_churn(): this runs once per
         # task start, and the two-call chain plus max() showed up in

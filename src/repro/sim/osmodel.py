@@ -18,8 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fastrng import FastRng
-
 __all__ = ["WakeupLatencyModel", "LatencyBucket"]
 
 
@@ -54,6 +52,13 @@ COLLOCATED_BUCKETS: tuple[LatencyBucket, ...] = (
 )
 
 
+#: Uniforms, then normals, discarded from a fresh stream before the
+#: first latency is drawn.  The stream once fed a buffered presampler
+#: that took these two blocks up front; skipping them keeps every
+#: latency (and so every pinned digest) where it was.
+_DISCARDED_BLOCK = 16384
+
+
 class WakeupLatencyModel:
     """Samples worker wakeup latencies from a calibrated mixture."""
 
@@ -63,7 +68,9 @@ class WakeupLatencyModel:
         isolated_buckets: Sequence[LatencyBucket] = ISOLATED_BUCKETS,
         collocated_buckets: Sequence[LatencyBucket] = COLLOCATED_BUCKETS,
     ) -> None:
-        self.rng = FastRng(rng if rng is not None else np.random.default_rng(11))
+        self.rng = rng if rng is not None else np.random.default_rng(11)
+        self.rng.random(_DISCARDED_BLOCK)
+        self.rng.standard_normal(_DISCARDED_BLOCK)
         self._isolated = self._normalize(isolated_buckets)
         self._collocated = self._normalize(collocated_buckets)
         # Per-mode blocks of presampled latencies, refilled vectorized;
@@ -89,12 +96,11 @@ class WakeupLatencyModel:
         cumulative, buckets = self._collocated if collocated else self._isolated
         lows = np.array([b.low_us for b in buckets])
         spans = np.array([b.high_us - b.low_us for b in buckets])
-        gen = self.rng.generator
         idx = np.minimum(
-            np.searchsorted(cumulative, gen.random(n), side="right"),
+            np.searchsorted(cumulative, self.rng.random(n), side="right"),
             len(buckets) - 1,
         )
-        block = (lows[idx] + spans[idx] * gen.random(n)).tolist()
+        block = (lows[idx] + spans[idx] * self.rng.random(n)).tolist()
         self._presampled[collocated] = block
         return block
 

@@ -96,7 +96,7 @@ class VranPool:
         self.os_model = os_model if os_model is not None else \
             WakeupLatencyModel(rng=self.rng)
         self.cache_model = cache_model if cache_model is not None else \
-            CacheInterferenceModel(rng=self.rng)
+            CacheInterferenceModel()
         self.metrics = metrics if metrics is not None else \
             Metrics(config.num_cores)
 
@@ -353,12 +353,8 @@ class VranPool:
             self._spin_bits = bits & ~(bits & -bits)
             worker.current_task = task
             task.start_time = now
-            if task.cache_u is not None:
-                mean_mult, tail_mult = cache_model.multipliers_for(
-                    now, task.cache_u, task.cache_tail
-                )
-            else:
-                mean_mult, tail_mult = cache_model.sample_multipliers(now)
+            mean_mult, tail_mult = cache_model.multipliers_for(
+                now, task.cache_u, task.cache_tail)
             runtime = sample_runtime(task, self._running, mean_mult,
                                      tail_mult)
             task.runtime_us = runtime
@@ -378,12 +374,8 @@ class VranPool:
         # Per-task randomness is presampled at DAG build (stoch_mult,
         # cache_u/cache_tail); only state-dependent factors — active
         # cores and the cache model's churn/pressure — are applied here.
-        if task.cache_u is not None:
-            mean_mult, tail_mult = self.cache_model.multipliers_for(
-                now, task.cache_u, task.cache_tail
-            )
-        else:
-            mean_mult, tail_mult = self.cache_model.sample_multipliers(now)
+        mean_mult, tail_mult = self.cache_model.multipliers_for(
+            now, task.cache_u, task.cache_tail)
         # Positional call: keyword binding costs on a per-task call.
         runtime = self.cost_model.sample_runtime(
             task, self._running, mean_mult, tail_mult)

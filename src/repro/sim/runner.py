@@ -19,17 +19,21 @@ and independent of construction order:
 =====================  ==========================================
 spawn_key              purpose
 =====================  ==========================================
-(0,)                   cost-model scalar fallback draws
+(0,)                   retired (cost-model scalar fallback draws)
 (1,)                   profiling-traffic byte draws
 (2,)                   i.i.d. UE allocation splitting
 (3,)                   OS wakeup-latency model
-(4,)                   cache-interference model
+(4,)                   retired (cache-interference draws)
 (5,)                   workload mix controller
 (6, cell, slot, dir)   per-DAG batched sampling (DagBuilder)
 (7, cell)              per-cell traffic generators
 (8, cell)              per-cell HARQ processes
 (9, cell, dir)         per-cell/direction MAC pipelines
 =====================  ==========================================
+
+Retired keys are never reused.  Every per-task draw comes from the
+per-DAG stream ``(6, ...)``; keys are spawn keys, so retiring one
+shifts no other stream.
 
 Fleet keying — when ``scenario.cell_id_base`` is set (the pool is one
 cell-shard of a :mod:`repro.fleet` metro deployment), ``cell`` above
@@ -38,7 +42,7 @@ shared i.i.d. allocation stream ``(2,)`` becomes one counter-keyed
 stream ``(2, cell)`` per cell.  Every per-cell stream then depends
 only on ``(fleet seed, global cell id)``, never on which shard the
 cell landed in, which is what makes per-cell sampling byte-identical
-across arbitrary shardings.  The pool-level streams (0, 1, 3, 4, 5)
+across arbitrary shardings.  The pool-level streams (1, 3, 5)
 are keyed ``(k, cell_id_base)`` so distinct shards draw distinct
 scheduling-side randomness.
 """
@@ -306,10 +310,8 @@ class Simulation:
         self._cell_id_base = 0 if base is None else base
         fleet = base is not None
         pool_key = (base,) if fleet else ()
-        self._rng_cost = _stream_rng(seed, 0, *pool_key)
         self._rng_traffic = _stream_rng(seed, 1, *pool_key)
         self._rng_os = _stream_rng(seed, 3, *pool_key)
-        self._rng_cache = _stream_rng(seed, 4, *pool_key)
         self._rng_mix = _stream_rng(seed, 5, *pool_key)
         if fleet:
             # One counter-keyed allocation stream per cell: within a
@@ -325,12 +327,12 @@ class Simulation:
             self._rng_alloc_cells = None
 
         self.engine = Engine()
-        self.cost_model = CostModel(rng=self._rng_cost)
+        self.cost_model = CostModel()
         self.builder = DagBuilder(
             self.cost_model, rng=self._rng_alloc,
             seed_seq=np.random.SeedSequence(entropy=seed, spawn_key=(6,)))
         self.metrics = Metrics(pool_config.num_cores)
-        cache_model = CacheInterferenceModel(rng=self._rng_cache)
+        cache_model = CacheInterferenceModel()
         self.event_bus = event_bus
         self.pool = VranPool(
             engine=self.engine,

@@ -305,7 +305,7 @@ class TestTopologyTemplatesAndPlanPipeline:
     """The window fill's plans must mirror the builder bit for bit.
 
     The window fill certifies slots from ``plan_task_rows`` +
-    ``base_costs_batch`` + ``plan_stoch_window`` and topology templates
+    ``base_costs_batch`` + ``draw_window`` and topology templates
     wired from the kind key, without constructing task objects; a
     later fallback build of the same jobs must then reproduce exactly
     the values and wiring the plan was computed from.  These tests pin
@@ -317,7 +317,7 @@ class TestTopologyTemplatesAndPlanPipeline:
 
     def _builder(self) -> DagBuilder:
         return DagBuilder(
-            CostModel(rng=np.random.default_rng(0)),
+            CostModel(),
             rng=np.random.default_rng(1),
             seed_seq=np.random.SeedSequence(entropy=self.ENTROPY,
                                             spawn_key=(6,)))
@@ -338,19 +338,6 @@ class TestTopologyTemplatesAndPlanPipeline:
                               cell_index=self.CELL_INDEX)
         assert fresh.kind_key == kind
         assert topology_from_dag(fresh) == template
-        # The level-synchronous schedule and the edge matrix describe
-        # the same wiring.
-        matrix = template.dependency_matrix()
-        assert int(matrix.sum()) == sum(
-            len(s) for s in template.successors)
-        seen: set = set()
-        for level in template.levels:
-            for i in level:
-                preds = np.nonzero(matrix[:, i])[0]
-                assert all(p in seen for p in preds), (
-                    "level schedule ordered a task before a predecessor")
-            seen.update(level)
-        assert len(seen) == template.num_tasks == len(fresh.tasks)
 
     @pytest.mark.parametrize("load", _load_catalog(),
                              ids=lambda load: repr(dag_kind_key(load)))
@@ -580,79 +567,3 @@ class TestKernelSelfDisable:
         assert result_digest(detached.run(200)) == digest
         assert (detached.kernel_stats["array_slots"]
                 == plain.kernel_stats["array_slots"])
-
-
-class TestPredictedPathBatchCutoff:
-    def test_scalar_and_vector_paths_byte_identical(self, monkeypatch):
-        # on_slot_start's WCET/critical-path fill picks a scalar or
-        # numpy implementation by slot size; forcing each branch for a
-        # whole run must not move a single float.
-        digests = set()
-        for cutoff in (0, 10**9):
-            monkeypatch.setattr(dag_mod, "_BATCH_PATH_CUTOFF", cutoff)
-            # All-event, so every slot goes through on_slot_start.
-            simulation = _observed(_scenario(load_fraction=0.3))
-            digests.add(result_digest(simulation.run(40)))
-        assert len(digests) == 1
-
-
-class TestFastRngBlockSize:
-    """The stream is a deterministic function of (seed, block).
-
-    The default block must reproduce the historical layout exactly —
-    uniform presample first, normal presample second, raw-generator
-    consumers continuing after both — because every golden digest
-    depends on it.  Non-default blocks are deterministic too, but are
-    deliberately distinct streams (see the fastrng module docstring).
-    """
-
-    def test_default_block_pins_historical_layout(self):
-        import numpy as np
-
-        from repro.sim.fastrng import DEFAULT_BLOCK, FastRng
-
-        rng = FastRng(np.random.default_rng(42))
-        raw = np.random.default_rng(42)
-        expected_uniform = raw.random(DEFAULT_BLOCK)
-        expected_normal = raw.standard_normal(DEFAULT_BLOCK)
-        assert [rng.random() for _ in range(64)] == \
-            expected_uniform[:64].tolist()
-        assert [rng.standard_normal() for _ in range(64)] == \
-            expected_normal[:64].tolist()
-        # Raw-generator consumers (the wakeup model) resume exactly
-        # after the two presample blocks.
-        assert rng.generator.random() == raw.random()
-
-    def test_explicit_default_block_identical_to_implicit(self):
-        import numpy as np
-
-        from repro.sim.fastrng import DEFAULT_BLOCK, FastRng
-
-        implicit = FastRng(np.random.default_rng(7))
-        explicit = FastRng(np.random.default_rng(7), block=DEFAULT_BLOCK)
-        assert [implicit.random() for _ in range(32)] == \
-            [explicit.random() for _ in range(32)]
-        assert [implicit.standard_normal() for _ in range(32)] == \
-            [explicit.standard_normal() for _ in range(32)]
-
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_each_block_size_is_deterministic(self, block):
-        import numpy as np
-
-        from repro.sim.fastrng import FastRng
-
-        a = FastRng(np.random.default_rng(9), block=block)
-        b = FastRng(np.random.default_rng(9), block=block)
-        draws_a = [a.random() for _ in range(3 * block)] + \
-            [a.standard_normal() for _ in range(3 * block)]
-        draws_b = [b.random() for _ in range(3 * block)] + \
-            [b.standard_normal() for _ in range(3 * block)]
-        assert draws_a == draws_b
-
-    def test_block_must_be_positive(self):
-        import numpy as np
-
-        from repro.sim.fastrng import FastRng
-
-        with pytest.raises(ValueError):
-            FastRng(np.random.default_rng(0), block=0)

@@ -8,7 +8,13 @@ from repro.sim.cache import CacheInterferenceModel
 
 @pytest.fixture
 def model():
-    return CacheInterferenceModel(rng=np.random.default_rng(0))
+    return CacheInterferenceModel()
+
+
+def _draw(rng):
+    """One task's presampled (trigger, tail magnitude), as
+    :meth:`DagBuilder.draw_window` draws them."""
+    return rng.random(), 1.5 + rng.random()
 
 
 class TestPressure:
@@ -22,7 +28,9 @@ class TestPressure:
         model.set_pressure(0.0)
         for t in range(0, 10000, 50):
             model.record_scheduling_event(float(t))
-        mean, tail = model.sample_multipliers(10000.0)
+        # Even a trigger that lands under any tail probability fires
+        # no spike without pressure.
+        mean, tail = model.multipliers_for(10000.0, 0.0, 2.0)
         assert mean == 1.0
         assert tail == 1.0
 
@@ -88,20 +96,21 @@ class TestMultipliers:
         for _ in range(300):
             t += 80.0
             model.record_scheduling_event(t)
-        mean, __ = model.sample_multipliers(t)
+        mean, __ = model.multipliers_for(t, *_draw(np.random.default_rng(0)))
         assert mean > 1.0
 
     def test_tails_heavier_under_interference(self):
         """Fig. 7b: collocated runtime distributions get heavy tails."""
-        model = CacheInterferenceModel(rng=np.random.default_rng(2))
+        model = CacheInterferenceModel()
         model.set_pressure(1.0)
+        rng = np.random.default_rng(2)
         t = 0.0
         tails = []
         for _ in range(200_000):
             t += 50.0
             if len(tails) % 100 == 0:
                 model.record_scheduling_event(t)
-            __, tail = model.sample_multipliers(t)
+            __, tail = model.multipliers_for(t, *_draw(rng))
             tails.append(tail)
         tails = np.array(tails)
         spike_rate = (tails > 1.0).mean()
@@ -110,11 +119,12 @@ class TestMultipliers:
 
     def test_reporting_accumulates(self, model):
         model.set_pressure(0.4)
+        rng = np.random.default_rng(0)
         t = 0.0
         for _ in range(100):
             t += 60.0
             model.record_scheduling_event(t)
-            model.sample_multipliers(t)
+            model.multipliers_for(t, *_draw(rng))
         assert model.mean_stall_increase > 0.0
         assert model.l1_miss_increase() < model.mean_stall_increase
         assert model.llc_load_increase() < model.mean_stall_increase

@@ -13,7 +13,7 @@ from repro.ran.ue import SlotLoad, bytes_to_allocations
 
 @pytest.fixture
 def builder():
-    return DagBuilder(CostModel(rng=np.random.default_rng(0)),
+    return DagBuilder(CostModel(),
                       rng=np.random.default_rng(1))
 
 
@@ -124,7 +124,7 @@ class TestDagInstance:
        st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=100, deadline=None)
 def test_dag_invariants(total_bytes, uplink, seed):
-    builder = DagBuilder(CostModel(rng=np.random.default_rng(0)),
+    builder = DagBuilder(CostModel(),
                          rng=np.random.default_rng(1))
     load = _load(total_bytes, uplink=uplink, seed=seed)
     dag = builder.build(load, cell_100mhz_tdd(), 0.0, 1500.0)

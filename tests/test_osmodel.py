@@ -59,6 +59,28 @@ class TestSampling:
         assert (samples > 400.0).mean() < 0.002
 
 
+class TestStreamLayout:
+    def test_first_latency_follows_two_discarded_blocks(self):
+        """The model skips 16384 uniforms, then 16384 normals, before its
+        first draw; every golden digest depends on that layout."""
+        model = WakeupLatencyModel(rng=np.random.default_rng(42))
+        raw = np.random.default_rng(42)
+        raw.random(16384)
+        raw.standard_normal(16384)
+        # One refill: 256 bucket picks, then 256 in-bucket offsets,
+        # served back to front.
+        probs = np.array([b.probability for b in ISOLATED_BUCKETS])
+        cumulative = np.cumsum(probs / probs.sum())
+        idx = np.minimum(
+            np.searchsorted(cumulative, raw.random(256), side="right"),
+            len(ISOLATED_BUCKETS) - 1)
+        bucket = ISOLATED_BUCKETS[idx[-1]]
+        offset = raw.random(256)[-1]
+        expected = bucket.low_us + (bucket.high_us - bucket.low_us) * offset
+        assert model.sample(False) == expected
+        assert model.rng.random() == raw.random()
+
+
 class TestExpectedBody:
     def test_excludes_kernel_stall(self, model):
         body = model.expected_body_us(True)

@@ -217,8 +217,8 @@ class TestRngStreams:
     def test_root_streams_pairwise_distinct(self):
         sim = build_simulation(
             Scenario(pool=small_pool(), policy="concordia-noml", seed=0))
-        rngs = [sim._rng_cost, sim._rng_traffic, sim._rng_alloc,
-                sim._rng_os, sim._rng_cache, sim._rng_mix]
+        rngs = [sim._rng_traffic, sim._rng_alloc, sim._rng_os,
+                sim._rng_mix]
         firsts = [rng.random() for rng in rngs]
         assert len(set(firsts)) == len(firsts)
 
@@ -251,7 +251,7 @@ class TestDagStreamIndependence:
                        for load in cell_loads)
 
         def build_all(order):
-            builder = DagBuilder(CostModel(rng=np.random.default_rng(0)),
+            builder = DagBuilder(CostModel(),
                                  rng=np.random.default_rng(1),
                                  seed_seq=np.random.SeedSequence(42))
             out = {}

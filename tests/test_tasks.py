@@ -15,7 +15,7 @@ from repro.ran.tasks import (
 
 @pytest.fixture
 def model():
-    return CostModel(rng=np.random.default_rng(0))
+    return CostModel()
 
 
 def _decode_cost(model, cbs, snr_margin=10.0, code_rate=0.8):
@@ -86,6 +86,44 @@ class TestCorePenalty:
         assert spread > 2 * single
 
 
+def _runtimes(model, task, n, seed=0, **kwargs):
+    """``n`` runtimes of ``task``, each with its ``stoch_mult`` drawn as
+    :meth:`DagBuilder.draw_window` does: raw variates through
+    :meth:`CostModel.stoch_multipliers`."""
+    rng = np.random.default_rng(seed)
+    tail_u, jitter_u = rng.random((2, n))
+    decode = np.full(n, task.task_type is TaskType.LDPC_DECODE)
+    mults = model.stoch_multipliers(rng.standard_normal(n), tail_u,
+                                    jitter_u, decode)
+    runtimes = []
+    for mult in mults.tolist():
+        task.stoch_mult = mult
+        runtimes.append(model.sample_runtime(task, **kwargs))
+    return runtimes
+
+
+class TestStochMultipliers:
+    def test_noise_only_off_decode_rows(self, model):
+        normal = np.array([0.0, 1.0, -1.0])
+        mults = model.stoch_multipliers(normal, np.ones(3), np.zeros(3),
+                                        np.zeros(3, dtype=bool))
+        assert mults.tolist() == np.exp(normal * model.noise_sigma).tolist()
+
+    def test_isolated_tail_triggers_below_probability(self, model):
+        tail_u = np.array([0.0, model.isolated_tail_prob])
+        mults = model.stoch_multipliers(np.zeros(2), tail_u, np.zeros(2),
+                                        np.zeros(2, dtype=bool))
+        assert mults.tolist() == [model.isolated_tail_scale, 1.0]
+
+    def test_decode_jitter_is_inverse_cdf_exponential(self, model):
+        jitter_u = np.array([0.5, 0.5])
+        mults = model.stoch_multipliers(np.zeros(2), np.ones(2), jitter_u,
+                                        np.array([True, False]))
+        assert mults[0] == pytest.approx(
+            1.0 + model.decode_iteration_jitter * np.log(2.0))
+        assert mults[1] == 1.0
+
+
 class TestSampling:
     def _task(self, model, cbs=8):
         base = _decode_cost(model, cbs)
@@ -96,34 +134,35 @@ class TestSampling:
 
     def test_runtime_near_base_in_isolation(self, model):
         task = self._task(model)
-        samples = [model.sample_runtime(task) for _ in range(2000)]
+        samples = _runtimes(model, task, 2000)
         assert np.median(samples) == pytest.approx(task.base_cost_us,
                                                    rel=0.05)
 
     def test_interference_multiplier_applies(self, model):
         task = self._task(model)
-        inflated = [model.sample_runtime(task, interference_multiplier=1.5)
-                    for _ in range(500)]
+        inflated = _runtimes(model, task, 500, seed=1,
+                             interference_multiplier=1.5)
         assert np.median(inflated) == pytest.approx(1.5 * task.base_cost_us,
                                                     rel=0.1)
 
     def test_tail_multiplier_applies(self, model):
         task = self._task(model)
-        sample = model.sample_runtime(task, tail_multiplier=3.0)
+        sample, = _runtimes(model, task, 1, seed=2, tail_multiplier=3.0)
         assert sample > 2.0 * task.base_cost_us
 
     def test_multicore_samples_slower(self, model):
         task = self._task(model)
-        single = np.median([model.sample_runtime(task, active_cores=1)
-                            for _ in range(500)])
-        six = np.median([model.sample_runtime(task, active_cores=6)
-                         for _ in range(500)])
+        single = np.median(_runtimes(model, task, 500, seed=3,
+                                     active_cores=1))
+        six = np.median(_runtimes(model, task, 500, seed=4,
+                                  active_cores=6))
         assert six == pytest.approx(1.25 * single, rel=0.08)
 
     def test_runtime_strictly_positive(self, model):
         task = self._task(model, cbs=0)
         task.base_cost_us = 0.0
-        assert model.sample_runtime(task) > 0.0
+        sample, = _runtimes(model, task, 1, seed=5)
+        assert sample > 0.0
 
 
 class TestTaskInstance:
