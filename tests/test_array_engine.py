@@ -16,6 +16,8 @@ for every slot (asserted by ``array_slots == 0``) and changes no
 number.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -567,3 +569,100 @@ class TestKernelSelfDisable:
         assert result_digest(detached.run(200)) == digest
         assert (detached.kernel_stats["array_slots"]
                 == plain.kernel_stats["array_slots"])
+
+
+class TestPredictedPathBatchCutoff:
+    def test_scalar_and_vector_paths_byte_identical(self, monkeypatch):
+        # on_slot_start fills WCETs and critical paths task by task; one
+        # numpy pass over each DAG (base * margin, then the warm-up
+        # inflation as a second multiply) must give the same floats.
+        import functools
+        import operator
+
+        # All-event, so every slot goes through on_slot_start.
+        simulation = _observed(_scenario(load_fraction=0.3))
+        policy = simulation.pool.policy
+        fill = policy.on_slot_start
+        sizes = []
+
+        def checked_fill(dags: list, now: float) -> None:
+            fill(dags, now)
+            for dag in dags:
+                vector = np.array([task.base_cost_us for task in dag.tasks])
+                vector *= policy.wcet_fallback_margin
+                if dag.wcet_inflation != 1.0:
+                    vector *= dag.wcet_inflation
+                predicted = vector.tolist()
+                assert [task.predicted_wcet_us
+                        for task in dag.tasks] == predicted
+                state = dag.policy_state
+                assert state.work_us == functools.reduce(
+                    operator.add, predicted, 0.0)
+                for task in dag.tasks:
+                    assert task.path_us == task.predicted_wcet_us + max(
+                        (s.path_us for s in task.successors), default=0.0)
+                entries = [task.path_us for task in dag.tasks
+                           if task.predecessors_remaining == 0]
+                assert state.critical_path_us == max(entries, default=0.0)
+                sizes.append(len(dag.tasks))
+
+        monkeypatch.setattr(policy, "on_slot_start", checked_fill)
+        simulation.run(40)
+        assert sizes and max(sizes) >= 24
+
+
+class TestFastRngBlockSize:
+    """Stream layouts once tied to the retired FastRng presample block.
+
+    The wakeup model still discards the two 16384-wide blocks (uniforms,
+    then normals) that the presampler took up front, because every
+    golden digest depends on where its draws start.  The DAG streams
+    never had a block: a window's draws must not depend on how many
+    DAGs it holds.
+    """
+
+    def test_default_block_pins_historical_layout(self):
+        from repro.sim.osmodel import WakeupLatencyModel
+
+        model = WakeupLatencyModel(rng=np.random.default_rng(42))
+        raw = np.random.default_rng(42)
+        raw.random(16384)
+        raw.standard_normal(16384)
+        # The model's generator resumes exactly after the two blocks.
+        assert model.rng.random() == raw.random()
+
+    def test_explicit_default_block_identical_to_implicit(self):
+        from repro.sim.osmodel import WakeupLatencyModel
+
+        implicit = WakeupLatencyModel()
+        explicit = WakeupLatencyModel(rng=np.random.default_rng(11))
+        assert [implicit.sample(False) for _ in range(300)] == \
+            [explicit.sample(False) for _ in range(300)]
+        assert [implicit.sample(True) for _ in range(300)] == \
+            [explicit.sample(True) for _ in range(300)]
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_each_block_size_is_deterministic(self, block):
+        # A window of ``block`` DAGs draws what each DAG draws alone.
+        catalog = _load_catalog()
+        cell = cell_20mhz_fdd("cat")
+        loads = [SlotLoad("cat", slot, base.uplink, base.allocations)
+                 for slot, base in zip(range(block),
+                                       itertools.cycle(catalog))]
+        jobs = [(load, cell, 0.0, 2000.0, 4) for load in loads]
+        job_rows = [plan_task_rows(load, cell) for load in loads]
+
+        def builder() -> DagBuilder:
+            return DagBuilder(
+                CostModel(), rng=np.random.default_rng(1),
+                seed_seq=np.random.SeedSequence(entropy=9, spawn_key=(6,)))
+
+        window = builder().costed_rows(jobs, job_rows)[4:]
+        alone = ([], [], [], [])
+        single = builder()
+        for job, rows in zip(jobs, job_rows):
+            for column, values in zip(
+                    alone, single.costed_rows([job], [rows])[4:]):
+                column.extend(values)
+        assert tuple(list(column) for column in window) == alone
+        assert builder().costed_rows(jobs, job_rows)[4:] == window
