@@ -309,12 +309,20 @@ class QuantileTreeWCET(WcetModel):
         return self
 
     def predict(self, x: np.ndarray) -> float:
+        return self.predict_leaf(self.tree.leaf_index(x))
+
+    def observe(self, x: np.ndarray, runtime: float) -> None:
+        self.observe_leaf(self.tree.leaf_index(x), runtime)
+
+    def predict_leaf(self, leaf: int) -> float:
+        """WCET of an already-routed task: the leaf buffer's maximum."""
         try:
-            return self.tree.predict_wcet(x)
+            return self.tree.leaves[leaf].max()
         except ValueError:
             # Empty leaf buffer (fresh online phase): fall back to the
             # most pessimistic offline observation.
             return self._global_max
 
-    def observe(self, x: np.ndarray, runtime: float) -> None:
-        self.tree.observe(x, runtime)
+    def observe_leaf(self, leaf: int, runtime: float) -> None:
+        """Online training step for an already-routed task."""
+        self.tree.leaves[leaf].push(float(runtime))

@@ -4,11 +4,21 @@ One prediction model per signal-processing task type.  The offline
 phase (``fit_offline``) runs Algorithm 1 on a profiling dataset
 collected with the vRAN in isolation: distance-correlation ranking,
 backwards elimination, union with hand-picked features, then a quantile
-decision tree per task.  At runtime, ``predict_task`` routes a task's
-feature vector to a leaf and returns the max of the leaf's ring buffer,
-and ``observe_task`` feeds observed runtimes back (Algorithm 2's
-training step), letting the leaf buffers absorb collocation-induced
-distribution shifts without re-growing the trees.
+decision tree per task.  At runtime, ``predict_task`` returns the max
+of a task's leaf ring buffer, and ``observe_task`` feeds observed
+runtimes back into that leaf (Algorithm 2's training step), letting the
+leaf buffers absorb collocation-induced distribution shifts without
+re-growing the trees.
+
+Routing a task to its leaf is the expensive part, and it is fixed once
+the task is built: every feature is drawn by then and the trees are
+frozen after ``fit_offline``.  So the DAG builder calls :meth:`route`
+once per build batch, one vectorized tree descent per task type, and
+stores each task's leaf on ``TaskInstance.leaf``; the two online steps
+are then an O(1) leaf-max read and a ring-buffer push, as in the
+paper.  Only :class:`~repro.core.models.QuantileTreeWCET` models are
+routed; other models, and tasks that were never routed
+(``leaf == -1``), take the per-task call on the feature vector.
 """
 
 from __future__ import annotations
@@ -126,13 +136,36 @@ class ConcordiaPredictor:
 
     # -- online phase -------------------------------------------------------------
 
+    def route(self, type_codes: np.ndarray, feats: np.ndarray) -> np.ndarray:
+        """Leaf of every row of a build batch, -1 where unrouted.
+
+        ``type_codes`` holds each row's :data:`~repro.ran.tasks.TYPE_CODE`
+        and ``feats`` the matching ``(rows, NUM_FEATURES)`` feature
+        matrix.  Rows of a task type modelled by a
+        :class:`QuantileTreeWCET` get ``leaf_indices`` over their
+        selected features, which compares the same float64 values with
+        the same ``<=`` as the per-task walk; every other row reads -1.
+        """
+        leaves = np.full(len(type_codes), -1, dtype=np.int64)
+        for task_type, model in self.models.items():
+            if type(model) is not QuantileTreeWCET:
+                continue
+            rows = np.flatnonzero(type_codes == task_type.type_code)
+            if len(rows):
+                selected = self.selected_features[task_type]
+                leaves[rows] = model.tree.leaf_indices(
+                    feats[np.ix_(rows, selected)])
+        return leaves
+
     def predict_task(self, task: TaskInstance) -> Optional[float]:
         """WCET prediction for a task instance (None when unmodelled)."""
         model = self.models.get(task.task_type)
         if model is None:
             return None
-        selected = self.selected_features[task.task_type]
         self.predictions_made += 1
+        if task.leaf >= 0:
+            return model.predict_leaf(task.leaf)
+        selected = self.selected_features[task.task_type]
         return model.predict(task.features[selected])
 
     def observe_task(self, task: TaskInstance) -> None:
@@ -140,6 +173,9 @@ class ConcordiaPredictor:
         model = self.models.get(task.task_type)
         if model is None or task.runtime_us is None:
             return
-        selected = self.selected_features[task.task_type]
         self.observations_made += 1
+        if task.leaf >= 0:
+            model.observe_leaf(task.leaf, task.runtime_us)
+            return
+        selected = self.selected_features[task.task_type]
         model.observe(task.features[selected], task.runtime_us)

@@ -14,8 +14,13 @@ with ones observed under collocation without re-growing the tree
 
 The implementation is from scratch on NumPy (the paper used
 scikit-learn offline plus generated C online; neither is needed here).
-Internal nodes are stored in flat arrays so a prediction is a simple
-loop — the predictor runs every TTI and must be cheap (Fig. 15a).
+Internal nodes are stored in flat arrays.  ``leaf_index`` walks them
+for one feature vector; ``leaf_indices`` descends a whole matrix of
+rows one tree level per pass, with the same ``<=`` comparison.  The
+simulator uses the batch form: the tree is frozen once fitted, so
+:meth:`repro.core.predictor.ConcordiaPredictor.route` routes every
+task of a DAG build batch at once, and the per-TTI steps (Fig. 15a)
+touch only the routed leaf's buffer.
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ __all__ = ["build_example_dags", "to_networkx", "render_dag", "main"]
 def build_example_dags(total_bytes: int = 24_000, seed: int = 8):
     """One UL and one DL DAG for a moderately loaded 100 MHz slot."""
     cell = cell_100mhz_tdd()
-    builder = DagBuilder(CostModel(),
-                         rng=np.random.default_rng(1))
+    builder = DagBuilder(CostModel())
     rng = np.random.default_rng(seed)
     dags = {}
     for uplink in (True, False):

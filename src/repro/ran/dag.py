@@ -188,6 +188,12 @@ def topology_for_key(kind_key: tuple) -> DagTopology:
     return topology
 
 
+#: Seed of a builder constructed without ``seed_seq``; the entropy is
+#: the first ``integers(2 ** 63)`` draw of ``default_rng(1)``, which
+#: keeps the seed-less default's draws where they have always been.
+_DEFAULT_SEED_SEQ = np.random.SeedSequence(4720721261117928063)
+
+
 class DagBuilder:
     """Factory turning :class:`SlotLoad` objects into task DAGs.
 
@@ -210,17 +216,21 @@ class DagBuilder:
     resetting a counter costs ~2 µs where hashing a fresh SeedSequence
     plus constructing a bit generator costs ~20 µs, which matters at
     one stream per DAG on the hot path.
+
+    ``router`` (the simulation's
+    :meth:`~repro.core.predictor.ConcordiaPredictor.route`) maps a
+    batch's type codes and feature matrix to predictor leaves; every
+    build stores them on ``TaskInstance.leaf``.  Without one, every
+    task's leaf is -1.
     """
 
     def __init__(self, cost_model: CostModel,
-                 rng: Optional[np.random.Generator] = None,
-                 seed_seq: Optional[np.random.SeedSequence] = None) -> None:
+                 seed_seq: Optional[np.random.SeedSequence] = None,
+                 router: Optional[Callable] = None) -> None:
         self.cost_model = cost_model
-        self.rng = rng if rng is not None else np.random.default_rng(1)
         if seed_seq is None:
-            # Deterministic fallback for callers that only pass an rng.
-            seed_seq = np.random.SeedSequence(int(self.rng.integers(2 ** 63)))
-        self._seed_seq = seed_seq
+            seed_seq = _DEFAULT_SEED_SEQ
+        self.router = router
         # One reusable Philox generator; _dag_rng re-keys its counter.
         self._philox = np.random.Philox(
             key=seed_seq.generate_state(2, np.uint64))
@@ -443,18 +453,30 @@ class DagBuilder:
         feats[:, _TASK_CB_IDX] = cbs
         feats[:, _TASK_BYTES_IDX] = tbytes
         feats[:, _RAND_IDX] = probes
+        all_tasks = list(itertools.chain.from_iterable(dag_tasks))
+        # Every feature is final here, so each task is routed to its
+        # predictor leaf once, for the whole batch.  Assigned on every
+        # build, so a recycled task never keeps a stale leaf.
+        if self.router is None:
+            leaves = itertools.repeat(-1)
+        else:
+            codes = np.fromiter(
+                (task.task_type.type_code for task in all_tasks),
+                dtype=np.int64, count=len(all_tasks))
+            leaves = self.router(codes, feats).tolist()
         # list(feats) splits the matrix into row views in one C call;
         # per-row feats[i] indexing costs a Python-level __getitem__
         # per task.
-        for task, row, cost, margin, mult, cache_u, cache_tail in zip(
-                itertools.chain.from_iterable(dag_tasks), list(feats),
-                costs, margins, mults, cache_us, cache_tails):
+        for task, row, cost, margin, mult, cache_u, cache_tail, leaf in zip(
+                all_tasks, list(feats), costs, margins, mults, cache_us,
+                cache_tails, leaves):
             task.features = row
             task.base_cost_us = cost
             task.snr_margin_db = margin
             task.stoch_mult = mult
             task.cache_u = cache_u
             task.cache_tail = cache_tail
+            task.leaf = leaf
         dag_pool = self._dag_pool
         dags = []
         for job, tasks, kind in zip(jobs, dag_tasks, kinds):

@@ -167,6 +167,12 @@ class TaskInstance:
     #: Presampled cache-interference tail magnitude, applied iff
     #: ``cache_u`` lands under the tail probability.
     cache_tail: float = 1.0
+    #: Leaf this task routes to in the tree of the predictor whose
+    #: ``route`` the builder holds
+    #: (:meth:`repro.core.predictor.ConcordiaPredictor.route`); set on
+    #: every build, and read by that predictor alone instead of a tree
+    #: walk per call.  -1 when the task was never routed.
+    leaf: int = -1
     #: Whether this task type suffers multi-core memory stalls
     #: (precomputed: the frozenset membership test costs an enum hash
     #: on every :meth:`CostModel.sample_runtime` call otherwise).

@@ -85,16 +85,14 @@ class VranPool:
         os_model: Optional[WakeupLatencyModel] = None,
         cache_model: Optional[CacheInterferenceModel] = None,
         metrics: Optional[Metrics] = None,
-        rng: Optional[np.random.Generator] = None,
         event_bus=None,
     ) -> None:
         self.engine = engine
         self.config = config
         self.policy = policy
         self.cost_model = cost_model
-        self.rng = rng if rng is not None else np.random.default_rng(3)
         self.os_model = os_model if os_model is not None else \
-            WakeupLatencyModel(rng=self.rng)
+            WakeupLatencyModel(rng=np.random.default_rng(3))
         self.cache_model = cache_model if cache_model is not None else \
             CacheInterferenceModel()
         self.metrics = metrics if metrics is not None else \

@@ -320,7 +320,6 @@ class TestTopologyTemplatesAndPlanPipeline:
     def _builder(self) -> DagBuilder:
         return DagBuilder(
             CostModel(),
-            rng=np.random.default_rng(1),
             seed_seq=np.random.SeedSequence(entropy=self.ENTROPY,
                                             spawn_key=(6,)))
 
@@ -654,7 +653,7 @@ class TestFastRngBlockSize:
 
         def builder() -> DagBuilder:
             return DagBuilder(
-                CostModel(), rng=np.random.default_rng(1),
+                CostModel(),
                 seed_seq=np.random.SeedSequence(entropy=9, spawn_key=(6,)))
 
         window = builder().costed_rows(jobs, job_rows)[4:]

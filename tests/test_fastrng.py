@@ -33,7 +33,7 @@ def _window(cost_model: CostModel, slots: int, entropy: int = 5) -> tuple:
     """``(probes, mults, cache_u, cache_tail, decode)`` over ``slots``
     uplink DAGs of one cell, drawn as one window."""
     builder = DagBuilder(
-        cost_model, rng=np.random.default_rng(1),
+        cost_model,
         seed_seq=np.random.SeedSequence(entropy=entropy, spawn_key=(6,)))
     cell = cell_20mhz_fdd("w")
     loads = [SlotLoad("w", slot, True, _ALLOCATION) for slot in range(slots)]

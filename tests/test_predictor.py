@@ -1,9 +1,13 @@
 """Tests for the Concordia predictor and offline training pipeline."""
 
+import copy
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.core.models import LinearRegressionWCET
+from repro.core.models import LinearRegressionWCET, QuantileTreeWCET
+from repro.core.scheduler import ConcordiaScheduler
 from repro.core.predictor import (
     HANDPICKED_FEATURES,
     ConcordiaPredictor,
@@ -11,7 +15,11 @@ from repro.core.predictor import (
 )
 from repro.core.training import collect_offline_dataset, train_predictor
 from repro.ran.config import PoolConfig, cell_20mhz_fdd
-from repro.ran.tasks import NUM_FEATURES, TaskInstance, TaskType
+from repro.ran.dag import DagBuilder
+from repro.ran.tasks import (NUM_FEATURES, TYPE_CODE, CostModel,
+                             TaskInstance, TaskType)
+from repro.ran.ue import SlotLoad, bytes_to_allocations
+from repro.sim.runner import Simulation
 
 
 def _synthetic_dataset(n=800, seed=0):
@@ -124,3 +132,153 @@ class TestTrainingPipeline:
         predicted = predictor.predict_task(task)
         assert predicted is not None
         assert 0 < predicted < 50 * max(y)
+
+
+def _mixed_dataset(n=600, seed=0):
+    """Decode, encode and precoding samples with different drivers."""
+    rng = np.random.default_rng(seed)
+    dataset = OfflineDataset()
+    drivers = ((TaskType.LDPC_DECODE, 10), (TaskType.LDPC_ENCODE, 11),
+               (TaskType.PRECODING, 1))
+    for task_type, feature in drivers:
+        for __ in range(n):
+            features = rng.uniform(0, 10, NUM_FEATURES)
+            runtime = 20.0 * np.floor(features[feature]) + rng.gamma(2.0, 1.0)
+            dataset.add(task_type, features, runtime)
+    return dataset
+
+
+def _copy_with_leaf(task, leaf):
+    twin = _task(task.features, task_type=task.task_type)
+    twin.runtime_us = task.runtime_us
+    twin.leaf = leaf
+    return twin
+
+
+class TestRouting:
+    """``route`` once per batch is the per-task walk, precomputed."""
+
+    @pytest.fixture(scope="class")
+    def predictor(self):
+        # Precoding gets a linear model: it must stay unrouted.
+        factories = iter([QuantileTreeWCET, QuantileTreeWCET,
+                          LinearRegressionWCET])
+        return ConcordiaPredictor(
+            model_factory=lambda: next(factories)()
+        ).fit_offline(_mixed_dataset())
+
+    @staticmethod
+    def _stream(n=400, seed=5):
+        rng = np.random.default_rng(seed)
+        types = (TaskType.LDPC_DECODE, TaskType.LDPC_ENCODE,
+                 TaskType.PRECODING, TaskType.FFT)
+        tasks = []
+        for i in range(n):
+            features = rng.uniform(-1, 11, NUM_FEATURES)
+            task = _task(features, task_type=types[i % len(types)])
+            task.runtime_us = float(rng.uniform(1.0, 300.0))
+            tasks.append(task)
+        return tasks
+
+    @staticmethod
+    def _scalar_leaf(predictor, task):
+        model = predictor.models.get(task.task_type)
+        if not isinstance(model, QuantileTreeWCET):
+            return -1
+        selected = predictor.selected_features[task.task_type]
+        return model.tree.leaf_index(task.features[selected])
+
+    def test_route_mixed_batch_equals_per_task_routing(self, predictor):
+        assert isinstance(predictor.models[TaskType.PRECODING],
+                          LinearRegressionWCET)
+        tasks = self._stream()
+        # Put rows exactly on every split threshold as well.
+        for task_type, model in predictor.models.items():
+            if not isinstance(model, QuantileTreeWCET):
+                continue
+            selected = predictor.selected_features[task_type]
+            tree = model.tree
+            same = [t for t in tasks if t.task_type is task_type]
+            for node, feature in enumerate(tree._feature):
+                if tree._leaf_id[node] < 0:
+                    task = same[node % len(same)]
+                    task.features[selected[feature]] = tree._threshold[node]
+        codes = np.array([TYPE_CODE[t.task_type] for t in tasks])
+        feats = np.stack([t.features for t in tasks])
+        leaves = predictor.route(codes, feats)
+        assert leaves.tolist() == [self._scalar_leaf(predictor, t)
+                                   for t in tasks]
+        assert (leaves >= 0).any() and (leaves == -1).any()
+        assert predictor.route(codes[:0], feats[:0]).tolist() == []
+
+    def test_routed_and_unrouted_streams_are_identical(self, predictor):
+        plain = copy.deepcopy(predictor)
+        routed = copy.deepcopy(predictor)
+        tasks = self._stream()
+        codes = np.array([TYPE_CODE[t.task_type] for t in tasks])
+        leaves = routed.route(codes, np.stack([t.features for t in tasks]))
+
+        def run(phase_tasks, phase_leaves):
+            out_plain, out_routed = [], []
+            for task, leaf in zip(phase_tasks, phase_leaves):
+                unrouted = _copy_with_leaf(task, -1)
+                twin = _copy_with_leaf(task, int(leaf))
+                out_plain.append(plain.predict_task(unrouted))
+                out_routed.append(routed.predict_task(twin))
+                plain.observe_task(unrouted)
+                routed.observe_task(twin)
+            assert out_plain == out_routed
+            return out_routed
+
+        run(tasks[:200], leaves[:200])
+        # A fresh online phase: empty leaves fall back to _global_max
+        # until they see a sample, on both paths alike.
+        for model in itertools.chain(plain.models.values(),
+                                     routed.models.values()):
+            if isinstance(model, QuantileTreeWCET):
+                model.tree.reset_online()
+        predictions = run(tasks[200:], leaves[200:])
+        global_maxes = {m._global_max for m in routed.models.values()
+                        if isinstance(m, QuantileTreeWCET)}
+        assert any(p in global_maxes for p in predictions)
+        assert plain.predictions_made == routed.predictions_made > 0
+        assert plain.observations_made == routed.observations_made > 0
+        for task_type, model in routed.models.items():
+            other = plain.models[task_type]
+            if isinstance(model, QuantileTreeWCET):
+                for a, b in zip(model.tree.leaves, other.tree.leaves):
+                    assert a.values().tolist() == b.values().tolist()
+            else:
+                assert model._residuals.values().tolist() == \
+                    other._residuals.values().tolist()
+
+    def test_builder_routes_every_build(self, predictor):
+        builder = DagBuilder(CostModel(), router=predictor.route)
+        cell = cell_20mhz_fdd()
+        jobs = []
+        for slot in range(6):
+            allocations = bytes_to_allocations(
+                20_000 + 3_000 * slot, np.random.default_rng(slot))
+            load = SlotLoad(cell.name, slot, slot % 2 == 0, allocations)
+            jobs.append((load, cell, 0.0, 2000.0, 0))
+        dags = builder.build_many(jobs)
+        tasks = [t for dag in dags for t in dag.tasks]
+        assert [t.leaf for t in tasks] == \
+            [self._scalar_leaf(predictor, t) for t in tasks]
+        assert any(t.leaf >= 0 for t in tasks)
+        # Recycled tasks are re-routed: without a router they read -1.
+        for dag in dags:
+            builder.recycle_dag(dag)
+        builder.router = None
+        rebuilt = [t for dag in builder.build_many(jobs) for t in dag.tasks]
+        assert {id(t) for t in rebuilt} & {id(t) for t in tasks}
+        assert all(t.leaf == -1 for t in rebuilt)
+
+    def test_simulation_hands_the_policy_predictor_to_its_builder(
+            self, predictor):
+        config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=4,
+                            deadline_us=2000.0)
+        routed = Simulation(config, ConcordiaScheduler(predictor))
+        assert routed.builder.router == predictor.route
+        plain = Simulation(config, ConcordiaScheduler(predictor=None))
+        assert plain.builder.router is None

@@ -184,3 +184,23 @@ def test_leaf_indices_matches_scalar_walk(seed, max_depth, min_leaf):
 def test_leaf_indices_unfitted_raises():
     with pytest.raises(RuntimeError):
         QuantileDecisionTree().leaf_indices(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_leaf_indices_matches_scalar_walk_on_shallow_trees(constant):
+    """A single-leaf tree and a one-split stump route every row, the
+    stump's threshold rows included, exactly like the scalar walk."""
+    X, y = _piecewise_dataset(n=800, seed=3)
+    if constant:
+        y = np.full(len(y), 7.0)
+    tree = QuantileDecisionTree(TreeConfig(max_depth=1)).fit(X, y)
+    assert tree.num_leaves == (1 if constant else 2)
+    probes = X.copy()
+    if not constant:
+        feature, threshold = tree._feature[0], tree._threshold[0]
+        probes[:10, feature] = threshold
+        probes[10:20, feature] = np.nextafter(threshold, np.inf)
+    batch = tree.leaf_indices(probes)
+    assert batch.tolist() == [tree.leaf_index(row) for row in probes]
+    if not constant:
+        assert set(batch[:10].tolist()) != set(batch[10:20].tolist())

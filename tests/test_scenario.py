@@ -252,7 +252,6 @@ class TestDagStreamIndependence:
 
         def build_all(order):
             builder = DagBuilder(CostModel(),
-                                 rng=np.random.default_rng(1),
                                  seed_seq=np.random.SeedSequence(42))
             out = {}
             for cell_index in order:
