@@ -12,8 +12,8 @@ Run:  python examples/collocation_study.py [num_slots]
 
 import sys
 
-from repro import pool_100mhz_2cells, train_predictor
-from repro.experiments.common import format_table, make_policy, run_simulation
+from repro import pool_100mhz_2cells
+from repro.experiments.common import format_table, run_simulation
 
 NUM_SLOTS = int(sys.argv[1]) if len(sys.argv) > 1 else 4000
 POLICIES = ("dedicated", "concordia", "flexran", "shenango", "utilization")
@@ -24,8 +24,7 @@ def main():
     config = pool_100mhz_2cells(num_cores=8)
     print(f"2 x 100 MHz TDD cells, 8 cores, deadline "
           f"{config.deadline_us:.0f} us, {NUM_SLOTS} slots per run\n")
-    # Warm the predictor cache once (Concordia reuses it per run).
-    train_cache = {}
+    # Concordia trains its predictor once; each run learns on a copy.
     rows = []
     for policy in POLICIES:
         for workload in WORKLOADS:

@@ -13,6 +13,8 @@ vRAN pool could host.  This example exercises the MAC substrate:
 Run:  python examples/mac_scheduling.py
 """
 
+import copy
+
 import numpy as np
 
 from repro import (
@@ -55,7 +57,9 @@ def pipeline_study():
     config = pool_20mhz_7cells()
     predictor = train_predictor(config, num_slots=500, seed=42)
     for mode in ("iid", "mac"):
-        sim = Simulation(config, ConcordiaScheduler(predictor),
+        # Online learning changes the predictor: each mode starts from
+        # the offline-trained model, not from the other mode's run.
+        sim = Simulation(config, ConcordiaScheduler(copy.deepcopy(predictor)),
                          workload="redis", load_fraction=0.4, seed=3,
                          allocation_mode=mode)
         result = sim.run(2500)

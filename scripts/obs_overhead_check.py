@@ -29,13 +29,13 @@ import time
 
 def timed_run(slots: int, seed: int, with_bus: bool):
     """One simulation; returns (wall_s, result, bus-or-None)."""
-    from repro.experiments.common import make_policy
     from repro.obs.events import EventBus
     from repro.ran.config import pool_20mhz_7cells
+    from repro.scenario import build_policy
     from repro.sim.runner import Simulation
 
     config = pool_20mhz_7cells(num_cores=8)
-    policy = make_policy("concordia-noml", config)
+    policy = build_policy("concordia-noml", config)
     bus = EventBus() if with_bus else None
     simulation = Simulation(config, policy, workload="redis",
                             load_fraction=0.5, seed=seed, event_bus=bus)

@@ -126,6 +126,19 @@ class ConcordiaScheduler(SchedulerPolicy):
             return task.predicted_wcet_us
         return task.base_cost_us * self.wcet_fallback_margin
 
+    def route(self, type_codes, feats):
+        """The predictor's leaf routing of one build batch, timed.
+
+        The simulation's DAG builder calls this once per build batch
+        (:meth:`ConcordiaPredictor.route`).  Routing is the tree-walk
+        half of prediction, so its wall time counts into the same
+        ``scheduler/prediction_wall_s`` as :meth:`on_slot_start`.
+        """
+        start = time.perf_counter()
+        leaves = self.predictor.route(type_codes, feats)
+        self._prediction_wall.value += time.perf_counter() - start
+        return leaves
+
     def on_slot_start(self, dags: list, now: float) -> None:
         """Predict every task's WCET and register the new DAGs."""
         start = time.perf_counter()

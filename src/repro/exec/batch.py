@@ -325,8 +325,6 @@ def _warm_predictors(specs: Sequence[SimSpec]) -> None:
     for spec in specs:
         if spec.policy != "concordia" or spec.training_slots is None:
             continue
-        if "predictor" in spec.policy_kwargs:
-            continue
         key = canonical_json({"config": spec.config,
                               "seed": spec.training_seed,
                               "slots": spec.training_slots})

@@ -6,10 +6,13 @@ pools work, not just the named Table 1/2 deployments), the policy and
 its kwargs, the workload, load fraction, slot budget, the simulation
 seed and the predictor-training budget.  Two properties follow:
 
-* **hermetic execution** — :func:`execute_spec` builds everything it
+* **hermetic execution** — :func:`run_spec` builds everything it
   needs from the spec alone, including a private copy of the trained
   predictor, so a spec's result is a pure function of its payload and
-  the model sources.  Serial and parallel execution are byte-identical.
+  the model sources.  It is the only run path: :func:`execute_spec`
+  (the batch runner's job) and ``run_simulation`` (cached or not) both
+  call it, so serial, parallel, cached and uncached runs are
+  byte-identical.
 * **content addressing** — :func:`spec_key` hashes the canonical JSON
   payload together with the model fingerprint, giving the on-disk
   cache key.
@@ -22,13 +25,16 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..ran.config import PoolConfig
 
 # The pool converters now live in the scenario layer; re-exported here
 # because spec payloads and downstream callers grew around these names.
 from ..scenario.scenario import pool_config_from_dict, pool_config_to_dict
+
+if TYPE_CHECKING:
+    from ..sim.runner import SimulationResult
 
 __all__ = [
     "SimSpec",
@@ -37,6 +43,7 @@ __all__ = [
     "pool_config_from_dict",
     "pool_config_to_dict",
     "predictor_cache_key",
+    "run_spec",
     "spec_key",
 ]
 
@@ -58,8 +65,10 @@ class SimSpec:
 
     ``policy_kwargs``/``sim_kwargs`` must hold JSON scalars and
     containers only; passing live objects (e.g. a trained predictor)
-    raises :class:`SpecError` at construction, and callers fall back
-    to direct, uncached execution.  ``knobs`` is a free-form dict that
+    raises :class:`SpecError` at construction — a caller's predictor
+    is :func:`run_spec`'s argument instead.  ``sim_kwargs`` holds
+    :class:`~repro.scenario.Scenario` field names (``traffic``,
+    ``allocation``, ``harq``, ...).  ``knobs`` is a free-form dict that
     participates in the hash — used for forward-compatible extensions
     and for the batch runner's fault-injection tests.
     """
@@ -162,66 +171,57 @@ def _apply_test_hooks(spec: SimSpec, attempt: int) -> None:
         time.sleep(float(sleep_s))
 
 
-def _scenario_kwargs(sim_kwargs: dict) -> dict:
-    """Map legacy ``sim_kwargs`` spec names onto Scenario fields.
+def run_spec(spec: SimSpec, predictor=None,
+             event_bus=None) -> "SimulationResult":
+    """Build and run the simulation a spec describes.
 
-    Specs predate the scenario layer and carry ``Simulation``'s old
-    keyword names; existing cache keys hash those payloads, so the
-    spec schema keeps them and the translation happens here.
+    The one run path: :func:`execute_spec`, the batch runner and
+    :func:`repro.experiments.common.run_simulation` (cached or not) all
+    come through here, so equal specs give equal results on every path.
+    The policy learns online on a private model: a caller-owned
+    ``predictor`` is copied before the run, and a ``concordia`` spec
+    without one gets a copy of the trained model for exactly
+    ``(config, training_seed, training_slots)``
+    (:func:`repro.experiments.common.private_predictor`).  Neither
+    argument nor the process cache is changed by the run.
+
+    ``event_bus`` (a ``repro.obs.events.EventBus``) records the run's
+    structured events; it does not affect the result.
     """
-    kwargs = dict(sim_kwargs)
-    # Sweeps used to pin an engine choice; the array kernel now runs
-    # wherever its static gates hold, so the key carries nothing.
-    kwargs.pop("engine_mode", None)
-    if "profiling_traffic" in kwargs:
-        kwargs["traffic"] = ("profiling" if kwargs.pop("profiling_traffic")
-                             else "model")
-    if "allocation_mode" in kwargs:
-        kwargs["allocation"] = kwargs.pop("allocation_mode")
-    if "mix_interval_us" in kwargs:
-        kwargs["mix_interval_us"] = tuple(kwargs["mix_interval_us"])
-    return kwargs
+    # Imported lazily: experiments.common imports this module, and the
+    # scenario package's build_simulation is looked up per call.
+    from ..experiments.common import private_predictor
+    from ..scenario import Scenario, build_simulation
+
+    config = pool_config_from_dict(spec.config)
+    if predictor is not None:
+        predictor = copy.deepcopy(predictor)
+    elif spec.policy == "concordia":
+        predictor = private_predictor(config, seed=spec.training_seed,
+                                      num_slots=spec.training_slots)
+    scenario = Scenario(
+        pool=config,
+        policy=spec.policy,
+        policy_params=dict(spec.policy_kwargs),
+        workload=spec.workload,
+        load_fraction=spec.load_fraction,
+        seed=spec.seed,
+        **spec.sim_kwargs,
+    )
+    simulation = build_simulation(scenario, predictor=predictor,
+                                  policy_seed=spec.training_seed,
+                                  event_bus=event_bus)
+    return simulation.run(spec.num_slots)
 
 
 def execute_spec(spec: SimSpec, attempt: int = 0,
                  event_bus=None) -> dict:
     """Run one spec to completion; returns the JSON-able result payload.
 
-    Hermetic: the predictor (when the policy needs one) is trained —
-    or reloaded from the active cache — for exactly
-    ``(config, training_seed, training_slots)`` and then deep-copied,
-    so this simulation's online learning never leaks into another
-    run.  The result is therefore a pure function of the spec.
-
-    ``event_bus`` (a ``repro.obs.events.EventBus``) records the run's
-    structured events for tracing/post-mortems.  It does not affect
-    the result payload, so cached and live results stay identical;
-    the registry *telemetry* snapshot always rides in the payload.
+    :func:`run_spec`'s result as ``to_dict()``, a pure function of the
+    spec.  The registry *telemetry* snapshot always rides in the
+    payload; ``event_bus`` leaves it unchanged, so cached and live
+    results stay identical.
     """
-    # Imported lazily: experiments.common imports this module.
-    from ..experiments.common import get_predictor
-    from ..scenario import Scenario, build_simulation
-
     _apply_test_hooks(spec, attempt)
-    config = pool_config_from_dict(spec.config)
-    predictor = None
-    policy_kwargs = dict(spec.policy_kwargs)
-    if (spec.policy == "concordia" and "predictor" not in policy_kwargs
-            and spec.training_slots is not None):
-        base = get_predictor(config, seed=spec.training_seed,
-                             num_slots=spec.training_slots)
-        predictor = copy.deepcopy(base)
-    scenario = Scenario(
-        pool=config,
-        policy=spec.policy,
-        policy_params=policy_kwargs,
-        workload=spec.workload,
-        load_fraction=spec.load_fraction,
-        seed=spec.seed,
-        **_scenario_kwargs(spec.sim_kwargs),
-    )
-    simulation = build_simulation(scenario, predictor=predictor,
-                                  policy_seed=spec.training_seed,
-                                  event_bus=event_bus)
-    result = simulation.run(spec.num_slots)
-    return result.to_dict()
+    return run_spec(spec, event_bus=event_bus).to_dict()

@@ -7,7 +7,6 @@ figure from the paper.  They share:
   process-local, and persisted through :mod:`repro.exec`'s on-disk
   cache when one is active so parallel workers and later runs reload
   instead of re-training;
-* policy factories by name;
 * a slot-budget scale — set the ``REPRO_SCALE`` environment variable to
   run longer (e.g. ``REPRO_SCALE=10`` for tighter tail percentiles) or
   shorter experiments than the defaults;
@@ -19,6 +18,7 @@ figure from the paper.  They share:
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from typing import Optional, Sequence
@@ -29,21 +29,18 @@ from ..exec.cache import active_cache
 from ..exec.fingerprint import model_fingerprint
 from ..exec.spec import (
     SimSpec,
-    SpecError,
-    execute_spec,
     pool_config_to_dict,
     predictor_cache_key,
-    spec_key,
+    run_spec,
 )
 from ..ran.config import PoolConfig
-from ..scenario import Scenario, build_policy, build_simulation
 from ..sim.runner import SimulationResult
 
 __all__ = [
     "scaled_slots",
     "repro_scale",
     "get_predictor",
-    "make_policy",
+    "private_predictor",
     "make_spec",
     "run_simulation",
     "run_spec_batch",
@@ -115,13 +112,18 @@ def get_predictor(config: PoolConfig, seed: int = 42,
     return _PREDICTOR_CACHE[key]
 
 
-def make_policy(name: str, config: PoolConfig, seed: int = 42, **kwargs):
-    """Instantiate a scheduling policy by name.
+def private_predictor(config: PoolConfig, seed: int = 42,
+                      num_slots: Optional[int] = None) -> ConcordiaPredictor:
+    """A private copy of the trained predictor for one run.
 
-    Thin wrapper over :func:`repro.scenario.build_policy` kept for the
-    experiment drivers; the scenario layer owns the name → class map.
+    The only way a model from the process cache reaches a policy:
+    online learning mutates the leaf ring buffers, so every run learns
+    on its own copy and the cached model stays as training left it.
+    Used by :func:`repro.exec.spec.run_spec` and by
+    :func:`repro.scenario.build_policy` when no predictor is given.
     """
-    return build_policy(name, config, seed=seed, **kwargs)
+    return copy.deepcopy(get_predictor(config, seed=seed,
+                                       num_slots=num_slots))
 
 
 def make_spec(
@@ -142,8 +144,7 @@ def make_spec(
     hermetic with respect to ``REPRO_SCALE`` at submission time.
     """
     training_slots = None
-    policy_kwargs = dict(policy_kwargs or {})
-    if policy_name == "concordia" and "predictor" not in policy_kwargs:
+    if policy_name == "concordia":
         training_slots = _training_slots(None)
     return SimSpec(
         config=pool_config_to_dict(config),
@@ -152,7 +153,7 @@ def make_spec(
         load_fraction=load_fraction,
         num_slots=num_slots,
         seed=seed,
-        policy_kwargs=policy_kwargs,
+        policy_kwargs=dict(policy_kwargs or {}),
         sim_kwargs=sim_kwargs,
         training_slots=training_slots,
         training_seed=42,
@@ -172,62 +173,27 @@ def run_simulation(
 ) -> SimulationResult:
     """One full experiment run with a named policy.
 
-    When a result cache is active (``REPRO_CACHE=1``, a ``repro
-    sweep``, or an :func:`repro.exec.cache.activated_cache` scope), the
-    call is routed through it: a hit returns the stored result without
-    simulating, a miss executes hermetically and stores the artifact.
-    Cached results carry ``metrics=None``/``pool=None`` — callers that
-    consume those live objects must pass ``use_cache=False``.
-    Calls that cannot be expressed as a spec (live objects in
-    ``policy_kwargs``) silently bypass the cache.
+    The call becomes one spec (:func:`make_spec`) run by
+    :func:`repro.exec.spec.run_spec`, so it is a pure function of its
+    arguments: a ``predictor`` in ``policy_kwargs`` is copied, never
+    trained in place.  When a result cache is active (``REPRO_CACHE=1``,
+    a ``repro sweep``, or an :func:`repro.exec.cache.activated_cache`
+    scope), the spec goes through the cache as a one-job batch
+    (:func:`run_spec_batch`): a hit returns the stored result, a miss
+    runs and stores it.  Cached results carry ``metrics=None``/
+    ``pool=None`` — callers that consume those live objects must pass
+    ``use_cache=False``.  A caller-owned predictor has no spec address,
+    so such a call bypasses the cache.
     """
-    cache = active_cache() if use_cache is not False else None
-    if cache is not None:
-        try:
-            spec = make_spec(config, policy_name, workload=workload,
-                             load_fraction=load_fraction,
-                             num_slots=num_slots, seed=seed,
-                             policy_kwargs=policy_kwargs, **sim_kwargs)
-        except SpecError:
-            spec = None
-        if spec is not None:
-            key = spec_key(spec, model_fingerprint())
-            artifact = cache.get(key)
-            if artifact is not None:
-                try:
-                    return SimulationResult.from_dict(artifact["result"])
-                except ValueError:
-                    # Result-schema bump since the artifact was written:
-                    # treat as a miss and re-execute rather than crash.
-                    artifact = None
-            payload = execute_spec(spec)
-            cache.put(key, {
-                "schema": 1,
-                "key": key,
-                "fingerprint": model_fingerprint(),
-                "spec": spec.to_dict(),
-                "result": payload,
-                "meta": {},
-            })
-            return SimulationResult.from_dict(payload)
-
-    from ..exec.spec import _scenario_kwargs
-
-    scenario = Scenario(
-        pool=config,
-        policy=policy_name,
-        policy_params={},
-        workload=workload,
-        load_fraction=load_fraction,
-        seed=seed,
-        **_scenario_kwargs(sim_kwargs),
-    )
     policy_kwargs = dict(policy_kwargs or {})
     predictor = policy_kwargs.pop("predictor", None)
-    scenario.policy_params = policy_kwargs
-    simulation = build_simulation(scenario, predictor=predictor,
-                                  policy_seed=42)
-    return simulation.run(num_slots)
+    spec = make_spec(config, policy_name, workload=workload,
+                     load_fraction=load_fraction, num_slots=num_slots,
+                     seed=seed, policy_kwargs=policy_kwargs, **sim_kwargs)
+    cache = active_cache() if use_cache is not False else None
+    if cache is None or predictor is not None:
+        return run_spec(spec, predictor=predictor)
+    return run_spec_batch([spec], jobs=1, cache=cache, retries=0)[0]
 
 
 def run_spec_batch(specs: Sequence[SimSpec], jobs: Optional[int] = None,

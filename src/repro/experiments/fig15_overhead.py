@@ -15,7 +15,9 @@
 from __future__ import annotations
 
 from ..ran.config import PoolConfig, cell_20mhz_fdd, pool_20mhz_7cells
-from .common import format_table, make_policy, run_simulation, scaled_slots
+from ..scenario import build_policy
+from ..sim.runner import Simulation
+from .common import format_table, run_simulation, scaled_slots
 
 __all__ = ["run_overhead", "run_deadline_sweep", "main"]
 
@@ -29,8 +31,7 @@ def run_overhead(num_slots: int = None, seed: int = 7,
     for num_cells in cell_counts:
         cells = tuple(cell_20mhz_fdd(f"c{i}") for i in range(num_cells))
         config = PoolConfig(cells=cells, num_cores=8, deadline_us=2000.0)
-        policy = make_policy("concordia", config)
-        from ..sim.runner import Simulation
+        policy = build_policy("concordia", config)
         simulation = Simulation(config, policy, workload="none",
                                 load_fraction=0.6, seed=seed)
         result = simulation.run(num_slots)

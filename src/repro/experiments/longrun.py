@@ -12,7 +12,9 @@ first and second half of the run).
 from __future__ import annotations
 
 from ..ran.config import pool_20mhz_7cells
-from .common import get_predictor, make_policy, scaled_slots
+from ..scenario import build_policy
+from ..sim.runner import Simulation
+from .common import scaled_slots
 
 __all__ = ["run", "main"]
 
@@ -23,20 +25,18 @@ def run(num_slots: int = None, num_windows: int = 4, seed: int = 19,
 
     Returns per-window miss statistics plus the aggregate. Windows are
     independent seeded runs (the simulator is stationary, so windowing
-    parallels the paper's continuous 8-hour run while bounding memory).
+    parallels the paper's continuous 8-hour run while bounding memory),
+    each starting from its own copy of the offline-trained predictor.
     """
-    from ..sim.runner import Simulation
-
     if num_slots is None:
         num_slots = scaled_slots(10_000)
     config = pool_20mhz_7cells()
-    predictor = get_predictor(config)
     windows = []
     total_slots = 0
     total_misses = 0
     worst_latency = 0.0
     for window in range(num_windows):
-        policy = make_policy("concordia", config, predictor=predictor)
+        policy = build_policy("concordia", config)
         simulation = Simulation(config, policy, workload="mix",
                                 load_fraction=load_fraction,
                                 seed=seed + window)

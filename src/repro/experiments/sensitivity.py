@@ -14,16 +14,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..baselines.flexran import FlexRanScheduler
-from ..core.scheduler import ConcordiaScheduler
 from ..ran.config import pool_20mhz_7cells
+from ..scenario import build_policy
 from ..sim.osmodel import (
     COLLOCATED_BUCKETS,
     LatencyBucket,
     WakeupLatencyModel,
 )
 from ..sim.runner import Simulation
-from .common import format_table, get_predictor, scaled_slots
+from .common import format_table, scaled_slots
 
 __all__ = ["run", "main", "KNOBS"]
 
@@ -56,13 +55,11 @@ def _scaled_buckets(factor: float):
 def _run_pair(knob: str, factor: float, num_slots: int, seed: int) -> dict:
     """Concordia + FlexRAN under one perturbed model."""
     config = pool_20mhz_7cells()
-    predictor = get_predictor(config)
     out = {}
     for policy_name in ("concordia", "flexran"):
-        policy = ConcordiaScheduler(predictor) if policy_name == "concordia" \
-            else FlexRanScheduler()
-        simulation = Simulation(config, policy, workload="redis",
-                                load_fraction=0.5, seed=seed)
+        simulation = Simulation(config, build_policy(policy_name, config),
+                                workload="redis", load_fraction=0.5,
+                                seed=seed)
         if knob == "runtime_noise":
             simulation.cost_model.noise_sigma *= factor
         elif knob == "kernel_stall_prob":

@@ -218,6 +218,7 @@ class DagBuilder:
     one stream per DAG on the hot path.
 
     ``router`` (the simulation's
+    :meth:`~repro.core.scheduler.ConcordiaScheduler.route`, a timed
     :meth:`~repro.core.predictor.ConcordiaPredictor.route`) maps a
     batch's type codes and feature matrix to predictor leaves; every
     build stores them on ``TaskInstance.leaf``.  Without one, every

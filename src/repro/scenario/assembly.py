@@ -1,11 +1,17 @@
 """Assembly: turn a :class:`~repro.scenario.Scenario` into live objects.
 
 This is the single factory through which every entry point — the CLI,
-:func:`repro.exec.spec.execute_spec`, the experiment drivers and ad-hoc
+:func:`repro.exec.spec.run_spec`, the experiment drivers and ad-hoc
 scripts — builds a runnable :class:`~repro.sim.runner.Simulation`.
 Anything that is *not* plain data (a trained predictor, a pre-built
 policy instance, an observability event bus) enters here as an explicit
 keyword argument instead of hiding inside the scenario.
+
+A trained model from the process cache reaches a policy only as a
+private copy (:func:`repro.experiments.common.private_predictor`), so
+building and running a simulation that trains its own model never
+changes another run.  A predictor the caller passes in is used as it
+is: the caller owns it, and its online learning with it.
 """
 
 from __future__ import annotations
@@ -35,15 +41,17 @@ def build_policy(name: str, config: PoolConfig, seed: int = 42,
 
     ``predictor`` short-circuits the default offline training for the
     full ``concordia`` policy (callers that train or cache their own
-    model pass it here); all other policies ignore it.
+    model pass it here, and the policy learns on it as it is); without
+    one the policy gets a private copy of the model trained for
+    ``(config, seed)``.  All other policies ignore it.
     """
     if name == "concordia":
         predictor = kwargs.pop("predictor", predictor)
         if predictor is None:
             # Lazy: experiments.common owns the training/cache plumbing
             # and itself imports this package.
-            from ..experiments.common import get_predictor
-            predictor = get_predictor(config, seed=seed)
+            from ..experiments.common import private_predictor
+            predictor = private_predictor(config, seed=seed)
         return ConcordiaScheduler(predictor, **kwargs)
     if name == "concordia-noml":
         return ConcordiaScheduler(predictor=None, **kwargs)

@@ -329,12 +329,13 @@ class Simulation:
         self.engine = Engine()
         self.cost_model = CostModel()
         # The policy's predictor routes each built task to its leaf
-        # once per build batch (ConcordiaPredictor.route).
+        # once per build batch, through the policy's timed
+        # ConcordiaScheduler.route.
         predictor = getattr(policy, "predictor", None)
         self.builder = DagBuilder(
             self.cost_model,
             seed_seq=np.random.SeedSequence(entropy=seed, spawn_key=(6,)),
-            router=None if predictor is None else predictor.route)
+            router=None if predictor is None else policy.route)
         self.metrics = Metrics(pool_config.num_cores)
         cache_model = CacheInterferenceModel()
         self.event_bus = event_bus

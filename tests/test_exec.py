@@ -10,12 +10,14 @@ import os
 
 import pytest
 
+from repro.core.models import QuantileTreeWCET
 from repro.core.training import train_predictor
 from repro.exec import (
     ResultCache,
     SimSpec,
     SpecError,
     activated_cache,
+    execute_spec,
     model_fingerprint,
     pool_config_from_dict,
     pool_config_to_dict,
@@ -23,8 +25,15 @@ from repro.exec import (
     spec_key,
 )
 from repro.exec.batch import default_jobs
-from repro.experiments.common import make_spec, repro_scale, run_simulation
+from repro.exec.digest import result_digest
+from repro.experiments.common import (
+    get_predictor,
+    make_spec,
+    repro_scale,
+    run_simulation,
+)
 from repro.ran.config import PoolConfig, cell_20mhz_fdd, pool_20mhz_7cells
+from repro.scenario import build_policy
 
 
 def small_config(num_cores: int = 4) -> PoolConfig:
@@ -204,6 +213,35 @@ class TestBatchRunner:
         assert events[0]["total"] == 1
 
 
+#: Concordia on ``tiny_config()``: enough slots that online learning
+#: changes later predictions, so a run that trained a shared model in
+#: place would change the next run's result.  Each test runs its own
+#: seed: a model that has already learned one run's runtimes would no
+#: longer change on a repeat of that run.
+HERMETIC_SLOTS = 300
+
+
+@pytest.fixture
+def small_training_budget(monkeypatch):
+    monkeypatch.setenv("REPRO_SCALE", "0.1")  # 300 training slots
+
+
+def _concordia(seed, **kwargs):
+    return run_simulation(tiny_config(), "concordia", workload="redis",
+                          load_fraction=0.8, num_slots=HERMETIC_SLOTS,
+                          seed=seed, **kwargs)
+
+
+def _predictor_state(predictor) -> list:
+    """Every leaf buffer and counter of a quantile-tree predictor."""
+    state = [predictor.predictions_made, predictor.observations_made]
+    for task_type, model in sorted(predictor.models.items(),
+                                   key=lambda item: item[0].name):
+        assert isinstance(model, QuantileTreeWCET)
+        state.append([leaf.values().tolist() for leaf in model.tree.leaves])
+    return state
+
+
 class TestRunSimulationRouting:
     def test_hit_returns_identical_payload(self, tmp_path):
         config = small_config()
@@ -234,6 +272,43 @@ class TestRunSimulationRouting:
         # spec, so the call must bypass the cache entirely.
         assert result.metrics is not None
         assert cache.hits == 0 and cache.misses == 0
+
+    # Cached, uncached and batched runs are one pure function: a
+    # trained model reaches a policy only as a private copy, so no run
+    # changes another through the process's predictor cache.
+
+    @pytest.mark.usefixtures("small_training_budget")
+    def test_two_uncached_concordia_calls_are_equal(self):
+        first = _concordia(5, use_cache=False)
+        second = _concordia(5, use_cache=False)
+        assert result_digest(first) == result_digest(second)
+
+    @pytest.mark.usefixtures("small_training_budget")
+    def test_cached_uncached_and_spec_payloads_are_equal(self, tmp_path):
+        uncached = _concordia(6, use_cache=False)
+        with activated_cache(ResultCache(tmp_path)) as cache:
+            cached = _concordia(6)
+        assert cache.misses == 1
+        spec = make_spec(tiny_config(), "concordia", workload="redis",
+                         load_fraction=0.8, num_slots=HERMETIC_SLOTS,
+                         seed=6)
+        payload = execute_spec(spec)
+        assert result_digest(uncached) == result_digest(cached) == \
+            result_digest(payload)
+
+    def test_caller_predictor_is_not_trained_in_place(self):
+        predictor = train_predictor(tiny_config(), num_slots=300, seed=42)
+        before = _predictor_state(predictor)
+        result = _concordia(7, policy_kwargs={"predictor": predictor})
+        assert result.latency.count > 0
+        assert _predictor_state(predictor) == before
+        assert predictor.predictions_made == 0
+
+    @pytest.mark.usefixtures("small_training_budget")
+    def test_build_policy_gets_a_private_model(self):
+        config = tiny_config()
+        assert build_policy("concordia", config).predictor is not \
+            get_predictor(config)
 
 
 class TestPredictorPersistence:

@@ -22,11 +22,11 @@ from repro.experiments import (
 from repro.experiments.common import (
     format_table,
     get_predictor,
-    make_policy,
     run_simulation,
     scaled_slots,
 )
 from repro.ran.config import pool_20mhz_7cells
+from repro.scenario import build_policy
 
 
 class TestCommon:
@@ -40,10 +40,10 @@ class TestCommon:
         config = pool_20mhz_7cells()
         for name in ("concordia-noml", "flexran", "dedicated",
                      "shenango", "utilization"):
-            policy = make_policy(name, config)
+            policy = build_policy(name, config)
             assert policy is not None
         with pytest.raises(ValueError):
-            make_policy("nonexistent", config)
+            build_policy("nonexistent", config)
 
     def test_predictor_cache_reuses(self):
         config = pool_20mhz_7cells()

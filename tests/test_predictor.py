@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -279,6 +280,28 @@ class TestRouting:
         config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=4,
                             deadline_us=2000.0)
         routed = Simulation(config, ConcordiaScheduler(predictor))
-        assert routed.builder.router == predictor.route
+        assert routed.builder.router == routed.policy.route
         plain = Simulation(config, ConcordiaScheduler(predictor=None))
         assert plain.builder.router is None
+
+    def test_routing_time_counts_as_prediction(self, predictor):
+        # Fig. 15a's predictor column reads scheduler/prediction_wall_s;
+        # the leaf routing done at build time is part of that cost.
+        routed = copy.deepcopy(predictor)
+        route = routed.route
+        batches = []
+
+        def slow_route(codes, feats):
+            batches.append(len(codes))
+            time.sleep(0.05)
+            return route(codes, feats)
+
+        routed.route = slow_route
+        config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=4,
+                            deadline_us=2000.0)
+        result = Simulation(config, ConcordiaScheduler(routed),
+                            seed=3).run(20)
+        counters = result.telemetry["counters"]
+        assert batches and sum(batches) > 0
+        assert counters["scheduler/prediction_wall_s"] >= \
+            0.05 * len(batches)

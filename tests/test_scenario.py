@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.exec.spec import _scenario_kwargs
 from repro.fleet import FleetScenario
 
 from repro.ran.config import PoolConfig, pool_20mhz_7cells
@@ -109,10 +108,6 @@ class TestScenario:
         legacy = dict(default, engine_mode=engine_mode)
         loaded = FleetScenario.from_dict(legacy)
         assert json.dumps(loaded.to_dict()) == json.dumps(default)
-
-    def test_spec_drops_removed_engine_mode_key(self):
-        assert _scenario_kwargs({"engine_mode": "array", "harq": True}) \
-            == {"harq": True}
 
     def test_invalid_allocation_raises(self):
         with pytest.raises(ValueError, match="allocation"):
