@@ -11,8 +11,9 @@ minutes).
 
 Execution opt-ins (see :mod:`repro.exec`):
 
-* ``REPRO_JOBS=N`` — the spec-batch drivers (Fig. 8, 11, 14 and any
-  future grid) fan their simulations out over N worker processes;
+* ``REPRO_JOBS=N`` — the spec-batch drivers (Fig. 8, 11, 14, the
+  long-run reliability windows and any future grid) fan their
+  simulations out over N worker processes;
   results are byte-identical to a serial run.
 * ``REPRO_CACHE=1`` — simulations route through the persistent result
   cache under ``results/cache`` (``REPRO_CACHE_DIR`` overrides), so a

@@ -12,12 +12,7 @@ Attaches the FPGA LDPC offload model to a 100 MHz TDD pool and shows:
 Run:  python examples/accelerator_offload.py
 """
 
-from repro import (
-    ConcordiaScheduler,
-    DedicatedScheduler,
-    Simulation,
-    train_predictor,
-)
+from repro import Scenario, build_simulation, train_predictor
 from repro.accel.offload import (
     Accelerator,
     AcceleratorConfig,
@@ -28,9 +23,9 @@ from repro.accel.offload import (
 NUM_SLOTS = 3000
 
 
-def run(config, policy, seed=5, workload="none"):
-    simulation = Simulation(config, policy, workload=workload,
-                            load_fraction=1.0, seed=seed)
+def run(config):
+    simulation = build_simulation(Scenario(
+        pool=config, policy="dedicated", load_fraction=1.0, seed=5))
     accel = attach_accelerator(
         simulation.pool,
         Accelerator(simulation.engine,
@@ -46,7 +41,7 @@ def main():
     for cells in (1, 2, 3):
         for cores in range(1, 7):
             config = pool_100mhz_accel(num_cells=cells, num_cores=cores)
-            result, accel = run(config, DedicatedScheduler())
+            result, accel = run(config)
             if result.latency.miss_fraction < 1e-3:
                 print(f"  {cells} cell(s): {cores} core(s), CPU util "
                       f"{result.vran_utilization * 100:4.1f}%, FPGA served "
@@ -56,7 +51,7 @@ def main():
     print("\nTable 4 - where the CPU time goes (1 cell, 1 core):")
     config = pool_100mhz_accel(num_cells=1, num_cores=1,
                                deadline_us=4000.0)
-    result, accel = run(config, DedicatedScheduler())
+    result, accel = run(config)
     print(f"  total accelerator busy time: {accel.busy_time_us / 1e6:.2f} "
           f"core-seconds vs CPU busy "
           f"{result.metrics.busy_core_time_us / 1e6:.2f}")
@@ -67,8 +62,10 @@ def main():
           "Redis collocated):")
     config = pool_100mhz_accel(num_cells=2, num_cores=4)
     predictor = train_predictor(config, num_slots=500, seed=42)
-    simulation = Simulation(config, ConcordiaScheduler(predictor),
-                            workload="redis", load_fraction=1.0, seed=5)
+    simulation = build_simulation(
+        Scenario(pool=config, policy="concordia", workload="redis",
+                 load_fraction=1.0, seed=5),
+        predictor=predictor)
     attach_accelerator(
         simulation.pool,
         Accelerator(simulation.engine, AcceleratorConfig(pipelines=4)))

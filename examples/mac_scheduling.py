@@ -6,7 +6,7 @@ vRAN pool could host.  This example exercises the MAC substrate:
 
 1. proportional-fair vs round-robin radio scheduling on a cell with
    polarized channel conditions (throughput/fairness tradeoff);
-2. the full pipeline with ``allocation_mode="mac"``: buffer-driven,
+2. the full pipeline with ``allocation="mac"``: buffer-driven,
    temporally correlated allocations feeding the PHY DAGs, with
    Concordia still meeting the slot deadline.
 
@@ -18,8 +18,8 @@ import copy
 import numpy as np
 
 from repro import (
-    ConcordiaScheduler,
-    Simulation,
+    Scenario,
+    build_simulation,
     pool_20mhz_7cells,
     train_predictor,
 )
@@ -59,9 +59,10 @@ def pipeline_study():
     for mode in ("iid", "mac"):
         # Online learning changes the predictor: each mode starts from
         # the offline-trained model, not from the other mode's run.
-        sim = Simulation(config, ConcordiaScheduler(copy.deepcopy(predictor)),
-                         workload="redis", load_fraction=0.4, seed=3,
-                         allocation_mode=mode)
+        sim = build_simulation(
+            Scenario(pool=config, policy="concordia", workload="redis",
+                     load_fraction=0.4, seed=3, allocation=mode),
+            predictor=copy.deepcopy(predictor))
         result = sim.run(2500)
         print(f"   mode={mode:4s}: miss={result.latency.miss_fraction:.2e} "
               f"p99.99={result.latency.p9999_us:6.0f} us  "

@@ -10,9 +10,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    ConcordiaScheduler,
-    FlexRanScheduler,
-    Simulation,
+    Scenario,
+    build_simulation,
     pool_20mhz_7cells,
     train_predictor,
 )
@@ -50,14 +49,15 @@ def main():
               f"{model.tree.num_leaves:3d} leaves")
 
     print(f"\nConcordia + Redis at {LOAD * 100:.0f}% cell load:")
-    sim = Simulation(config, ConcordiaScheduler(predictor),
-                     workload="redis", load_fraction=LOAD, seed=1)
+    scenario = Scenario(pool=config, policy="concordia", workload="redis",
+                        load_fraction=LOAD, seed=1)
+    sim = build_simulation(scenario, predictor=predictor)
     describe(sim.run(NUM_SLOTS))
 
     print("\nVanilla FlexRAN + Redis (the baseline):")
-    sim = Simulation(config, FlexRanScheduler(), workload="redis",
-                     load_fraction=LOAD, seed=1)
-    describe(sim.run(NUM_SLOTS))
+    scenario = Scenario(pool=config, policy="flexran", workload="redis",
+                        load_fraction=LOAD, seed=1)
+    describe(build_simulation(scenario).run(NUM_SLOTS))
 
     print("\nConcordia reclaims idle vRAN CPU for Redis while keeping "
           "the slot deadline;\nthe baseline shares more aggressively but "

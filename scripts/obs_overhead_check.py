@@ -31,14 +31,14 @@ def timed_run(slots: int, seed: int, with_bus: bool):
     """One simulation; returns (wall_s, result, bus-or-None)."""
     from repro.obs.events import EventBus
     from repro.ran.config import pool_20mhz_7cells
-    from repro.scenario import build_policy
-    from repro.sim.runner import Simulation
+    from repro.scenario import Scenario, build_simulation
 
-    config = pool_20mhz_7cells(num_cores=8)
-    policy = build_policy("concordia-noml", config)
     bus = EventBus() if with_bus else None
-    simulation = Simulation(config, policy, workload="redis",
-                            load_fraction=0.5, seed=seed, event_bus=bus)
+    simulation = build_simulation(
+        Scenario(pool=pool_20mhz_7cells(num_cores=8),
+                 policy="concordia-noml", workload="redis",
+                 load_fraction=0.5, seed=seed),
+        event_bus=bus)
     start = time.perf_counter()
     result = simulation.run(slots)
     return time.perf_counter() - start, result, bus

@@ -14,13 +14,14 @@ with best-effort workloads, including:
 
 Quickstart::
 
-    from repro import (pool_20mhz_7cells, train_predictor,
-                       ConcordiaScheduler, Simulation)
+    from repro import (Scenario, build_simulation, pool_20mhz_7cells,
+                       train_predictor)
 
     config = pool_20mhz_7cells()
     predictor = train_predictor(config, num_slots=2000)
-    sim = Simulation(config, ConcordiaScheduler(predictor),
-                     workload="redis", load_fraction=0.25, seed=1)
+    scenario = Scenario(pool=config, policy="concordia", workload="redis",
+                        load_fraction=0.25, seed=1)
+    sim = build_simulation(scenario, predictor=predictor)
     result = sim.run(10_000)
     print(result.latency, result.reclaimed_fraction)
 """
@@ -58,6 +59,7 @@ from .ran.harq import HarqConfig, HarqManager
 from .ran.mac import MacCell, ProportionalFairScheduler, RoundRobinScheduler
 from .ran.tasks import FEATURE_NAMES, CostModel, TaskInstance, TaskType
 from .ran.traffic import CellTraffic, MarkovBurstTraffic, lte_cell_traffic
+from .scenario import Scenario, build_simulation
 from .sim.engine import Engine
 from .sim.metrics import LatencySummary, Metrics
 from .sim.pool import VranPool, Worker, WorkerState
@@ -100,6 +102,7 @@ __all__ = [
     "MacCell",
     "ProportionalFairScheduler",
     "RoundRobinScheduler",
+    "Scenario",
     "Simulation",
     "SimulationResult",
     "SlotType",
@@ -115,6 +118,7 @@ __all__ = [
     "WorkloadHost",
     "WorkloadSpec",
     "WORKLOAD_SPECS",
+    "build_simulation",
     "cell_100mhz_tdd",
     "cell_20mhz_fdd",
     "collect_offline_dataset",

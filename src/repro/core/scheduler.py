@@ -275,18 +275,6 @@ class ConcordiaScheduler(SchedulerPolicy):
         window.append((last_time, 0))
         self._scheduling_calls.value += count
 
-    # -- array-timeline engine certification ---------------------------------------
-
-    def array_certify(self) -> bool:
-        """The array kernel may commit a slot when no DAG is in flight.
-
-        The closed-form commit starts from an empty per-DAG registry;
-        the demand window carries over exactly as it would across an
-        event-mode boundary, and :meth:`vector_ready` checks it is in
-        the shape the closed form assumes.
-        """
-        return not self._states
-
     # -- vectorized certified-slot kernel -------------------------------------------
 
     def vector_params(self) -> Optional[dict]:

@@ -19,9 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..baselines.flexran import DedicatedScheduler
 from ..ran.config import PoolConfig
-from ..sim.runner import Simulation
+from ..scenario import Scenario, build_simulation
 from .models import WcetModel
 from .predictor import ConcordiaPredictor, OfflineDataset
 from .quantile_tree import TreeConfig
@@ -35,14 +34,9 @@ def collect_offline_dataset(
     seed: int = 1234,
 ) -> OfflineDataset:
     """Profile the isolated vRAN and collect (features, runtime) samples."""
-    simulation = Simulation(
-        pool_config=pool_config,
-        policy=DedicatedScheduler(),
-        workload="none",
-        load_fraction=1.0,
-        seed=seed,
-        profiling_traffic=True,
-    )
+    simulation = build_simulation(Scenario(
+        pool=pool_config, policy="dedicated", load_fraction=1.0,
+        seed=seed, traffic="profiling"))
     dataset = OfflineDataset()
     simulation.pool.task_observers.append(lambda task: dataset.add(
         task.task_type, task.features, task.runtime_us

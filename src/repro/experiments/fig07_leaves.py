@@ -17,12 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.stats import ks_two_sample, wasserstein_distance
-from ..baselines.flexran import FlexRanScheduler
 from ..core.quantile_tree import QuantileDecisionTree, TreeConfig
 from ..core.training import collect_offline_dataset
 from ..ran.config import PoolConfig, cell_20mhz_fdd
 from ..ran.tasks import TaskType
-from ..sim.runner import Simulation
+from ..scenario import Scenario, build_simulation
 from .common import scaled_slots, format_table
 
 __all__ = ["run", "main"]
@@ -30,9 +29,9 @@ __all__ = ["run", "main"]
 
 def _collect_collocated(config, workload: str, num_slots: int, seed: int):
     """Decode samples with a collocated workload running."""
-    simulation = Simulation(config, FlexRanScheduler(), workload=workload,
-                            load_fraction=0.8, seed=seed,
-                            profiling_traffic=True)
+    simulation = build_simulation(Scenario(
+        pool=config, policy="flexran", workload=workload,
+        load_fraction=0.8, seed=seed, traffic="profiling"))
     xs, ys = [], []
 
     def observe(task):

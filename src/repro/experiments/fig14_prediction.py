@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..baselines.flexran import FlexRanScheduler
 from ..core.models import (
     GradientBoostingWCET,
     LinearRegressionWCET,
@@ -33,7 +32,7 @@ from ..core.predictor import ConcordiaPredictor
 from ..core.training import collect_offline_dataset
 from ..ran.config import PoolConfig, cell_20mhz_fdd
 from ..ran.tasks import TaskType
-from ..sim.runner import Simulation
+from ..scenario import Scenario, build_simulation
 from .common import format_table, make_spec, run_spec_batch, scaled_slots
 
 __all__ = ["run", "run_full_dag", "main", "MODEL_FACTORIES", "TASKS"]
@@ -76,8 +75,9 @@ def _collect_online(config, workload, num_slots, seed, predictors,
     per-leaf buffers that have not yet seen collocation-inflated
     samples — is excluded from the accuracy metrics.
     """
-    simulation = Simulation(config, FlexRanScheduler(), workload=workload,
-                            load_fraction=0.6, seed=seed)
+    simulation = build_simulation(Scenario(
+        pool=config, policy="flexran", workload=workload,
+        load_fraction=0.6, seed=seed))
     scores = {
         name: {task: {"miss": 0, "total": 0, "error_sum": 0.0}
                for task in TASKS}

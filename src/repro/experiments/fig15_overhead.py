@@ -15,8 +15,6 @@
 from __future__ import annotations
 
 from ..ran.config import PoolConfig, cell_20mhz_fdd, pool_20mhz_7cells
-from ..scenario import build_policy
-from ..sim.runner import Simulation
 from .common import format_table, run_simulation, scaled_slots
 
 __all__ = ["run_overhead", "run_deadline_sweep", "main"]
@@ -31,10 +29,10 @@ def run_overhead(num_slots: int = None, seed: int = 7,
     for num_cells in cell_counts:
         cells = tuple(cell_20mhz_fdd(f"c{i}") for i in range(num_cells))
         config = PoolConfig(cells=cells, num_cores=8, deadline_us=2000.0)
-        policy = build_policy("concordia", config)
-        simulation = Simulation(config, policy, workload="none",
-                                load_fraction=0.6, seed=seed)
-        result = simulation.run(num_slots)
+        # Uncached: the columns are wall-clock times of this run.
+        result = run_simulation(config, "concordia", load_fraction=0.6,
+                                num_slots=num_slots, seed=seed,
+                                use_cache=False)
         # Read the overhead counters back through the telemetry
         # snapshot (the same numbers a cached result would carry).
         counters = result.telemetry["counters"]

@@ -15,13 +15,12 @@ from dataclasses import replace
 import numpy as np
 
 from ..ran.config import pool_20mhz_7cells
-from ..scenario import build_policy
+from ..scenario import Scenario, build_simulation
 from ..sim.osmodel import (
     COLLOCATED_BUCKETS,
     LatencyBucket,
     WakeupLatencyModel,
 )
-from ..sim.runner import Simulation
 from .common import format_table, scaled_slots
 
 __all__ = ["run", "main", "KNOBS"]
@@ -57,9 +56,9 @@ def _run_pair(knob: str, factor: float, num_slots: int, seed: int) -> dict:
     config = pool_20mhz_7cells()
     out = {}
     for policy_name in ("concordia", "flexran"):
-        simulation = Simulation(config, build_policy(policy_name, config),
-                                workload="redis", load_fraction=0.5,
-                                seed=seed)
+        simulation = build_simulation(Scenario(
+            pool=config, policy=policy_name, workload="redis",
+            load_fraction=0.5, seed=seed))
         if knob == "runtime_noise":
             simulation.cost_model.noise_sigma *= factor
         elif knob == "kernel_stall_prob":

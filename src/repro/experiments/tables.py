@@ -20,10 +20,9 @@ from ..accel.offload import (
     attach_accelerator,
     pool_100mhz_accel,
 )
-from ..baselines.flexran import DedicatedScheduler
 from ..ran.config import pool_100mhz_2cells, pool_20mhz_7cells
 from ..ran.tasks import DL_TASK_TYPES, UL_TASK_TYPES, TaskType
-from ..sim.runner import Simulation
+from ..scenario import Scenario, build_simulation
 from .common import format_table, scaled_slots
 
 __all__ = ["run_table5", "run_table3", "run_table4", "main"]
@@ -34,8 +33,8 @@ def run_table5(num_slots: int = None, seed: int = 5) -> dict:
     if num_slots is None:
         num_slots = scaled_slots(2500)
     config = pool_100mhz_2cells(num_cores=8)
-    simulation = Simulation(config, DedicatedScheduler(), workload="none",
-                            load_fraction=1.0, seed=seed)
+    simulation = build_simulation(Scenario(
+        pool=config, policy="dedicated", load_fraction=1.0, seed=seed))
     totals = defaultdict(float)
     simulation.pool.task_observers.append(lambda task: totals.__setitem__(
         task.task_type, totals[task.task_type] + task.runtime_us))
@@ -61,9 +60,9 @@ def run_table3(num_slots: int = None, seed: int = 5,
         for cores in range(1, max_cores + 1):
             config = pool_100mhz_accel(num_cells=num_cells,
                                        num_cores=cores)
-            simulation = Simulation(config, DedicatedScheduler(),
-                                    workload="none", load_fraction=1.0,
-                                    seed=seed)
+            simulation = build_simulation(Scenario(
+                pool=config, policy="dedicated", load_fraction=1.0,
+                seed=seed))
             # The FPGA is provisioned with pipelines for the cell count
             # (the paper's DE5-Net serves all cells of the testbed).
             accel_config = AcceleratorConfig(pipelines=2 * num_cells)
@@ -93,8 +92,8 @@ def run_table4(num_slots: int = None, seed: int = 5) -> dict:
         num_slots = scaled_slots(3000)
     config = pool_100mhz_accel(num_cells=1, num_cores=1,
                                deadline_us=4000.0)
-    simulation = Simulation(config, DedicatedScheduler(), workload="none",
-                            load_fraction=1.0, seed=seed)
+    simulation = build_simulation(Scenario(
+        pool=config, policy="dedicated", load_fraction=1.0, seed=seed))
     attach_accelerator(simulation.pool, Accelerator(simulation.engine))
     cpu_time = defaultdict(float)
     cpu_count = defaultdict(int)

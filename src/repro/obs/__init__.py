@@ -20,7 +20,8 @@ the first-class telemetry layer those measurements hang off:
   flat JSON/CSV metric dumps.
 * :mod:`repro.obs.postmortem` — given a missed slot, names the dominant
   cause: wakeup-latency tail, WCET under-prediction, or queueing behind
-  another cell (the §6.2 audit, automated).
+  another cell (the §6.2 audit, automated), and draws one DAG's task
+  timeline as an ASCII Gantt chart.
 """
 
 from .events import (
@@ -39,7 +40,7 @@ from .export import (
     write_metrics_csv,
     write_metrics_json,
 )
-from .postmortem import PostMortem, analyze_miss
+from .postmortem import PostMortem, analyze_miss, render_gantt
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
@@ -58,6 +59,7 @@ __all__ = [
     "chrome_trace",
     "global_bus",
     "metrics_rows",
+    "render_gantt",
     "write_chrome_trace",
     "write_metrics_csv",
     "write_metrics_json",

@@ -16,10 +16,10 @@ no measurable cost with it off).
 
 Events are small ``__slots__`` dataclasses rather than dicts: typed
 fields keep emit sites honest and the exporters simple.  The bus is a
-bounded buffer (drops are counted, never silently): a recorded timeline
-read after the run by the Chrome-trace exporter and ``repro
-postmortem``.  Live per-task consumers (training, profiling,
-:class:`repro.sim.tracing.TraceRecorder`) use the pool's
+bounded buffer (drops are counted, never silently): the one recorded
+timeline, read after the run by the Chrome-trace exporter, ``repro
+postmortem`` and :func:`repro.obs.postmortem.render_gantt`.  Live
+per-task consumers (offline training, profiling drivers) use the pool's
 ``task_observers`` hook instead, which hands them the task objects
 themselves.
 """

@@ -18,7 +18,7 @@ The analyzer walks the missed DAG's task wait intervals (each task's
 them with in-flight wakeups, and sums prediction overshoot on its
 executed tasks.  The largest contribution names the dominant cause —
 mirroring how the authors debugged FlexRAN's tail with per-task
-timelines.
+timelines, which :func:`render_gantt` draws from the same events.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterable, Optional
 
 from .events import TaskEvent, WakeupEvent
 
-__all__ = ["PostMortem", "analyze_miss"]
+__all__ = ["PostMortem", "analyze_miss", "render_gantt"]
 
 #: Cause labels, in report order.
 CAUSE_WAKEUP = "wakeup latency"
@@ -178,3 +178,35 @@ def analyze_miss(events: Iterable,
         queueing_us=float(queueing_us),
         tasks=tasks,
     )
+
+
+def render_gantt(events: list, width: int = 72, title: str = "") -> str:
+    """ASCII Gantt chart of one DAG's ``task_done`` events.
+
+    Rows are tasks in start order; ``.`` marks queueing time (enqueue
+    to start), ``#`` marks execution (start to the event's finish
+    time ``ts_us``).
+    """
+    if not events:
+        raise ValueError("nothing to render")
+    t0 = min(e.enqueue_us for e in events)
+    t1 = max(e.ts_us for e in events)
+    span = max(t1 - t0, 1e-9)
+    scale = (width - 1) / span
+    lines = [title] if title else []
+    lines.append(f"span {t0:.0f}-{t1:.0f} us ({span:.0f} us total)")
+    label_width = max(len(e.task_type) for e in events)
+    for event in sorted(events, key=lambda e: (e.start_us, e.ts_us)):
+        row = [" "] * width
+        q0 = int((event.enqueue_us - t0) * scale)
+        s0 = int((event.start_us - t0) * scale)
+        f0 = max(int((event.ts_us - t0) * scale), s0 + 1)
+        for i in range(q0, min(s0, width)):
+            row[i] = "."
+        for i in range(s0, min(f0, width)):
+            row[i] = "#"
+        wait = event.start_us - event.enqueue_us
+        lines.append(f"{event.task_type.ljust(label_width)} |"
+                     f"{''.join(row)}| {event.runtime_us:6.1f} us"
+                     + (f" (wait {wait:.1f})" if wait > 1.0 else ""))
+    return "\n".join(lines)

@@ -13,7 +13,7 @@ antennas.  This module provides a self-contained MAC substrate:
   from the selected MCS;
 * :class:`RoundRobinScheduler` — the fairness-agnostic baseline.
 
-``Simulation(..., allocation_mode="mac")`` replaces the i.i.d.
+A scenario with ``allocation="mac"`` replaces the i.i.d.
 byte-splitting of :func:`repro.ran.ue.bytes_to_allocations` with this
 buffer-driven pipeline, making per-slot allocations correlated the way
 real cells are (backlogged users persist across TTIs).

@@ -1,11 +1,12 @@
 """Assembly: turn a :class:`~repro.scenario.Scenario` into live objects.
 
 This is the single factory through which every entry point — the CLI,
-:func:`repro.exec.spec.run_spec`, the experiment drivers and ad-hoc
-scripts — builds a runnable :class:`~repro.sim.runner.Simulation`.
-Anything that is *not* plain data (a trained predictor, a pre-built
-policy instance, an observability event bus) enters here as an explicit
-keyword argument instead of hiding inside the scenario.
+:func:`repro.exec.spec.run_spec`, the experiment drivers, examples and
+tests — builds a runnable :class:`~repro.sim.runner.Simulation`.  The
+policy is named by the scenario, never passed in live, so every result
+describes the run that produced it.  What is *not* plain data (a
+trained predictor, an observability event bus) enters here as an
+explicit keyword argument instead of hiding inside the scenario.
 
 A trained model from the process cache reaches a policy only as a
 private copy (:func:`repro.experiments.common.private_predictor`), so
@@ -15,8 +16,6 @@ is: the caller owns it, and its online learning with it.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..baselines.flexran import DedicatedScheduler, FlexRanScheduler
 from ..baselines.shenango import ShenangoScheduler
@@ -73,23 +72,19 @@ def build_policy(name: str, config: PoolConfig, seed: int = 42,
 def build_simulation(
     scenario: Scenario,
     *,
-    policy: Optional[SchedulerPolicy] = None,
     predictor=None,
     policy_seed: int = 42,
     event_bus=None,
 ) -> Simulation:
     """Assemble a runnable :class:`Simulation` from a scenario.
 
-    The pool payload is resolved (:func:`repro.scenario.resolve_pool`),
-    the policy is built by name with ``scenario.policy_params`` — or
-    taken verbatim when a live ``policy`` instance is supplied — and
-    the simulation is wired exactly as ``Simulation``'s legacy keyword
-    constructor would, from the scenario alone.
+    The one way to build a simulation.  The policy is always built by
+    name with ``scenario.policy_params``, so the scenario the result
+    embeds names the policy that ran and rebuilds the same run.
+    ``predictor`` and ``policy_seed`` reach :func:`build_policy`;
+    ``event_bus`` records the run's structured events.
     """
-    config = scenario.pool_config()
-    if policy is None:
-        policy = build_policy(scenario.policy, config, seed=policy_seed,
-                              predictor=predictor,
-                              **scenario.policy_params)
-    return Simulation(config, policy, scenario=scenario,
-                      event_bus=event_bus)
+    policy = build_policy(scenario.policy, scenario.pool_config(),
+                          seed=policy_seed, predictor=predictor,
+                          **scenario.policy_params)
+    return Simulation(scenario, policy, event_bus=event_bus)

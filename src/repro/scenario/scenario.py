@@ -164,9 +164,10 @@ def resolve_pool(pool: Union[PoolConfig, dict]) -> PoolConfig:
 class Scenario:
     """Everything that determines one simulation, as plain data.
 
-    ``policy_params`` must hold JSON-able values only; live objects
-    (a trained predictor, a policy instance) are assembly-time inputs
-    of :func:`repro.scenario.build_simulation`, not scenario state.
+    ``policy_params`` must hold JSON-able values only; the policy is
+    built from ``policy`` and them.  A trained predictor is an
+    assembly-time input of :func:`repro.scenario.build_simulation`, not
+    scenario state.
     """
 
     pool: Union[PoolConfig, dict]

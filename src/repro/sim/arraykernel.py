@@ -27,9 +27,10 @@ other slot *is* the per-event trace.
 Certification contract (all must hold, checked per slot at the
 boundary; any failure sends that slot alone down the event path):
 
-* the policy certifies (:meth:`SchedulerPolicy.array_certify`) — the
-  Concordia scheduler does so iff no DAG state is in flight; policies
-  with wakeup pinning never certify;
+* the policy is ready (:meth:`SchedulerPolicy.vector_ready`, checked
+  first in the commit) — the Concordia scheduler is iff no DAG state
+  is in flight and its demand window is drained; the default policy
+  is never ready;
 * the pool is quiescent: no active DAGs, ready tasks, pinned tasks or
   in-flight wakeups (which also rules out retiring workers);
 * no side channels (:meth:`VranPool.side_channels_open`): no
@@ -165,13 +166,13 @@ class ArraySlotKernel:
     def _gate_budget(self, now: float, slot_end: float) -> Optional[float]:
         """Certification gates; the makespan runtime budget or None.
 
-        Everything from the module-docstring contract except the
-        per-task ceiling fold, whose precomputed :class:`SlotPlan` sum
-        the caller checks against the returned budget.
+        Everything from the module-docstring contract except policy
+        readiness, which :meth:`_vector_replay` checks before any side
+        effect, and the per-task ceiling fold, whose precomputed
+        :class:`SlotPlan` sum the caller checks against the returned
+        budget.
         """
         pool = self.pool
-        if not pool.policy.array_certify():
-            return None
         if pool.active_dags or pool._ready or pool._waking or pool._pinned:
             return None
         if not self.lazy_ok() or self.engine._run_end < slot_end:
@@ -183,11 +184,11 @@ class ArraySlotKernel:
     def lazy_ok(self) -> bool:
         """Whether the side-channel gates are open.
 
-        The stable part of :meth:`_gate_budget`; policy certification,
-        pool quiescence and the horizon vary per boundary.  The window
-        fill asks it before planning any slot: while any of these
-        trips, the boundary would reject every slot anyway, so the
-        fill builds every DAG in its window-batched build instead.
+        The stable part of :meth:`_gate_budget`; pool quiescence and
+        the horizon vary per boundary.  The window fill asks it before
+        planning any slot: while any of these trips, the boundary would
+        reject every slot anyway, so the fill builds every DAG in its
+        window-batched build instead.
         """
         pool = self.pool
         return (not pool.side_channels_open()

@@ -86,7 +86,6 @@ class Metrics:
         self.end_time_us = 0.0
         # Scheduling events.  The instruments are bound once here; hot
         # paths touch ``.value`` directly instead of looking up names.
-        self.wakeup_latencies: list[float] = []
         self._slots = self.registry.counter("slots/completed")
         self._misses = self.registry.counter("slots/missed")
         self._wakeups = self.registry.counter("sched/wakeups")
@@ -240,7 +239,6 @@ class Metrics:
         The pool reports :meth:`on_preemption` separately when a
         best-effort occupant was actually displaced.
         """
-        self.wakeup_latencies.append(latency_us)
         self._wakeups.value += 1
         self._wakeup_hist.observe(latency_us)
 
@@ -257,7 +255,6 @@ class Metrics:
         """
         if not latencies_us:
             return
-        self.wakeup_latencies.extend(latencies_us)
         self._wakeups.value += len(latencies_us)
         hist = self._wakeup_hist
         arr = np.asarray(latencies_us)

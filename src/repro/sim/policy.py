@@ -84,21 +84,6 @@ class SchedulerPolicy(abc.ABC):
         live tick fires one period after it.
         """
 
-    # -- array-timeline engine certification --------------------------------
-
-    def array_certify(self) -> bool:
-        """Whether the array-timeline kernel may commit the next slot.
-
-        Called at a slot boundary (before the slot's DAGs are released)
-        when the pool is otherwise quiescent.  Returning True certifies
-        that the policy carries no cross-slot state the kernel's
-        closed-form commit could mis-order (no live reclaim ratchet, no
-        in-flight DAG bookkeeping).  The default is False: only
-        policies that have audited their tick/ratchet machinery against
-        the commit contract opt in.
-        """
-        return False
-
     # -- vectorized certified-slot kernel ------------------------------------
 
     def vector_params(self) -> Optional[dict]:

@@ -144,8 +144,7 @@ class VranPool:
         self._occupancy_provider = None
         #: Callbacks fired, in order, with each completed TaskInstance:
         #: the one live per-task hook (offline profiling, training
-        #: datasets, TraceRecorder).  Append to attach, remove to
-        #: detach.
+        #: datasets).  Append to attach, remove to detach.
         self.task_observers: list = []
         #: Optional callback fired with each completed DagInstance so
         #: its task objects can be recycled (repro.ran.dag.DagBuilder's

@@ -7,10 +7,10 @@ best-effort workloads.  ``run(num_slots)`` drives slot boundaries and
 returns a :class:`SimulationResult` with everything the paper's figures
 report.
 
-What to build is described by a :class:`repro.scenario.Scenario`; the
-legacy keyword constructor normalizes its arguments into one, so a
-spec, a CLI invocation and a driver all assemble the system the same
-way (prefer :func:`repro.scenario.build_simulation` for new code).
+What to build is described by a :class:`repro.scenario.Scenario`, and
+:func:`repro.scenario.build_simulation` is the one way to build it: a
+spec, a CLI invocation, a driver and a test all assemble the system
+the same way, and every result names the policy that ran.
 
 RNG-stream map — every stream is a ``SeedSequence`` child of the
 scenario seed with a fixed ``spawn_key``, so streams are collision-safe
@@ -54,11 +54,11 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..ran.config import PoolConfig, SlotType
+from ..ran.config import SlotType
 from ..ran.dag import (DagBuilder, dag_kind_key, plan_task_rows,
                        topology_for_key)
 from ..ran.harq import HarqConfig, HarqManager, _PendingRetransmission
@@ -75,6 +75,9 @@ from .metrics import LatencySummary, Metrics
 from .osmodel import WakeupLatencyModel
 from .policy import SchedulerPolicy
 from .pool import VranPool
+
+if TYPE_CHECKING:
+    from ..scenario.scenario import Scenario
 
 __all__ = ["RESULT_SCHEMAS", "Simulation", "SimulationResult"]
 
@@ -252,56 +255,20 @@ def _stream_rng(seed: int, *spawn_key: int) -> np.random.Generator:
 class Simulation:
     """One configured experiment: pool + policy + traffic + workloads.
 
-    Prefer :func:`repro.scenario.build_simulation`; the keyword
-    constructor is kept for existing call sites and normalizes its
-    arguments into a :class:`~repro.scenario.Scenario` so both paths
-    assemble the identical object graph.
+    Built by :func:`repro.scenario.build_simulation`, which resolves the
+    policy from the scenario; ``scenario`` is the only description of
+    what runs, and the result embeds it.
     """
 
-    def __init__(
-        self,
-        pool_config: PoolConfig,
-        policy: SchedulerPolicy,
-        workload: str = "none",
-        load_fraction: float = 0.5,
-        seed: int = 0,
-        profiling_traffic: bool = False,
-        mix_interval_us: tuple[float, float] = (0.5e6, 2.0e6),
-        allocation_mode: str = "iid",
-        harq: bool = False,
-        event_bus=None,
-        scenario=None,
-    ) -> None:
-        # Lazy: repro.scenario imports this module for build_simulation.
-        from ..scenario.scenario import Scenario
-
-        if scenario is None:
-            if allocation_mode not in ("iid", "mac"):
-                raise ValueError("allocation_mode must be 'iid' or 'mac'")
-            scenario = Scenario(
-                pool=pool_config,
-                policy=getattr(policy, "name", "custom"),
-                workload=workload,
-                load_fraction=load_fraction,
-                seed=seed,
-                traffic="profiling" if profiling_traffic else "model",
-                allocation=allocation_mode,
-                harq=harq,
-                mix_interval_us=mix_interval_us,
-            )
+    def __init__(self, scenario: "Scenario", policy: SchedulerPolicy,
+                 event_bus=None) -> None:
         self.scenario = scenario
-        self.allocation_mode = scenario.allocation
-        self.pool_config = pool_config
+        self.pool_config = pool_config = scenario.pool_config()
         self.policy = policy
-        self.workload_name = scenario.workload
-        self.load_fraction = scenario.load_fraction
-        self.profiling_traffic = scenario.profiling_traffic
         seed = scenario.seed
         workload = scenario.workload
         load_fraction = scenario.load_fraction
-        allocation_mode = scenario.allocation
         mix_interval_us = scenario.mix_interval_us
-        harq = scenario.harq
         # Fleet keying (see module docstring): a cell-shard keys every
         # per-cell stream by the global cell id and pool-level streams
         # by the shard's base, so cell-level sampling is independent of
@@ -376,14 +343,14 @@ class Simulation:
         # Optional HARQ loop: failed uplink transport blocks come back
         # as retransmissions a few slots later.
         self._harq: dict = {}
-        if harq:
+        if scenario.harq:
             for index in range(len(pool_config.cells)):
                 self._harq[index] = HarqManager(
                     rng=_stream_rng(seed, 8, cell_base + index))
         # Optional MAC-layer allocation pipeline (buffer-driven PF
         # scheduling instead of i.i.d. byte splitting).
         self._mac: dict = {}
-        if allocation_mode == "mac":
+        if scenario.allocation == "mac":
             for index, cell in enumerate(pool_config.cells):
                 for uplink in (True, False):
                     rate = (cell.avg_ul_mbps if uplink
@@ -533,7 +500,7 @@ class Simulation:
                 count = barrier - start_slot
         cells = self._cell_list
         mac = self._mac
-        profiling = self.profiling_traffic
+        profiling = self.scenario.profiling_traffic
         # Directions per cell and slot, then (model traffic) one
         # batched draw per (cell, direction) generator covering the
         # window.
@@ -862,11 +829,11 @@ class Simulation:
         :meth:`add_window_barrier` before the run) so no draws for the
         cell have been made beyond the current slot.
         """
-        if self.profiling_traffic:
+        if self.scenario.profiling_traffic:
             raise ValueError(
                 "detach_cell requires model traffic (profiling mode "
                 "draws from one shared stream)")
-        if self.allocation_mode == "mac":
+        if self.scenario.allocation == "mac":
             raise ValueError(
                 "detach_cell requires i.i.d. allocation (MAC pipelines "
                 "hold non-portable buffer state)")
@@ -905,7 +872,7 @@ class Simulation:
             "cell": cell_config_to_dict(cell),
             "global_id": gid,
             "seed": self.scenario.seed,
-            "load_fraction": self.load_fraction,
+            "load_fraction": self.scenario.load_fraction,
             "slot_index": self._slot_index,
             "harq_enabled": harq is not None,
             "traffic": {
@@ -1083,7 +1050,7 @@ class Simulation:
         # Everything event-dependent — observers, bus, pressure,
         # quiescence — is re-checked live per slot.
         self._use_array = (
-            self.workload_name == "none"
+            self.scenario.workload == "none"
             and not self.scenario.reconfig
             and self.policy.vector_params() is not None
         )
@@ -1161,8 +1128,8 @@ class Simulation:
         self.summary_wall_s += time.perf_counter() - wall_start
         return SimulationResult(
             policy_name=self.policy.name,
-            workload_name=self.workload_name,
-            load_fraction=self.load_fraction,
+            workload_name=self.scenario.workload,
+            load_fraction=self.scenario.load_fraction,
             num_slots=num_slots,
             duration_us=duration_us,
             latency=latency,

@@ -550,8 +550,6 @@ class TestKernelSelfDisable:
     def test_task_observer_disables_certification(self):
         # An observer changes the path, never the result; detaching it
         # before the run reopens the gate.
-        from repro.sim.tracing import TraceRecorder
-
         plain = build_simulation(_fig03_scenario())
         digest = result_digest(plain.run(200))
         assert plain.kernel_stats["array_slots"] > 0
@@ -564,7 +562,8 @@ class TestKernelSelfDisable:
         assert seen
 
         detached = build_simulation(_fig03_scenario())
-        TraceRecorder().attach(detached).detach()
+        detached.pool.task_observers.append(seen.append)
+        detached.pool.task_observers.remove(seen.append)
         assert result_digest(detached.run(200)) == digest
         assert (detached.kernel_stats["array_slots"]
                 == plain.kernel_stats["array_slots"])

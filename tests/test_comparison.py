@@ -8,9 +8,8 @@ from repro.analysis.comparison import (
     compare_runs,
     compare_tails,
 )
-from repro.baselines.flexran import DedicatedScheduler, FlexRanScheduler
 from repro.ran.config import PoolConfig, cell_20mhz_fdd
-from repro.sim.runner import Simulation
+from repro.scenario import Scenario, build_simulation
 
 
 class TestBootstrapCi:
@@ -69,10 +68,10 @@ class TestCompareRuns:
     def test_scorecard_structure(self):
         config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=4,
                             deadline_us=2000.0)
-        run_a = Simulation(config, FlexRanScheduler(), workload="none",
-                           load_fraction=0.4, seed=10).run(250)
-        run_b = Simulation(config, DedicatedScheduler(), workload="none",
-                           load_fraction=0.4, seed=10).run(250)
+        run_a = build_simulation(Scenario(
+            pool=config, policy="flexran", load_fraction=0.4, seed=10)).run(250)
+        run_b = build_simulation(Scenario(
+            pool=config, policy="dedicated", load_fraction=0.4, seed=10)).run(250)
         card = compare_runs(run_a, run_b, percentile=99,
                             rng=np.random.default_rng(11))
         assert card["tail"].percentile == 99

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.flexran import FlexRanScheduler
 from repro.baselines.static import StaticPartitionScheduler
 from repro.ran.config import PoolConfig, cell_20mhz_fdd, pool_20mhz_7cells
 from repro.ran.harq import HarqConfig, HarqManager, block_error_probability
 from repro.ran.ue import MCS_TABLE, UeAllocation
-from repro.sim.runner import Simulation
+from repro.scenario import Scenario, build_simulation
 
 
 def _alloc(snr_margin_db=0.5, tbs=8000, mcs_index=10, ue_id=0):
@@ -94,10 +93,10 @@ class TestHarqManager:
 
     def test_runner_integration_adds_load(self):
         config = pool_20mhz_7cells(num_cores=8)
-        base = Simulation(config, FlexRanScheduler(), workload="none",
-                          load_fraction=0.5, seed=9)
-        with_harq = Simulation(config, FlexRanScheduler(), workload="none",
-                               load_fraction=0.5, seed=9, harq=True)
+        fields = dict(pool=config, policy="flexran", load_fraction=0.5,
+                      seed=9)
+        base = build_simulation(Scenario(**fields))
+        with_harq = build_simulation(Scenario(harq=True, **fields))
         r0 = base.run(400)
         r1 = with_harq.run(400)
         assert r0.harq is None
@@ -106,6 +105,12 @@ class TestHarqManager:
         assert r1.harq["retransmissions"] > 0
         # Retransmissions add processing work.
         assert r1.vran_utilization >= r0.vran_utilization
+
+
+def _static(config, reserved_cores, **fields):
+    return Scenario(pool=config, policy="static",
+                    policy_params={"reserved_cores": reserved_cores},
+                    **fields)
 
 
 class TestStaticPartition:
@@ -117,13 +122,13 @@ class TestStaticPartition:
         config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=2,
                             deadline_us=2000.0)
         with pytest.raises(ValueError):
-            Simulation(config, StaticPartitionScheduler(5))
+            build_simulation(_static(config, 5))
 
     def test_partition_never_moves(self):
         config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=4,
                             deadline_us=2000.0)
-        sim = Simulation(config, StaticPartitionScheduler(2),
-                         workload="redis", load_fraction=0.4, seed=5)
+        sim = build_simulation(_static(config, 2, workload="redis",
+                                       load_fraction=0.4, seed=5))
         result = sim.run(300)
         # Exactly half the pool was reserved the whole time.
         assert result.reclaimed_fraction == pytest.approx(0.5, abs=0.02)
@@ -132,8 +137,8 @@ class TestStaticPartition:
         config = pool_20mhz_7cells(num_cores=8)
 
         def run(k):
-            sim = Simulation(config, StaticPartitionScheduler(k),
-                             workload="none", load_fraction=0.8, seed=6)
+            sim = build_simulation(_static(config, k, load_fraction=0.8,
+                                           seed=6))
             return sim.run(400).latency
 
         small = run(2)

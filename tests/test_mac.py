@@ -10,9 +10,8 @@ from repro.ran.mac import (
     RoundRobinScheduler,
     UeSession,
 )
-from repro.sim.runner import Simulation
-from repro.baselines.flexran import FlexRanScheduler
 from repro.ran.config import pool_20mhz_7cells
+from repro.scenario import Scenario, build_simulation
 
 
 class TestUeSession:
@@ -140,8 +139,9 @@ class TestMacCell:
 class TestRunnerIntegration:
     def test_mac_mode_end_to_end(self):
         config = pool_20mhz_7cells(num_cores=8)
-        sim = Simulation(config, FlexRanScheduler(), workload="none",
-                         load_fraction=0.3, seed=1, allocation_mode="mac")
+        sim = build_simulation(Scenario(
+            pool=config, policy="flexran", load_fraction=0.3, seed=1,
+            allocation="mac"))
         result = sim.run(300)
         assert result.latency.count > 0
         assert result.latency.miss_fraction < 0.05
@@ -149,4 +149,5 @@ class TestRunnerIntegration:
     def test_invalid_mode_rejected(self):
         config = pool_20mhz_7cells()
         with pytest.raises(ValueError):
-            Simulation(config, FlexRanScheduler(), allocation_mode="magic")
+            build_simulation(Scenario(
+                pool=config, policy="flexran", allocation="magic"))

@@ -10,7 +10,6 @@ import json
 
 import pytest
 
-from repro.core.scheduler import ConcordiaScheduler
 from repro.obs.events import (CacheEvent, CoreEvent, EventBus, TaskEvent,
                               TickEvent, WakeupEvent, global_bus)
 from repro.obs.export import chrome_trace, metrics_rows
@@ -18,7 +17,7 @@ from repro.obs.postmortem import (CAUSE_QUEUEING, CAUSE_WAKEUP, CAUSE_WCET,
                                   analyze_miss)
 from repro.obs.registry import MetricsRegistry
 from repro.ran.config import PoolConfig, cell_20mhz_fdd
-from repro.sim.runner import Simulation
+from repro.scenario import Scenario, build_simulation
 
 
 def small_config(num_cores=4):
@@ -28,9 +27,10 @@ def small_config(num_cores=4):
 
 def recorded_run(num_slots=80, workload="none", num_cores=4, seed=5):
     bus = EventBus()
-    simulation = Simulation(
-        small_config(num_cores), ConcordiaScheduler(predictor=None),
-        workload=workload, load_fraction=0.5, seed=seed, event_bus=bus)
+    simulation = build_simulation(
+        Scenario(pool=small_config(num_cores), policy="concordia-noml",
+                 workload=workload, load_fraction=0.5, seed=seed),
+        event_bus=bus)
     result = simulation.run(num_slots)
     return result, bus
 
@@ -315,59 +315,6 @@ class TestTelemetryThroughCache:
         finally:
             bus.enabled = False
             bus.clear()
-
-
-class TestTraceRecorderLifecycle:
-    def test_attach_is_idempotent(self):
-        from repro.sim.tracing import TraceRecorder
-
-        simulation = Simulation(
-            small_config(), ConcordiaScheduler(predictor=None),
-            workload="none", load_fraction=0.4, seed=2)
-        recorder = TraceRecorder()
-        recorder.attach(simulation)
-        recorder.attach(simulation)  # must NOT double-record
-        simulation.run(30)
-        tasks = len(recorder.tasks)
-        counted = {}
-        for trace in recorder.tasks:
-            key = (trace.dag_id, trace.task_type, trace.start_us)
-            counted[key] = counted.get(key, 0) + 1
-        assert tasks > 0
-        assert all(n == 1 for n in counted.values())
-
-    def test_detach_restores_previous_observer(self):
-        from repro.sim.tracing import TraceRecorder
-
-        simulation = Simulation(
-            small_config(), ConcordiaScheduler(predictor=None),
-            workload="none", load_fraction=0.4, seed=2)
-        seen = []
-
-        def previous_observer(task):
-            seen.append(task)
-
-        simulation.pool.task_observers.append(previous_observer)
-        recorder = TraceRecorder().attach(simulation)
-        assert len(simulation.pool.task_observers) == 2
-        recorder.detach()
-        assert simulation.pool.task_observers == [previous_observer]
-        recorder.detach()  # second detach is a no-op
-        simulation.run(30)
-        assert seen and recorder.tasks == []
-
-    def test_detach_out_of_order_stops_recording(self):
-        from repro.sim.tracing import TraceRecorder
-
-        simulation = Simulation(
-            small_config(), ConcordiaScheduler(predictor=None),
-            workload="none", load_fraction=0.4, seed=2)
-        first = TraceRecorder().attach(simulation)
-        second = TraceRecorder().attach(simulation)
-        first.detach()
-        simulation.run(30)
-        assert first.tasks == []
-        assert second.tasks
 
 
 class TestCoreEventConsistency:

@@ -1,17 +1,14 @@
-"""Tests for the polar-code kernels and the execution tracer."""
-
-import json
+"""Tests for the polar-code kernels and the recorded task timeline."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.flexran import FlexRanScheduler
+from repro.obs import EventBus, render_gantt
 from repro.phy.polar import PolarCode, bsc_llrs, polar_decode_sc, polar_encode
 from repro.ran.config import PoolConfig, cell_20mhz_fdd
-from repro.sim.runner import Simulation
-from repro.sim.tracing import TraceRecorder, render_gantt
+from repro.scenario import Scenario, build_simulation
 
 
 class TestPolarCode:
@@ -95,67 +92,41 @@ class TestPolarCode:
 
 @pytest.fixture(scope="module")
 def traced_run():
+    """A recorded run plus the tasks a live observer saw in it."""
     config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=4,
                         deadline_us=2000.0)
-    simulation = Simulation(config, FlexRanScheduler(), workload="none",
-                            load_fraction=0.5, seed=2)
-    recorder = TraceRecorder().attach(simulation)
+    bus = EventBus()
+    simulation = build_simulation(
+        Scenario(pool=config, policy="flexran", load_fraction=0.5, seed=2),
+        event_bus=bus)
+    observed = []
+    simulation.pool.task_observers.append(
+        lambda task: observed.append((task.dag.dag_id, task.task_id)))
     simulation.run(200)
-    return recorder
+    return bus, observed
 
 
-class TestTraceRecorder:
-    def test_records_every_task(self, traced_run):
-        assert len(traced_run.tasks) > 200
-        assert traced_run.dropped == 0
-        for trace in traced_run.tasks[:50]:
-            assert trace.finish_us >= trace.start_us >= trace.enqueue_us
-            assert trace.runtime_us > 0
-
-    def test_capacity_drops(self):
-        recorder = TraceRecorder(capacity=1)
-        config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=2,
-                            deadline_us=2000.0)
-        simulation = Simulation(config, FlexRanScheduler(),
-                                workload="none", load_fraction=0.5, seed=3)
-        recorder.attach(simulation)
-        simulation.run(20)
-        assert len(recorder.tasks) == 1
-        assert recorder.dropped > 0
-
-    def test_for_dag_filters(self, traced_run):
-        dag_id = traced_run.tasks[0].dag_id
-        subset = traced_run.for_dag(dag_id)
-        assert subset
-        assert all(t.dag_id == dag_id for t in subset)
-
-    def test_slowest_dags_ranked(self, traced_run):
-        slow = traced_run.slowest_dags(top=3)
-        assert len(slow) == 3
-        assert len(set(slow)) == 3
-
-    def test_json_export(self, traced_run, tmp_path):
-        path = tmp_path / "trace.json"
-        traced_run.to_json(path)
-        data = json.loads(path.read_text())
-        assert len(data) == len(traced_run.tasks)
-        assert "task_type" in data[0]
-
-    def test_csv_export(self, traced_run, tmp_path):
-        path = tmp_path / "trace.csv"
-        traced_run.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == len(traced_run.tasks) + 1
-
-    def test_empty_csv_raises(self, tmp_path):
-        with pytest.raises(ValueError):
-            TraceRecorder().to_csv(tmp_path / "x.csv")
+class TestTaskTimeline:
+    def test_bus_records_every_task(self, traced_run):
+        bus, observed = traced_run
+        done = list(bus.of_kind("task_done"))
+        assert bus.dropped == 0
+        assert len(done) > 200
+        assert sorted((e.dag_id, e.task_id) for e in done) \
+            == sorted(observed)
+        for event in done:
+            assert event.ts_us >= event.start_us >= event.enqueue_us >= 0
+            assert event.runtime_us > 0
 
 
 class TestGantt:
     def test_renders_dag_timeline(self, traced_run):
-        dag_id = traced_run.slowest_dags(top=1)[0]
-        chart = render_gantt(traced_run.for_dag(dag_id), title="slot")
+        bus, __ = traced_run
+        # dag_complete events carry the DAG's latency in runtime_us.
+        slowest = max(bus.of_kind("dag_complete"),
+                      key=lambda e: e.runtime_us)
+        chart = render_gantt([e for e in bus.of_kind("task_done")
+                              if e.dag_id == slowest.dag_id], title="slot")
         assert "slot" in chart
         assert "#" in chart
         assert "us total" in chart

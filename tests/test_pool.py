@@ -146,7 +146,7 @@ class TestCoreAllocation:
         assert len(waking) == 2
         engine.run_until(10.0)
         assert all(w.state is not WorkerState.WAKING for w in pool.workers)
-        assert len(pool.metrics.wakeup_latencies) == 2
+        assert pool.metrics.registry.value("sched/wakeups") == 2
 
     def test_running_workers_not_preempted(self):
         engine, pool = make_pool(num_cores=2)

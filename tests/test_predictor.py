@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.core.models import LinearRegressionWCET, QuantileTreeWCET
-from repro.core.scheduler import ConcordiaScheduler
 from repro.core.predictor import (
     HANDPICKED_FEATURES,
     ConcordiaPredictor,
@@ -20,7 +19,7 @@ from repro.ran.dag import DagBuilder
 from repro.ran.tasks import (NUM_FEATURES, TYPE_CODE, CostModel,
                              TaskInstance, TaskType)
 from repro.ran.ue import SlotLoad, bytes_to_allocations
-from repro.sim.runner import Simulation
+from repro.scenario import Scenario, build_simulation
 
 
 def _synthetic_dataset(n=800, seed=0):
@@ -279,9 +278,12 @@ class TestRouting:
             self, predictor):
         config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=4,
                             deadline_us=2000.0)
-        routed = Simulation(config, ConcordiaScheduler(predictor))
+        routed = build_simulation(
+            Scenario(pool=config, policy="concordia"),
+            predictor=predictor)
         assert routed.builder.router == routed.policy.route
-        plain = Simulation(config, ConcordiaScheduler(predictor=None))
+        plain = build_simulation(Scenario(
+            pool=config, policy="concordia-noml"))
         assert plain.builder.router is None
 
     def test_routing_time_counts_as_prediction(self, predictor):
@@ -299,8 +301,9 @@ class TestRouting:
         routed.route = slow_route
         config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=4,
                             deadline_us=2000.0)
-        result = Simulation(config, ConcordiaScheduler(routed),
-                            seed=3).run(20)
+        result = build_simulation(
+            Scenario(pool=config, policy="concordia", seed=3),
+            predictor=routed).run(20)
         counters = result.telemetry["counters"]
         assert batches and sum(batches) > 0
         assert counters["scheduler/prediction_wall_s"] >= \

@@ -11,17 +11,17 @@ from repro.analysis.report import (
     write_records_csv,
     write_records_json,
 )
-from repro.baselines.flexran import FlexRanScheduler
 from repro.ran.config import PoolConfig, cell_20mhz_fdd
-from repro.sim.runner import Simulation
+from repro.scenario import Scenario, build_simulation
 
 
 @pytest.fixture(scope="module")
 def result():
     config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=4,
                         deadline_us=2000.0)
-    sim = Simulation(config, FlexRanScheduler(), workload="redis",
-                     load_fraction=0.4, seed=4)
+    sim = build_simulation(Scenario(
+        pool=config, policy="flexran", workload="redis", load_fraction=0.4,
+        seed=4))
     return sim.run(150)
 
 

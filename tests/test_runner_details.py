@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.baselines.flexran import DedicatedScheduler, FlexRanScheduler
 from repro.ran.config import (
     PoolConfig,
     SlotType,
@@ -11,11 +10,8 @@ from repro.ran.config import (
     cell_20mhz_fdd,
 )
 from repro.ran.tasks import TaskType
-from repro.sim.runner import (
-    SPECIAL_SLOT_DL_SCALE,
-    SPECIAL_SLOT_UL_SCALE,
-    Simulation,
-)
+from repro.scenario import Scenario, build_simulation
+from repro.sim.runner import SPECIAL_SLOT_DL_SCALE, SPECIAL_SLOT_UL_SCALE
 
 
 class TestProfilingTraffic:
@@ -23,9 +19,9 @@ class TestProfilingTraffic:
         """Profiling mode sweeps volumes up to the per-slot peak."""
         config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=4,
                             deadline_us=4000.0)
-        sim = Simulation(config, DedicatedScheduler(), workload="none",
-                         load_fraction=1.0, seed=1,
-                         profiling_traffic=True)
+        sim = build_simulation(Scenario(
+            pool=config, policy="dedicated", load_fraction=1.0, seed=1,
+            traffic="profiling"))
         volumes = []
         def observe(task):
             if task.task_type is TaskType.CRC_CHECK:
@@ -41,9 +37,9 @@ class TestProfilingTraffic:
     def test_profiling_includes_idle_slots(self):
         config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=4,
                             deadline_us=4000.0)
-        sim = Simulation(config, DedicatedScheduler(), workload="none",
-                         load_fraction=1.0, seed=2,
-                         profiling_traffic=True)
+        sim = build_simulation(Scenario(
+            pool=config, policy="dedicated", load_fraction=1.0, seed=2,
+            traffic="profiling"))
         idle = [0]
         def observe(task):
             if task.task_type is TaskType.FFT and \
@@ -61,8 +57,8 @@ class TestTddScaling:
         assert 0 < SPECIAL_SLOT_DL_SCALE < 1
         config = PoolConfig(cells=(cell_100mhz_tdd(),), num_cores=4,
                             deadline_us=1500.0)
-        sim = Simulation(config, DedicatedScheduler(), workload="none",
-                         load_fraction=1.0, seed=3)
+        sim = build_simulation(Scenario(
+            pool=config, policy="dedicated", load_fraction=1.0, seed=3))
         per_slot_type = {}
         def observe(task):
             dag = task.dag
@@ -82,8 +78,8 @@ class TestDrain:
     def test_inflight_dags_complete_after_last_slot(self):
         config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=2,
                             deadline_us=8000.0)
-        sim = Simulation(config, FlexRanScheduler(), workload="none",
-                         load_fraction=0.9, seed=4)
+        sim = build_simulation(Scenario(
+            pool=config, policy="flexran", load_fraction=0.9, seed=4))
         result = sim.run(100)
         # 100 slots x 2 DAGs each, all completed (none abandoned).
         assert result.latency.count == 200
@@ -92,7 +88,7 @@ class TestDrain:
     def test_duration_covers_drain(self):
         config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=4,
                             deadline_us=2000.0)
-        sim = Simulation(config, FlexRanScheduler(), workload="none",
-                         load_fraction=0.5, seed=5)
+        sim = build_simulation(Scenario(
+            pool=config, policy="flexran", load_fraction=0.5, seed=5))
         result = sim.run(100)
         assert result.duration_us >= 100 * 1000.0

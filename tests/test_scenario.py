@@ -19,7 +19,8 @@ from repro.scenario import (
     pool_config_to_dict,
     resolve_pool,
 )
-from repro.sim.runner import RESULT_SCHEMAS, Simulation, SimulationResult
+from repro.exec.digest import result_digest
+from repro.sim.runner import RESULT_SCHEMAS, SimulationResult
 
 
 def small_pool(num_cores: int = 4) -> PoolConfig:
@@ -138,23 +139,24 @@ class TestBuildPolicy:
 
 
 class TestBuildSimulation:
-    def test_scenario_and_legacy_paths_agree(self):
-        scenario = Scenario(pool=small_pool(), policy="concordia-noml",
-                            workload="redis", load_fraction=0.4, seed=11)
-        from_scenario = build_simulation(scenario).run(40)
-        legacy = Simulation(
-            small_pool(), build_policy("concordia-noml", small_pool()),
-            workload="redis", load_fraction=0.4, seed=11,
-        ).run(40)
-        a, b = from_scenario.to_dict(), legacy.to_dict()
-        # Wall-clock overhead counters and the scenario's policy label
-        # (name vs live-instance normalization) legitimately differ.
-        for payload in (a, b):
-            payload["telemetry"]["counters"] = {
-                k: v for k, v in payload["telemetry"]["counters"].items()
-                if not k.endswith("_wall_s")}
-            payload.pop("scenario")
-        assert a == b
+    @pytest.mark.parametrize("policy, params", [
+        pytest.param(name, params, id=name) for name, params in (
+            ("concordia-noml", {}), ("flexran", {}), ("dedicated", {}),
+            ("shenango", {}), ("utilization", {}),
+            ("static", {"reserved_cores": 2}))])
+    def test_result_rebuilds_the_same_run(self, policy, params):
+        # Every catalog policy that needs no predictor: the scenario a
+        # result embeds names the policy and its parameters, so
+        # rebuilding from it reproduces the run bit for bit.  Six cores
+        # keep the static partition off its default (num_cores // 2).
+        scenario = Scenario(pool=small_pool(num_cores=6), policy=policy,
+                            policy_params=params, workload="redis",
+                            load_fraction=0.4, seed=11)
+        result = build_simulation(scenario).run(40)
+        rebuilt = build_simulation(Scenario.from_dict(result.scenario))
+        assert (result.scenario["policy"],
+                result.scenario["policy_params"]) == (policy, params)
+        assert result_digest(rebuilt.run(40)) == result_digest(result)
 
     def test_result_embeds_scenario(self):
         scenario = Scenario(pool={"name": "20mhz", "num_cores": 4},
@@ -163,12 +165,6 @@ class TestBuildSimulation:
         assert result.scenario is not None
         assert result.scenario["policy"] == "concordia-noml"
         assert result.scenario["pool"] == {"name": "20mhz", "num_cores": 4}
-
-    def test_live_policy_instance_wins(self):
-        scenario = Scenario(pool=small_pool(), policy="flexran")
-        policy = build_policy("shenango", small_pool())
-        simulation = build_simulation(scenario, policy=policy)
-        assert simulation.policy is policy
 
 
 class TestRngStreams:
