@@ -17,15 +17,15 @@ from repro.core.leaf_evt import LeafEvtQuantileTree
 from repro.core.training import train_predictor
 from repro.experiments.common import run_simulation, scaled_slots
 from repro.ran.config import pool_20mhz_7cells
+from repro.scenario import Scenario
 
 
-def _run(policy_kwargs, workload="redis", num_slots=None, seed=7,
-         policy="concordia", **sim_kwargs):
-    config = pool_20mhz_7cells()
+def _run(policy_params, num_slots=None, policy="concordia", **fields):
     slots = num_slots if num_slots is not None else scaled_slots(5000)
-    return run_simulation(config, policy, workload=workload,
-                          load_fraction=0.5, num_slots=slots, seed=seed,
-                          policy_kwargs=policy_kwargs, **sim_kwargs)
+    return run_simulation(
+        Scenario(pool=pool_20mhz_7cells(), policy=policy,
+                 policy_params=policy_params, workload="redis",
+                 load_fraction=0.5, seed=7, **fields), slots)
 
 
 def test_ablation_tick_interval(benchmark, write_report):
@@ -109,10 +109,9 @@ def test_ablation_leaf_predictor(benchmark, write_report):
             predictor = train_predictor(config, num_slots=slots, seed=42,
                                         model_factory=factory)
             result = run_simulation(
-                config, "concordia", workload="redis", load_fraction=0.5,
-                num_slots=scaled_slots(3000), seed=7,
-                policy_kwargs={"predictor": predictor},
-            )
+                Scenario(pool=config, policy="concordia", workload="redis",
+                         load_fraction=0.5, seed=7),
+                scaled_slots(3000), predictor=predictor)
             out[name] = (result, time.perf_counter() - start)
         return out
 

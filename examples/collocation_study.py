@@ -14,6 +14,7 @@ import sys
 
 from repro import pool_100mhz_2cells
 from repro.experiments.common import format_table, run_simulation
+from repro.scenario import Scenario
 
 NUM_SLOTS = int(sys.argv[1]) if len(sys.argv) > 1 else 4000
 POLICIES = ("dedicated", "concordia", "flexran", "shenango", "utilization")
@@ -29,9 +30,8 @@ def main():
     for policy in POLICIES:
         for workload in WORKLOADS:
             result = run_simulation(
-                config, policy, workload=workload, load_fraction=0.5,
-                num_slots=NUM_SLOTS, seed=11,
-            )
+                Scenario(pool=config, policy=policy, workload=workload,
+                         load_fraction=0.5, seed=11), NUM_SLOTS)
             latency = result.latency
             best_effort = sum(result.workload_rates_per_s.values())
             rows.append([

@@ -293,6 +293,7 @@ def _cmd_sweep(args) -> int:
     from .exec.batch import run_batch
     from .exec.cache import ResultCache, default_cache_dir
     from .experiments.common import make_spec, scaled_slots
+    from .scenario import Scenario
 
     try:
         loads = [float(v) for v in args.loads.split(",") if v.strip()]
@@ -312,10 +313,10 @@ def _cmd_sweep(args) -> int:
             scaled_slots(2500 if name == "20mhz" else 5000)
         for seed in seeds:
             for load in loads:
-                specs.append(make_spec(config, args.policy,
-                                       workload=args.workload,
-                                       load_fraction=load,
-                                       num_slots=slots, seed=seed))
+                specs.append(make_spec(
+                    Scenario(pool=config, policy=args.policy,
+                             workload=args.workload, load_fraction=load,
+                             seed=seed), slots))
                 meta.append({"config": name, "load": load, "seed": seed,
                              "slots": slots})
 

@@ -1,8 +1,10 @@
 """Parallel experiment orchestration with a persistent result cache.
 
 Every simulation an experiment driver wants to run is described by a
-declarative, picklable :class:`~repro.exec.spec.SimSpec` (pool config,
-policy, workload, load, seed, slot budget, knobs).  Batches of specs
+declarative, picklable :class:`~repro.exec.spec.SimSpec`: the run's
+:class:`~repro.scenario.Scenario` plus its slot budget, predictor
+training budget and knobs, serialized as the scenario's own JSON
+(:func:`repro.experiments.common.make_spec` builds one).  Batches of specs
 are executed by :func:`~repro.exec.batch.run_batch` through a worker
 pool with deterministic per-spec seeding — a parallel run is
 byte-identical to a serial one — backed by a content-addressed on-disk

@@ -43,7 +43,7 @@ from typing import Callable, List, Optional, Sequence
 from ..obs.events import CacheEvent, global_bus
 from .cache import ResultCache, activated_cache, active_cache
 from .fingerprint import model_fingerprint
-from .spec import SimSpec, pool_config_from_dict, spec_key
+from .spec import SimSpec, spec_key
 from .worker import run_job_in_child
 
 __all__ = ["BatchReport", "Job", "JobOutcome", "check_jobs",
@@ -316,23 +316,17 @@ def _warm_predictors(specs: Sequence[SimSpec]) -> None:
     Forked children then inherit the trained models through the
     process-local predictor cache instead of re-training one copy per
     job; with an on-disk cache active the models also persist
-    across batches.
+    across batches.  :func:`~repro.experiments.common.get_predictor`
+    trains each distinct model once, so repeats are cache lookups.
     """
     from ..experiments.common import get_predictor
-    from .spec import canonical_json
 
-    seen = set()
     for spec in specs:
-        if spec.policy != "concordia" or spec.training_slots is None:
+        if spec.scenario.policy != "concordia" or \
+                spec.training_slots is None:
             continue
-        key = canonical_json({"config": spec.config,
-                              "seed": spec.training_seed,
-                              "slots": spec.training_slots})
-        if key in seen:
-            continue
-        seen.add(key)
         try:
-            get_predictor(pool_config_from_dict(spec.config),
+            get_predictor(spec.scenario.pool_config(),
                           seed=spec.training_seed,
                           num_slots=spec.training_slots)
         except Exception:  # noqa: BLE001 - the job itself will report it

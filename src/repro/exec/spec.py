@@ -1,10 +1,9 @@
 """Declarative simulation specs: the unit of work for the batch runner.
 
-A :class:`SimSpec` captures everything that determines a simulation's
-outcome — the pool configuration (inlined, so arbitrary experiment
-pools work, not just the named Table 1/2 deployments), the policy and
-its kwargs, the workload, load fraction, slot budget, the simulation
-seed and the predictor-training budget.  Two properties follow:
+A :class:`SimSpec` is one run: a :class:`~repro.scenario.Scenario`
+(pool, policy and its parameters, workload, load, traffic options,
+seed), the slot budget, and the predictor-training budget.  Two
+properties follow:
 
 * **hermetic execution** — :func:`run_spec` builds everything it
   needs from the spec alone, including a private copy of the trained
@@ -31,7 +30,11 @@ from ..ran.config import PoolConfig
 
 # The pool converters now live in the scenario layer; re-exported here
 # because spec payloads and downstream callers grew around these names.
-from ..scenario.scenario import pool_config_from_dict, pool_config_to_dict
+from ..scenario.scenario import (
+    Scenario,
+    pool_config_from_dict,
+    pool_config_to_dict,
+)
 
 if TYPE_CHECKING:
     from ..sim.runner import SimulationResult
@@ -48,8 +51,9 @@ __all__ = [
 ]
 
 #: Schema version embedded in every spec payload; bump on breaking
-#: changes so stale cache entries can never be misread.
-SPEC_SCHEMA = 1
+#: changes so stale cache entries can never be misread.  Schema 2
+#: embeds the run's serialized :class:`~repro.scenario.Scenario`.
+SPEC_SCHEMA = 2
 
 
 class SpecError(ValueError):
@@ -63,24 +67,19 @@ class SpecError(ValueError):
 class SimSpec:
     """One simulation, fully described by plain JSON-able values.
 
-    ``policy_kwargs``/``sim_kwargs`` must hold JSON scalars and
-    containers only; passing live objects (e.g. a trained predictor)
-    raises :class:`SpecError` at construction — a caller's predictor
-    is :func:`run_spec`'s argument instead.  ``sim_kwargs`` holds
-    :class:`~repro.scenario.Scenario` field names (``traffic``,
-    ``allocation``, ``harq``, ...).  ``knobs`` is a free-form dict that
-    participates in the hash — used for forward-compatible extensions
-    and for the batch runner's fault-injection tests.
+    The spec holds its scenario as the payload rebuilds it (a private
+    copy, pool left as serialized), so a spec run in-process and one
+    rebuilt from JSON in a worker are the same run.  The scenario's
+    ``policy_params`` must hold JSON values only; a live object (e.g.
+    a trained predictor) raises :class:`SpecError` at construction — a
+    caller's predictor is :func:`run_spec`'s argument instead.
+    ``knobs`` is a free-form dict that participates in the hash — used
+    for forward-compatible extensions and for the batch runner's
+    fault-injection tests.
     """
 
-    config: dict
-    policy: str
-    workload: str = "none"
-    load_fraction: float = 0.5
-    num_slots: int = 2000
-    seed: int = 7
-    policy_kwargs: dict = field(default_factory=dict)
-    sim_kwargs: dict = field(default_factory=dict)
+    scenario: Scenario
+    num_slots: int
     training_slots: Optional[int] = None
     training_seed: int = 42
     knobs: dict = field(default_factory=dict)
@@ -93,18 +92,22 @@ class SimSpec:
         except TypeError as exc:
             raise SpecError(
                 f"spec payload is not JSON-serializable: {exc}") from None
+        self.scenario = Scenario.from_dict(self.scenario.to_dict())
+
+    @property
+    def config(self) -> dict:
+        """The scenario's pool, inlined (:func:`pool_config_to_dict`).
+
+        Read only by ``bench/workloads.py``; other code reads
+        ``scenario.pool_config()``.
+        """
+        return pool_config_to_dict(self.scenario.pool_config())
 
     def to_dict(self) -> dict:
         return {
             "schema": SPEC_SCHEMA,
-            "config": self.config,
-            "policy": self.policy,
-            "workload": self.workload,
-            "load_fraction": self.load_fraction,
+            "scenario": self.scenario.to_dict(),
             "num_slots": self.num_slots,
-            "seed": self.seed,
-            "policy_kwargs": self.policy_kwargs,
-            "sim_kwargs": self.sim_kwargs,
             "training_slots": self.training_slots,
             "training_seed": self.training_seed,
             "knobs": self.knobs,
@@ -116,16 +119,18 @@ class SimSpec:
             raise SpecError(
                 f"unsupported spec schema {payload.get('schema')!r}")
         fields = {k: v for k, v in payload.items() if k != "schema"}
+        fields["scenario"] = Scenario.from_dict(fields["scenario"])
         return cls(**fields)
 
     def label(self) -> str:
         """Short human-readable job label for progress/telemetry."""
-        cells = self.config.get("cells", [])
-        bw = cells[0]["bandwidth_mhz"] if cells else 0
-        return (f"{self.policy}+{self.workload}"
-                f"@{self.load_fraction:.2f} "
-                f"{len(cells)}x{bw:g}MHz/{self.config.get('num_cores')}c "
-                f"slots={self.num_slots} seed={self.seed}")
+        scenario = self.scenario
+        config = scenario.pool_config()
+        return (f"{scenario.policy}+{scenario.workload}"
+                f"@{scenario.load_fraction:.2f} "
+                f"{len(config.cells)}x{config.cells[0].bandwidth_mhz:g}MHz"
+                f"/{config.num_cores}c "
+                f"slots={self.num_slots} seed={scenario.seed}")
 
 
 def canonical_json(payload: Any) -> str:
@@ -143,10 +148,20 @@ def spec_key(spec: SimSpec, fingerprint: str) -> str:
 
 def predictor_cache_key(config: PoolConfig, seed: int, num_slots: int,
                         fingerprint: str) -> str:
-    """Content address of a trained default predictor."""
+    """Content address of a trained default predictor.
+
+    The one predictor key: the process cache, the on-disk cache and
+    the batch runner's pre-warming all use it.  It holds every cell's
+    full configuration and the rest of the pool except
+    ``deadline_us``: offline profiling records the same samples under
+    any deadline (a test pins this), so pools that differ only in
+    their deadline share one model.
+    """
+    pool = pool_config_to_dict(config)
+    del pool["deadline_us"]
     blob = canonical_json({
         "fingerprint": fingerprint,
-        "config": pool_config_to_dict(config),
+        "pool": pool,
         "seed": seed,
         "training_slots": num_slots,
         "kind": "quantile-tree-default",
@@ -181,7 +196,7 @@ def run_spec(spec: SimSpec, predictor=None,
     The policy learns online on a private model: a caller-owned
     ``predictor`` is copied before the run, and a ``concordia`` spec
     without one gets a copy of the trained model for exactly
-    ``(config, training_seed, training_slots)``
+    ``(pool, training_seed, training_slots)``
     (:func:`repro.experiments.common.private_predictor`).  Neither
     argument nor the process cache is changed by the run.
 
@@ -191,23 +206,15 @@ def run_spec(spec: SimSpec, predictor=None,
     # Imported lazily: experiments.common imports this module, and the
     # scenario package's build_simulation is looked up per call.
     from ..experiments.common import private_predictor
-    from ..scenario import Scenario, build_simulation
+    from ..scenario import build_simulation
 
-    config = pool_config_from_dict(spec.config)
+    scenario = spec.scenario
     if predictor is not None:
         predictor = copy.deepcopy(predictor)
-    elif spec.policy == "concordia":
-        predictor = private_predictor(config, seed=spec.training_seed,
+    elif scenario.policy == "concordia":
+        predictor = private_predictor(scenario.pool_config(),
+                                      seed=spec.training_seed,
                                       num_slots=spec.training_slots)
-    scenario = Scenario(
-        pool=config,
-        policy=spec.policy,
-        policy_params=dict(spec.policy_kwargs),
-        workload=spec.workload,
-        load_fraction=spec.load_fraction,
-        seed=spec.seed,
-        **spec.sim_kwargs,
-    )
     simulation = build_simulation(scenario, predictor=predictor,
                                   policy_seed=spec.training_seed,
                                   event_bus=event_bus)

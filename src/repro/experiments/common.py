@@ -27,13 +27,9 @@ from ..core.predictor import ConcordiaPredictor
 from ..core.training import train_predictor
 from ..exec.cache import active_cache
 from ..exec.fingerprint import model_fingerprint
-from ..exec.spec import (
-    SimSpec,
-    pool_config_to_dict,
-    predictor_cache_key,
-    run_spec,
-)
+from ..exec.spec import SimSpec, predictor_cache_key, run_spec
 from ..ran.config import PoolConfig
+from ..scenario.scenario import Scenario
 from ..sim.runner import SimulationResult
 
 __all__ = [
@@ -75,14 +71,6 @@ def scaled_slots(default: int, minimum: int = 200) -> int:
     return max(minimum, int(default * repro_scale()))
 
 
-def _config_key(config: PoolConfig) -> tuple:
-    return (
-        tuple((c.name, c.bandwidth_mhz, c.duplex.value, c.numerology)
-              for c in config.cells),
-        config.num_cores,
-    )
-
-
 def _training_slots(num_slots: Optional[int]) -> int:
     return num_slots if num_slots is not None else \
         scaled_slots(TRAINING_SLOTS, minimum=300)
@@ -92,21 +80,19 @@ def get_predictor(config: PoolConfig, seed: int = 42,
                   num_slots: Optional[int] = None) -> ConcordiaPredictor:
     """Train (or fetch from cache) the offline predictor for a config.
 
-    Keyed explicitly on (config, seed, training slots) — two different
-    training budgets never alias.  When a result cache is active
+    Keyed on :func:`repro.exec.spec.predictor_cache_key` — the pool,
+    seed and training budget — in memory and on disk alike, so two
+    pools or budgets never alias.  When a result cache is active
     (``REPRO_CACHE=1`` or a batch run), the trained model is pickled
     to disk so other worker processes and later sessions reload it
     instead of re-training.
     """
     slots = _training_slots(num_slots)
-    key = (_config_key(config), seed, slots)
+    key = predictor_cache_key(config, seed, slots, model_fingerprint())
     if key not in _PREDICTOR_CACHE:
         cache = active_cache()
-        cache_path = None
-        if cache is not None:
-            cache_path = cache.predictor_path(
-                predictor_cache_key(config, seed, slots,
-                                    model_fingerprint()))
+        cache_path = cache.predictor_path(key) if cache is not None \
+            else None
         _PREDICTOR_CACHE[key] = train_predictor(
             config, num_slots=slots, seed=seed, cache_path=cache_path)
     return _PREDICTOR_CACHE[key]
@@ -126,58 +112,31 @@ def private_predictor(config: PoolConfig, seed: int = 42,
                                        num_slots=num_slots))
 
 
-def make_spec(
-    config: PoolConfig,
-    policy_name: str,
-    workload: str = "none",
-    load_fraction: float = 0.5,
-    num_slots: int = 2000,
-    seed: int = 7,
-    policy_kwargs: Optional[dict] = None,
-    **sim_kwargs,
-) -> SimSpec:
-    """Declarative :class:`SimSpec` for one ``run_simulation`` call.
+def make_spec(scenario: Scenario, num_slots: int) -> SimSpec:
+    """Declarative :class:`SimSpec` for running ``scenario``.
 
-    Raises :class:`SpecError` when the call cannot be expressed
-    declaratively (e.g. a live predictor object in ``policy_kwargs``).
-    The predictor-training budget is resolved *now*, so the spec is
+    Raises :class:`SpecError` when the scenario cannot be expressed
+    declaratively (e.g. a live object in ``policy_params``).  The
+    predictor-training budget is resolved *now*, so the spec is
     hermetic with respect to ``REPRO_SCALE`` at submission time.
     """
     training_slots = None
-    if policy_name == "concordia":
+    if scenario.policy == "concordia":
         training_slots = _training_slots(None)
-    return SimSpec(
-        config=pool_config_to_dict(config),
-        policy=policy_name,
-        workload=workload,
-        load_fraction=load_fraction,
-        num_slots=num_slots,
-        seed=seed,
-        policy_kwargs=dict(policy_kwargs or {}),
-        sim_kwargs=sim_kwargs,
-        training_slots=training_slots,
-        training_seed=42,
-    )
+    return SimSpec(scenario=scenario, num_slots=num_slots,
+                   training_slots=training_slots)
 
 
-def run_simulation(
-    config: PoolConfig,
-    policy_name: str,
-    workload: str = "none",
-    load_fraction: float = 0.5,
-    num_slots: int = 2000,
-    seed: int = 7,
-    policy_kwargs: Optional[dict] = None,
-    use_cache: Optional[bool] = None,
-    **sim_kwargs,
-) -> SimulationResult:
-    """One full experiment run with a named policy.
+def run_simulation(scenario: Scenario, num_slots: int, *, predictor=None,
+                   use_cache: Optional[bool] = None) -> SimulationResult:
+    """Run one scenario for ``num_slots`` slots.
 
     The call becomes one spec (:func:`make_spec`) run by
     :func:`repro.exec.spec.run_spec`, so it is a pure function of its
-    arguments: a ``predictor`` in ``policy_kwargs`` is copied, never
-    trained in place.  When a result cache is active (``REPRO_CACHE=1``,
-    a ``repro sweep``, or an :func:`repro.exec.cache.activated_cache`
+    arguments: a caller's ``predictor`` (used by the ``concordia``
+    policy instead of the trained default) is copied, never trained in
+    place.  When a result cache is active (``REPRO_CACHE=1``, a
+    ``repro sweep``, or an :func:`repro.exec.cache.activated_cache`
     scope), the spec goes through the cache as a one-job batch
     (:func:`run_spec_batch`): a hit returns the stored result, a miss
     runs and stores it.  Cached results carry ``metrics=None``/
@@ -185,11 +144,7 @@ def run_simulation(
     ``use_cache=False``.  A caller-owned predictor has no spec address,
     so such a call bypasses the cache.
     """
-    policy_kwargs = dict(policy_kwargs or {})
-    predictor = policy_kwargs.pop("predictor", None)
-    spec = make_spec(config, policy_name, workload=workload,
-                     load_fraction=load_fraction, num_slots=num_slots,
-                     seed=seed, policy_kwargs=policy_kwargs, **sim_kwargs)
+    spec = make_spec(scenario, num_slots)
     cache = active_cache() if use_cache is not False else None
     if cache is None or predictor is not None:
         return run_spec(spec, predictor=predictor)

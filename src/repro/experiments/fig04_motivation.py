@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..ran.config import PoolConfig, cell_100mhz_tdd
+from ..scenario import Scenario
 from .common import format_table, run_simulation, scaled_slots
 
 __all__ = ["run_utilization", "run_interference", "main",
@@ -55,9 +56,9 @@ def run_utilization(num_slots: int = None, seed: int = 3) -> list:
     rows = []
     for label, config, paper_util in (UL_ONLY_3CELLS, TDD_1CELL,
                                       TDD_2CELLS):
-        result = run_simulation(config, "dedicated", workload="none",
-                                load_fraction=1.0, num_slots=num_slots,
-                                seed=seed)
+        result = run_simulation(
+            Scenario(pool=config, policy="dedicated", load_fraction=1.0,
+                     seed=seed), num_slots)
         rows.append({
             "scenario": label,
             "num_cores": config.num_cores,
@@ -76,9 +77,9 @@ def run_interference(num_slots: int = None, seed: int = 3) -> list:
     for label, config, __ in (UL_ONLY_3CELLS, TDD_1CELL, TDD_2CELLS):
         row = {"scenario": label, "deadline_us": config.deadline_us}
         for workload in ("none", "nginx", "redis"):
-            result = run_simulation(config, "flexran", workload=workload,
-                                    load_fraction=0.6,
-                                    num_slots=num_slots, seed=seed)
+            result = run_simulation(
+                Scenario(pool=config, policy="flexran", workload=workload,
+                         load_fraction=0.6, seed=seed), num_slots)
             row[workload] = result.latency.p9999_us
         rows.append(row)
     return rows

@@ -13,6 +13,7 @@ vRAN under Concordia, against the "no vRAN" ideal on the same cores.
 from __future__ import annotations
 
 from ..ran.config import pool_100mhz_2cells, pool_20mhz_7cells
+from ..scenario import Scenario
 from ..workloads.catalog import WORKLOAD_SPECS
 from .common import format_table, make_spec, run_spec_batch, scaled_slots
 
@@ -33,9 +34,9 @@ def build_reclaim_specs(num_slots: int = None, seed: int = 7,
         slots = num_slots if num_slots is not None else \
             scaled_slots(int(2500 * slots_scale))
         for load in loads:
-            specs.append(make_spec(config, "concordia", workload="mix",
-                                   load_fraction=load, num_slots=slots,
-                                   seed=seed))
+            specs.append(make_spec(
+                Scenario(pool=config, policy="concordia", workload="mix",
+                         load_fraction=load, seed=seed), slots))
             meta.append((label, load))
     return specs, meta
 
@@ -70,10 +71,10 @@ def run_workloads(num_slots: int = None, seed: int = 7,
             slots = num_slots if num_slots is not None else \
                 scaled_slots(2000 if label == "20MHz" else 4000)
             for load in loads:
-                specs.append(make_spec(config, "concordia",
-                                       workload=workload,
-                                       load_fraction=load,
-                                       num_slots=slots, seed=seed))
+                specs.append(make_spec(
+                    Scenario(pool=config, policy="concordia",
+                             workload=workload, load_fraction=load,
+                             seed=seed), slots))
                 meta.append((workload, label, load))
     batch = dict(zip(meta, run_spec_batch(specs, jobs=jobs)))
     for workload in ("redis", "nginx", "tpcc", "mlperf"):

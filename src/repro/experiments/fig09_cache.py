@@ -10,6 +10,7 @@ acquire/release churn that evicts the vRAN's warm working set.
 from __future__ import annotations
 
 from ..ran.config import pool_100mhz_2cells
+from ..scenario import Scenario
 from .common import format_table, run_simulation, scaled_slots
 
 __all__ = ["run", "main"]
@@ -24,10 +25,10 @@ def run(num_slots: int = None, workload: str = "redis",
     for policy in ("concordia", "flexran"):
         # use_cache=False: this driver reads the live cache model off
         # result.pool, which cached (reconstructed) results don't carry.
-        result = run_simulation(config, policy, workload=workload,
-                                load_fraction=load_fraction,
-                                num_slots=num_slots, seed=seed,
-                                use_cache=False)
+        result = run_simulation(
+            Scenario(pool=config, policy=policy, workload=workload,
+                     load_fraction=load_fraction, seed=seed),
+            num_slots, use_cache=False)
         cache = result.pool.cache_model
         results[policy] = {
             "stall_increase": cache.mean_stall_increase,

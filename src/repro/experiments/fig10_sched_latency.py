@@ -16,6 +16,7 @@ on a 2 × 100 MHz / 8-core pool.  The paper's findings:
 from __future__ import annotations
 
 from ..ran.config import pool_100mhz_2cells
+from ..scenario import Scenario
 from .common import format_table, run_simulation, scaled_slots
 
 __all__ = ["run", "main"]
@@ -31,9 +32,10 @@ def run(num_slots: int = None, load_fraction: float = 0.5,
         for workload in ("none", "redis"):
             # Everything this figure needs rides in the telemetry
             # registry snapshot, so cached sweep results work too.
-            result = run_simulation(config, policy, workload=workload,
-                                    load_fraction=load_fraction,
-                                    num_slots=num_slots, seed=seed)
+            result = run_simulation(
+                Scenario(pool=config, policy=policy, workload=workload,
+                         load_fraction=load_fraction, seed=seed),
+                num_slots)
             counters = result.telemetry.get("counters", {})
             results[(policy, workload)] = {
                 "histogram": result.wakeup_histogram,

@@ -11,6 +11,7 @@ Concordia stays within it at 99.999 %.
 from __future__ import annotations
 
 from ..ran.config import pool_100mhz_2cells, pool_20mhz_7cells
+from ..scenario import Scenario
 from .common import format_table, make_spec, run_spec_batch, scaled_slots
 
 __all__ = ["run", "build_specs", "main", "WORKLOADS"]
@@ -34,9 +35,10 @@ def build_specs(num_slots: int = None, load_fraction: float = 0.5,
             8000 if config_name == "20MHz" else 16000)
         for policy in policies:
             for workload in workloads:
-                specs.append(make_spec(config, policy, workload=workload,
-                                       load_fraction=load_fraction,
-                                       num_slots=slots, seed=seed))
+                specs.append(make_spec(
+                    Scenario(pool=config, policy=policy, workload=workload,
+                             load_fraction=load_fraction, seed=seed),
+                    slots))
                 meta.append((config_name, policy, workload))
     return specs, meta
 

@@ -10,6 +10,7 @@ when an already-scheduled core is slow to wake.
 from __future__ import annotations
 
 from ..ran.config import pool_100mhz_2cells, pool_20mhz_7cells
+from ..scenario import Scenario
 from .common import format_table, run_simulation, scaled_slots
 
 __all__ = ["run", "main"]
@@ -26,9 +27,9 @@ def run(num_slots: int = None, load_fraction: float = 0.6,
             scaled_slots(slots_default)
         for cores in (8, 9):
             config = factory(num_cores=cores)
-            result = run_simulation(config, "concordia", workload="mix",
-                                    load_fraction=load_fraction,
-                                    num_slots=slots, seed=seed)
+            result = run_simulation(
+                Scenario(pool=config, policy="concordia", workload="mix",
+                         load_fraction=load_fraction, seed=seed), slots)
             summary = result.latency
             results[(label, cores)] = {
                 "p9999_us": summary.p9999_us,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from ..core.models import PwcetEVT
 from ..ran.config import pool_20mhz_7cells
+from ..scenario import Scenario
 from .common import format_table, run_simulation, scaled_slots
 
 __all__ = ["run_pwcet", "run_wcetless", "main"]
@@ -31,17 +32,16 @@ def run_pwcet(num_slots: int = None, seed: int = 7,
         config, num_slots=scaled_slots(600, minimum=300), seed=42,
         model_factory=PwcetEVT,
     )
-    for name, policy_kwargs in (
-        ("concordia", {}),
-        ("pwcet", {"predictor": pwcet_predictor}),
+    for name, predictor in (
+        ("concordia", None),
+        ("pwcet", pwcet_predictor),
     ):
         series = []
         for load in loads:
             result = run_simulation(
-                config, "concordia", workload="redis",
-                load_fraction=load, num_slots=num_slots, seed=seed,
-                policy_kwargs=dict(policy_kwargs),
-            )
+                Scenario(pool=config, policy="concordia", workload="redis",
+                         load_fraction=load, seed=seed),
+                num_slots, predictor=predictor)
             series.append({
                 "load": load,
                 "reclaimed": result.reclaimed_fraction,
@@ -60,22 +60,20 @@ def run_wcetless(num_slots: int = None, seed: int = 7,
     config = pool_20mhz_7cells()
     results = {}
     for threshold in (5.0, 50.0, 200.0):
-        result = run_simulation(
-            config, "shenango", workload="redis",
-            load_fraction=load_fraction, num_slots=num_slots, seed=seed,
-            policy_kwargs={"queue_delay_threshold_us": threshold},
-        )
+        result = run_simulation(Scenario(
+            pool=config, policy="shenango",
+            policy_params={"queue_delay_threshold_us": threshold},
+            workload="redis", load_fraction=load_fraction, seed=seed),
+            num_slots)
         results[f"shenango-{threshold:.0f}us"] = _wcetless_entry(result)
-    result = run_simulation(
-        config, "utilization", workload="redis",
-        load_fraction=load_fraction, num_slots=num_slots, seed=seed,
-        policy_kwargs={"threshold": 0.6},
-    )
+    result = run_simulation(Scenario(
+        pool=config, policy="utilization", policy_params={"threshold": 0.6},
+        workload="redis", load_fraction=load_fraction, seed=seed),
+        num_slots)
     results["utilization-60%"] = _wcetless_entry(result)
-    result = run_simulation(
-        config, "concordia", workload="redis",
-        load_fraction=load_fraction, num_slots=num_slots, seed=seed,
-    )
+    result = run_simulation(Scenario(
+        pool=config, policy="concordia", workload="redis",
+        load_fraction=load_fraction, seed=seed), num_slots)
     results["concordia"] = _wcetless_entry(result)
     return results
 

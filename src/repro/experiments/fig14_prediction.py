@@ -148,8 +148,9 @@ def run_full_dag(num_slots: int = None, seed: int = 31,
     if num_slots is None:
         num_slots = scaled_slots(6000)
     specs = [
-        make_spec(_pool(num_cells), "concordia", workload=workload,
-                  load_fraction=0.6, num_slots=num_slots, seed=seed)
+        make_spec(Scenario(pool=_pool(num_cells), policy="concordia",
+                           workload=workload, load_fraction=0.6, seed=seed),
+                  num_slots)
         for num_cells, workload in scenarios
     ]
     results = {}

@@ -15,6 +15,7 @@
 from __future__ import annotations
 
 from ..ran.config import PoolConfig, cell_20mhz_fdd, pool_20mhz_7cells
+from ..scenario import Scenario
 from .common import format_table, run_simulation, scaled_slots
 
 __all__ = ["run_overhead", "run_deadline_sweep", "main"]
@@ -30,9 +31,9 @@ def run_overhead(num_slots: int = None, seed: int = 7,
         cells = tuple(cell_20mhz_fdd(f"c{i}") for i in range(num_cells))
         config = PoolConfig(cells=cells, num_cores=8, deadline_us=2000.0)
         # Uncached: the columns are wall-clock times of this run.
-        result = run_simulation(config, "concordia", load_fraction=0.6,
-                                num_slots=num_slots, seed=seed,
-                                use_cache=False)
+        result = run_simulation(
+            Scenario(pool=config, policy="concordia", load_fraction=0.6,
+                     seed=seed), num_slots, use_cache=False)
         # Read the overhead counters back through the telemetry
         # snapshot (the same numbers a cached result would carry).
         counters = result.telemetry["counters"]
@@ -56,9 +57,9 @@ def run_deadline_sweep(num_slots: int = None, seed: int = 7,
     results = {}
     for deadline in deadlines:
         config = pool_20mhz_7cells(deadline_us=deadline)
-        result = run_simulation(config, "concordia", workload="redis",
-                                load_fraction=0.25, num_slots=num_slots,
-                                seed=seed)
+        result = run_simulation(
+            Scenario(pool=config, policy="concordia", workload="redis",
+                     load_fraction=0.25, seed=seed), num_slots)
         results[deadline] = {
             "p99999_us": result.latency.p99999_us,
             "reclaimed": result.reclaimed_fraction,

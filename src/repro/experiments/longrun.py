@@ -12,6 +12,7 @@ first and second half of the run).
 from __future__ import annotations
 
 from ..ran.config import pool_20mhz_7cells
+from ..scenario import Scenario
 from .common import make_spec, run_spec_batch, scaled_slots
 
 __all__ = ["run", "main"]
@@ -31,9 +32,9 @@ def run(num_slots: int = None, num_windows: int = 4, seed: int = 19,
     if num_slots is None:
         num_slots = scaled_slots(10_000)
     config = pool_20mhz_7cells()
-    specs = [make_spec(config, "concordia", workload="mix",
-                       load_fraction=load_fraction, num_slots=num_slots,
-                       seed=seed + window)
+    specs = [make_spec(Scenario(pool=config, policy="concordia",
+                                workload="mix", load_fraction=load_fraction,
+                                seed=seed + window), num_slots)
              for window in range(num_windows)]
     windows = []
     total_slots = 0

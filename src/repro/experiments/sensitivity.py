@@ -55,9 +55,9 @@ def _run_pair(knob: str, factor: float, num_slots: int, seed: int) -> dict:
     """Concordia + FlexRAN under one perturbed model."""
     config = pool_20mhz_7cells()
     out = {}
-    for policy_name in ("concordia", "flexran"):
+    for policy in ("concordia", "flexran"):
         simulation = build_simulation(Scenario(
-            pool=config, policy=policy_name, workload="redis",
+            pool=config, policy=policy, workload="redis",
             load_fraction=0.5, seed=seed))
         if knob == "runtime_noise":
             simulation.cost_model.noise_sigma *= factor
@@ -75,7 +75,7 @@ def _run_pair(knob: str, factor: float, num_slots: int, seed: int) -> dict:
         else:
             raise ValueError(f"unknown knob {knob}")
         result = simulation.run(num_slots)
-        out[policy_name] = result
+        out[policy] = result
     return out
 
 

@@ -45,7 +45,6 @@ def build_policy(name: str, config: PoolConfig, seed: int = 42,
     ``(config, seed)``.  All other policies ignore it.
     """
     if name == "concordia":
-        predictor = kwargs.pop("predictor", predictor)
         if predictor is None:
             # Lazy: experiments.common owns the training/cache plumbing
             # and itself imports this package.

@@ -215,8 +215,9 @@ class TestFleetShardingInvariance:
 class TestSerialParallelEquivalence:
     def test_serial_and_two_jobs_byte_identical(self):
         specs = [
-            make_spec(pool_20mhz_7cells(), "concordia-noml",
-                      workload="redis", num_slots=60, seed=s)
+            make_spec(Scenario(pool=pool_20mhz_7cells(),
+                               policy="concordia-noml", workload="redis",
+                               seed=s), 60)
             for s in (11, 12)
         ]
         serial = run_batch(specs, jobs=1, use_cache=False)

@@ -19,7 +19,6 @@ from repro.exec import (
     activated_cache,
     execute_spec,
     model_fingerprint,
-    pool_config_from_dict,
     pool_config_to_dict,
     run_batch,
     spec_key,
@@ -33,7 +32,7 @@ from repro.experiments.common import (
     run_simulation,
 )
 from repro.ran.config import PoolConfig, cell_20mhz_fdd, pool_20mhz_7cells
-from repro.scenario import build_policy
+from repro.scenario import Scenario, build_policy, build_simulation
 
 
 def small_config(num_cores: int = 4) -> PoolConfig:
@@ -45,17 +44,54 @@ def tiny_config() -> PoolConfig:
                       deadline_us=2000.0)
 
 
-def flexran_spec(seed: int = 3, num_slots: int = 120, **kwargs) -> SimSpec:
-    return make_spec(small_config(), "flexran", num_slots=num_slots,
-                     seed=seed, **kwargs)
+def flexran_spec(seed: int = 3, num_slots: int = 120, **fields) -> SimSpec:
+    return make_spec(Scenario(pool=small_config(), policy="flexran",
+                              seed=seed, **fields), num_slots)
+
+
+#: Between them these set every ``Scenario`` field away from its
+#: default; each must give one digest on every run path.
+FORMAT_SCENARIOS = {
+    "mac+harq": {"allocation": "mac", "harq": True},
+    "profiling": {"traffic": "profiling"},
+    "reconfig": {"reconfig": (
+        {"action": "add_worker", "at_slot": 10, "count": 2},
+        {"action": "remove_worker", "at_slot": 30})},
+    "cell-id-base": {"cell_id_base": 5},
+}
+
+
+def format_scenario(**fields) -> Scenario:
+    return Scenario(pool=tiny_config(), policy="shenango",
+                    policy_params={"queue_delay_threshold_us": 50.0},
+                    workload="mix", load_fraction=0.6, seed=21,
+                    mix_interval_us=(1e4, 5e4), **fields)
 
 
 class TestSpec:
+    @pytest.mark.parametrize("name", sorted(FORMAT_SCENARIOS))
+    def test_spec_round_trips_its_scenario(self, name):
+        scenario = format_scenario(**FORMAT_SCENARIOS[name])
+        payload = json.loads(json.dumps(make_spec(scenario, 60).to_dict()))
+        clone = SimSpec.from_dict(payload)
+        assert clone.scenario.to_dict() == scenario.to_dict()
+
+    @pytest.mark.parametrize("name", sorted(FORMAT_SCENARIOS))
+    def test_every_run_path_gives_one_digest(self, name):
+        scenario = format_scenario(**FORMAT_SCENARIOS[name])
+        digests = {
+            result_digest(execute_spec(make_spec(scenario, 60))),
+            result_digest(run_simulation(scenario, 60)),
+            result_digest(build_simulation(scenario).run(60)),
+        }
+        assert len(digests) == 1
+
     def test_round_trip(self):
         spec = flexran_spec(workload="redis", load_fraction=0.3)
         clone = SimSpec.from_dict(spec.to_dict())
         assert clone.to_dict() == spec.to_dict()
-        assert pool_config_from_dict(clone.config) == small_config()
+        assert clone.scenario.pool_config() == small_config()
+        assert clone.config == pool_config_to_dict(small_config())
 
     def test_key_depends_on_payload_and_fingerprint(self):
         a, b = flexran_spec(seed=1), flexran_spec(seed=2)
@@ -65,8 +101,9 @@ class TestSpec:
 
     def test_live_objects_are_rejected(self):
         with pytest.raises(SpecError):
-            make_spec(small_config(), "concordia",
-                      policy_kwargs={"predictor": object()})
+            make_spec(Scenario(pool=small_config(), policy="concordia",
+                               policy_params={"predictor": object()}),
+                      100)
 
     def test_label_mentions_the_grid_point(self):
         label = flexran_spec(load_fraction=0.25).label()
@@ -130,7 +167,7 @@ class TestBatchRunner:
         good = flexran_spec(seed=9, num_slots=100)
         report = run_batch([crash, flaky, good], jobs=2,
                            use_cache=False, retries=1)
-        by_status = {o.spec.seed: o for o in report.outcomes}
+        by_status = {o.spec.scenario.seed: o for o in report.outcomes}
         assert by_status[7].status == "failed"
         assert by_status[7].attempts == 2
         assert "injected crash" in by_status[7].error
@@ -226,10 +263,14 @@ def small_training_budget(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "0.1")  # 300 training slots
 
 
+def _concordia_scenario(seed) -> Scenario:
+    return Scenario(pool=tiny_config(), policy="concordia",
+                    workload="redis", load_fraction=0.8, seed=seed)
+
+
 def _concordia(seed, **kwargs):
-    return run_simulation(tiny_config(), "concordia", workload="redis",
-                          load_fraction=0.8, num_slots=HERMETIC_SLOTS,
-                          seed=seed, **kwargs)
+    return run_simulation(_concordia_scenario(seed), HERMETIC_SLOTS,
+                          **kwargs)
 
 
 def _predictor_state(predictor) -> list:
@@ -242,14 +283,16 @@ def _predictor_state(predictor) -> list:
     return state
 
 
+def _flexran(config, seed) -> Scenario:
+    return Scenario(pool=config, policy="flexran", seed=seed)
+
+
 class TestRunSimulationRouting:
     def test_hit_returns_identical_payload(self, tmp_path):
         config = small_config()
         with activated_cache(ResultCache(tmp_path)) as cache:
-            first = run_simulation(config, "flexran", num_slots=100,
-                                   seed=12)
-            second = run_simulation(config, "flexran", num_slots=100,
-                                    seed=12)
+            first = run_simulation(_flexran(config, 12), 100)
+            second = run_simulation(_flexran(config, 12), 100)
         assert cache.hits >= 1
         assert first.metrics is None and first.pool is None
         assert first.to_dict() == second.to_dict()
@@ -257,19 +300,18 @@ class TestRunSimulationRouting:
     def test_use_cache_false_bypasses(self, tmp_path):
         config = small_config()
         with activated_cache(ResultCache(tmp_path)) as cache:
-            result = run_simulation(config, "flexran", num_slots=100,
-                                    seed=13, use_cache=False)
+            result = run_simulation(_flexran(config, 13), 100,
+                                    use_cache=False)
         assert result.metrics is not None  # live, uncached result
         assert cache.hits == 0 and cache.misses == 0
 
     def test_unspeccable_call_falls_back(self, tmp_path):
         config = small_config()
         with activated_cache(ResultCache(tmp_path)) as cache:
-            result = run_simulation(config, "flexran", num_slots=100,
-                                    seed=14,
-                                    policy_kwargs={"predictor": object()})
-        # A live object in policy_kwargs cannot be expressed as a
-        # spec, so the call must bypass the cache entirely.
+            result = run_simulation(_flexran(config, 14), 100,
+                                    predictor=object())
+        # A caller-owned predictor has no spec address, so the call
+        # must bypass the cache entirely.
         assert result.metrics is not None
         assert cache.hits == 0 and cache.misses == 0
 
@@ -289,17 +331,15 @@ class TestRunSimulationRouting:
         with activated_cache(ResultCache(tmp_path)) as cache:
             cached = _concordia(6)
         assert cache.misses == 1
-        spec = make_spec(tiny_config(), "concordia", workload="redis",
-                         load_fraction=0.8, num_slots=HERMETIC_SLOTS,
-                         seed=6)
-        payload = execute_spec(spec)
+        payload = execute_spec(make_spec(_concordia_scenario(6),
+                                         HERMETIC_SLOTS))
         assert result_digest(uncached) == result_digest(cached) == \
             result_digest(payload)
 
     def test_caller_predictor_is_not_trained_in_place(self):
         predictor = train_predictor(tiny_config(), num_slots=300, seed=42)
         before = _predictor_state(predictor)
-        result = _concordia(7, policy_kwargs={"predictor": predictor})
+        result = _concordia(7, predictor=predictor)
         assert result.latency.count > 0
         assert _predictor_state(predictor) == before
         assert predictor.predictions_made == 0

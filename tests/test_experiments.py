@@ -5,8 +5,13 @@ table/figure pipeline executes end-to-end and returns well-formed
 results (the shape assertions live in benchmarks/).
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from repro.core.training import collect_offline_dataset
+from repro.exec.spec import predictor_cache_key
 from repro.experiments import (
     fig03_traffic,
     fig04_motivation,
@@ -25,8 +30,8 @@ from repro.experiments.common import (
     run_simulation,
     scaled_slots,
 )
-from repro.ran.config import pool_20mhz_7cells
-from repro.scenario import build_policy
+from repro.ran.config import PoolConfig, cell_20mhz_fdd, pool_20mhz_7cells
+from repro.scenario import Scenario, build_policy
 
 
 class TestCommon:
@@ -51,6 +56,29 @@ class TestCommon:
         second = get_predictor(config, seed=77, num_slots=200)
         assert first is second
 
+    def test_pools_differing_in_antennas_get_distinct_models(self):
+        cell = cell_20mhz_fdd("a0")
+        first, second = (
+            get_predictor(PoolConfig(cells=(replace(cell, num_antennas=n),),
+                                     num_cores=2, deadline_us=2000.0),
+                          seed=78, num_slots=200)
+            for n in (cell.num_antennas, 2 * cell.num_antennas))
+        assert first is not second
+
+    def test_deadline_leaves_the_offline_dataset_unchanged(self):
+        # Why the predictor key leaves deadline_us out: Fig. 15b's
+        # deadline sweep trains one model for all its pools.
+        pools = [pool_20mhz_7cells(deadline_us=d) for d in (1600.0, 2000.0)]
+        short, long = (collect_offline_dataset(p, num_slots=300, seed=42)
+                       for p in pools)
+        assert len(short) == len(long) > 0
+        assert short.task_types() == long.task_types()
+        for task in short.task_types():
+            for a, b in zip(short.arrays(task), long.arrays(task)):
+                np.testing.assert_array_equal(a, b)
+        assert predictor_cache_key(pools[0], 42, 300, "fp") == \
+            predictor_cache_key(pools[1], 42, 300, "fp")
+
     def test_format_table_alignment(self):
         text = format_table(["a", "bb"], [["1", "2"], ["333", "4"]],
                             title="T")
@@ -58,11 +86,12 @@ class TestCommon:
         assert lines[0] == "T"
         assert len({len(line) for line in lines[1:]}) == 1
 
-    def test_run_simulation_policy_kwargs(self):
+    def test_run_simulation_policy_params(self):
         config = pool_20mhz_7cells(num_cores=4)
-        result = run_simulation(config, "shenango", num_slots=200,
-                                policy_kwargs={
-                                    "queue_delay_threshold_us": 42.0})
+        result = run_simulation(
+            Scenario(pool=config, policy="shenango", seed=7,
+                     policy_params={"queue_delay_threshold_us": 42.0}),
+            200)
         assert result.latency.count > 0
 
 

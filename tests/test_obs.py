@@ -276,9 +276,9 @@ class TestTelemetryThroughCache:
         from repro.exec.cache import ResultCache
         from repro.experiments.common import make_spec
 
-        spec = make_spec(small_config(), "concordia-noml",
-                         workload="none", load_fraction=0.4,
-                         num_slots=50, seed=3)
+        spec = make_spec(Scenario(pool=small_config(),
+                                  policy="concordia-noml",
+                                  load_fraction=0.4, seed=3), 50)
         cache = ResultCache(tmp_path / "cache")
         first = run_batch([spec], cache=cache)
         assert first.outcomes[0].status == "ok"
@@ -297,9 +297,9 @@ class TestTelemetryThroughCache:
         from repro.exec.cache import ResultCache
         from repro.experiments.common import make_spec
 
-        spec = make_spec(small_config(), "concordia-noml",
-                         workload="none", load_fraction=0.4,
-                         num_slots=50, seed=4)
+        spec = make_spec(Scenario(pool=small_config(),
+                                  policy="concordia-noml",
+                                  load_fraction=0.4, seed=4), 50)
         cache = ResultCache(tmp_path / "cache")
         bus = global_bus()
         bus.enabled = True

@@ -316,17 +316,17 @@ class TestCacheSchemaBump:
         config = small_pool()
         cache = ResultCache(tmp_path / "cache")
         with activated_cache(cache):
-            first = run_simulation(config, "concordia-noml", num_slots=20,
-                                   seed=3)
-            spec = make_spec(config, "concordia-noml", num_slots=20, seed=3)
+            scenario = Scenario(pool=config, policy="concordia-noml",
+                                seed=3)
+            first = run_simulation(scenario, 20)
+            spec = make_spec(scenario, 20)
             key = spec_key(spec, model_fingerprint())
             artifact = cache.get(key)
             assert artifact is not None
             # Simulate an artifact written by a future result schema.
             artifact["result"]["schema"] = max(RESULT_SCHEMAS) + 1
             cache.put(key, artifact)
-            again = run_simulation(config, "concordia-noml", num_slots=20,
-                                   seed=3)
+            again = run_simulation(scenario, 20)
         assert again.latency.p99_us == first.latency.p99_us
         # The re-executed artifact replaced the stale one.
         refreshed = cache.get(key)
@@ -340,7 +340,8 @@ class TestCacheSchemaBump:
         from repro.experiments.common import make_spec
 
         config = small_pool()
-        spec = make_spec(config, "concordia-noml", num_slots=20, seed=3)
+        spec = make_spec(Scenario(pool=config, policy="concordia-noml",
+                                  seed=3), 20)
         cache = ResultCache(tmp_path / "cache")
         report = run_batch([spec], cache=cache)
         assert report.executed == 1
