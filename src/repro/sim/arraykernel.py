@@ -35,7 +35,9 @@ boundary; any failure sends that slot alone down the event path):
   in-flight wakeups (which also rules out retiring workers);
 * no side channels (:meth:`VranPool.side_channels_open`): no
   accelerator, task observer or enabled event bus — their hooks
-  observe interior event order;
+  observe interior event order.  A side channel closes only this
+  commit and the pool's quiescent tick fast-forward; tasks start and
+  complete through the same pool code with or without one;
 * the workload host is passive (zero cache pressure; the runner
   additionally gates on ``workload == "none"`` so no host-scheduled
   engine events can interleave with the committed interior);

@@ -215,8 +215,9 @@ class VranPool:
 
         True while an accelerator, a task observer or an enabled event
         bus is attached: each observes per-task event order, so the
-        inline completion path, the quiescent tick fast-forward and
-        the array kernel's closed-form commit all stand down.
+        quiescent tick fast-forward and the array kernel's closed-form
+        commit stand down.  Tasks start and complete through the same
+        code either way.
         """
         bus = self.event_bus
         return (self.accelerator is not None or bool(self.task_observers)
@@ -324,39 +325,17 @@ class VranPool:
 
         Each iteration pairs the earliest-deadline task with the
         most-preferred spinning worker (lowest set bit of the spinning
-        bitmap), so dispatch is O(1) per started task.  The body of
-        :meth:`_start` is inlined here — this loop starts every
-        non-pinned task in the simulation, and the call itself was
-        measurable; keep the two in sync (``_awake`` still uses
-        ``_start`` for pinned tasks).
+        bitmap), so dispatch is O(1) per started task.
         """
         ready = self._ready
         order = self._order
         pop = heapq.heappop
-        now = self.engine._now
-        running_state = WorkerState.RUNNING
-        cache_model = self.cache_model
-        sample_runtime = self.cost_model.sample_runtime
-        on_task_started = self.policy.on_task_started
+        start = self._start
         while ready:
             bits = self._spin_bits
             if not bits:
                 break
-            __, __, task = pop(ready)
-            worker = order[(bits & -bits).bit_length() - 1]
-            worker.state = running_state
-            self._running += 1
-            self._spinning -= 1
-            self._spin_bits = bits & ~(bits & -bits)
-            worker.current_task = task
-            task.start_time = now
-            mean_mult, tail_mult = cache_model.multipliers_for(
-                now, task.cache_u, task.cache_tail)
-            runtime = sample_runtime(task, self._running, mean_mult,
-                                     tail_mult)
-            task.runtime_us = runtime
-            on_task_started(task)
-            worker.finish_timer.arm(runtime)
+            start(order[(bits & -bits).bit_length() - 1], pop(ready)[2])
 
     # -- task execution ----------------------------------------------------------
 
@@ -390,67 +369,17 @@ class VranPool:
         self._running -= 1
         self._spinning += 1
         self._spin_bits |= 1 << worker.order_pos
+        self._complete_task(task, now, core=worker.core_id)
         if worker.retiring:
             # Drain-then-retire (elastic remove_worker): the drained
             # task completes normally, then the core leaves the pool
             # before it can pick up new work.
-            self._complete_task(task, now, core=worker.core_id)
-            self.policy.on_task_finished(task)
             self._retire(worker)
-            if self._ready:
-                self._dispatch()
-            self.metrics.on_running_change(now, self._running)
-            if self._reserved != self.target_cores:
-                self._apply_target()
-            return
-        # Inline of _complete_task + _enqueue for the common
-        # configuration — no side channels, no wakeup pinning.  This
-        # runs once per completed task (the single hottest call site
-        # in the simulator); the slow path below it stays the source
-        # of truth for the rare hooks.
-        if (not self.side_channels_open()
-                and not self.policy.pin_tasks_to_wakeups):
-            task.finish_time = now
-            dag = task.dag
-            dag.tasks_remaining -= 1
-            if dag.tasks_remaining == 0:
-                dag.completion_us = now
-                release = dag.release_us
-                self.metrics.on_slot_complete(
-                    now - release, dag.deadline_us - release)
-                try:
-                    self.active_dags.remove(dag)
-                except ValueError:
-                    pass
-                if self.dag_recycler is not None:
-                    self.dag_recycler(dag)
-            ready = self._ready
-            seq = self._seq
-            push = heapq.heappush
-            on_task_enqueued = self.policy.on_task_enqueued
-            for successor in task.successors:
-                successor.predecessors_remaining -= 1
-                if successor.predecessors_remaining == 0:
-                    successor.enqueue_time = now
-                    push(ready, (successor.deadline_us, next(seq),
-                                 successor))
-                    on_task_enqueued(successor)
-        else:
-            self._complete_task(task, now, core=worker.core_id)
-        self.policy.on_task_finished(task)
         if self._ready:
             self._dispatch()
-        # Coalesced running-cores sample: _finish and any same-timestamp
-        # re-dispatch it triggers emit ONE metrics update with the final
-        # running count instead of one per intermediate state (inline of
-        # metrics.on_running_change).
-        metrics = self.metrics
-        dt = now - metrics._last_change_us
-        if dt > 0:
-            metrics.reserved_core_time_us += dt * metrics._reserved_cores
-            metrics.busy_core_time_us += dt * metrics._running_cores
-            metrics._last_change_us = now
-        metrics._running_cores = self._running
+        # One running-cores sample for _finish and any same-timestamp
+        # re-dispatch it triggers, with the final running count.
+        self.metrics.on_running_change(now, self._running)
         if self._reserved != self.target_cores:
             self._apply_target()
 
@@ -463,7 +392,6 @@ class VranPool:
         """
         now = self.now
         self._complete_task(task, now)
-        self.policy.on_task_finished(task)
         running_before = self._running
         self._dispatch()
         if self._running != running_before:
@@ -514,6 +442,7 @@ class VranPool:
             successor.predecessors_remaining -= 1
             if successor.predecessors_remaining == 0:
                 self._enqueue(successor)
+        self.policy.on_task_finished(task)
 
     # -- core allocation ------------------------------------------------------------
 

@@ -61,17 +61,25 @@ class TestAcceleratorModel:
     def test_offloaded_tasks_never_occupy_workers(self):
         engine, pool, accel = make_accel_pool(num_cores=1)
         dag = make_dag(total_bytes=20_000)
-        running_types = []
+        started = []
         original = pool._start
         def spy(worker, task):
-            running_types.append(task.task_type)
+            started.append(task)
             original(worker, task)
         pool._start = spy
         pool.release_slot([dag])
         engine.run_until(100_000.0)
         assert dag.finished
+        running_types = [task.task_type for task in started]
         assert TaskType.LDPC_DECODE not in running_types
         assert TaskType.LDPC_ENCODE not in running_types
+        # _start is the only way a task reaches a worker, so the spy
+        # must have seen every task that stayed on the CPU.
+        cpu_tasks = [task for task in dag.tasks
+                     if task.task_type not in accel.offloaded_types]
+        assert cpu_tasks
+        assert sorted(task.task_id for task in started) == \
+            sorted(task.task_id for task in cpu_tasks)
 
     def test_pipeline_limit_respected(self):
         engine, pool, accel = make_accel_pool(

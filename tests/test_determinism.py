@@ -29,14 +29,23 @@ a speed-up anywhere in training must leave it unchanged.
 
 import json
 
+import pytest
+
+from repro.accel.offload import (
+    Accelerator,
+    attach_accelerator,
+    pool_100mhz_accel,
+)
 from repro.core.training import train_predictor
 from repro.exec import run_batch
 from repro.exec.digest import result_digest
 from repro.experiments.common import make_spec
 from repro.fleet import FleetScenario, Planner, combined_digest
 from repro.fleet.demand import ShardDemandRecorder
+from repro.obs.events import EventBus
 from repro.ran.config import pool_20mhz_7cells
 from repro.scenario import Scenario, build_simulation
+from repro.sim.pool import WorkerState
 
 SLOTS = 80
 SEED = 11
@@ -88,8 +97,31 @@ MAC_SLOTS = 120
 GOLDEN_MAC_DIGEST = \
     "dd71d791e0e10fcfd6fe58ea064a77d744b5317d68d2cf2f4ab9570ef8a385a1"
 
+#: Drain-retire golden: concordia-noml on the 20 MHz / 7-cell pool, no
+#: workload, load 0.5, seed 11, SLOTS slots, with a reconfig timeline
+#: that removes 7 of the 8 workers at slot DRAIN_AT.  The idle ones
+#: retire at once; the busy ones are drained and retire as their
+#: running task completes.  Captured while ``VranPool._finish`` still
+#: had its own drain-retire branch.
+DRAIN_AT = 20
+DRAIN_COUNT = 7
+GOLDEN_DRAIN_DIGEST = \
+    "c31cdeab363ebad7709305aba1bd49b7278abe9863e2036cc0fd3c8ee7577c77"
 
-def _run_digest(policy: str, workload: str) -> str:
+#: Accelerator golden: concordia-noml on two accelerated 100 MHz TDD
+#: cells and three cores, load 0.5, seed 11, SLOTS slots, with the LDPC
+#: tasks offloaded to an attached accelerator (completions come back
+#: through ``VranPool.complete_offloaded``, which often starts CPU work
+#: on a released successor).  Captured before ``VranPool`` had one
+#: task-start and one task-completion body.
+GOLDEN_ACCEL_DIGEST = \
+    "bb60428cd5514f81c2962dc6321987f459b9391efc54d3ab61752d840fcc09c3"
+
+
+def _run_digest(policy: str, workload: str, channel: str = "none") -> str:
+    """Digest of one GOLDEN_DIGESTS cell, watched through ``channel``:
+    "none", "bus" (an enabled event bus) or "observer" (a no-op live
+    task observer).  Watching must leave the result unchanged."""
     scenario = Scenario(
         pool={"name": "20mhz"},
         policy=policy,
@@ -97,8 +129,23 @@ def _run_digest(policy: str, workload: str) -> str:
         load_fraction=0.5,
         seed=SEED,
     )
-    result = build_simulation(scenario).run(SLOTS)
+    bus = EventBus() if channel == "bus" else None
+    simulation = build_simulation(scenario, event_bus=bus)
+    if channel == "observer":
+        simulation.pool.task_observers.append(lambda task: None)
+    result = simulation.run(SLOTS)
+    if bus is not None:
+        assert len(bus) > 0
     return result_digest(result)
+
+
+def _golden_mismatches(channel: str) -> dict:
+    mismatches = {}
+    for (policy, workload), expected in GOLDEN_DIGESTS.items():
+        got = _run_digest(policy, workload, channel)
+        if got != expected:
+            mismatches[(policy, workload)] = got
+    return mismatches
 
 
 def _trained_digest() -> str:
@@ -129,16 +176,87 @@ def _mac_digest() -> str:
     return result_digest(build_simulation(scenario).run(MAC_SLOTS))
 
 
+def _drain_run() -> tuple:
+    """(digest, states of the workers remove_worker left draining)."""
+    simulation = build_simulation(Scenario(
+        pool={"name": "20mhz"},
+        policy="concordia-noml",
+        workload="none",
+        load_fraction=0.5,
+        seed=SEED,
+        reconfig=({"action": "remove_worker", "at_slot": DRAIN_AT,
+                   "count": DRAIN_COUNT},),
+    ))
+    pool = simulation.pool
+    remove = pool.remove_worker
+    drained = {}
+
+    def spy(core_id=None):
+        core = remove(core_id)
+        for worker in pool.workers:
+            if worker.core_id == core and worker.retiring:
+                drained[core] = worker.state
+        return core
+
+    pool.remove_worker = spy
+    result = simulation.run(SLOTS)
+    assert pool.num_cores == pool.config.num_cores - DRAIN_COUNT
+    assert not set(drained) & {w.core_id for w in pool.workers}
+    return result_digest(result), drained
+
+
+def _accel_run() -> tuple:
+    """(digest, offloaded completions that started CPU work)."""
+    simulation = build_simulation(Scenario(
+        pool=pool_100mhz_accel(num_cells=2, num_cores=3),
+        policy="concordia-noml",
+        load_fraction=0.5,
+        seed=SEED,
+    ))
+    pool = simulation.pool
+    attach_accelerator(pool, Accelerator(simulation.engine))
+    complete = pool.complete_offloaded
+    started = []
+
+    def spy(task):
+        running = pool.running_count
+        complete(task)
+        started.append(pool.running_count > running)
+
+    pool.complete_offloaded = spy
+    result = simulation.run(SLOTS)
+    return result_digest(result), sum(started)
+
+
 class TestGoldenDigests:
     def test_all_policy_workload_cells_match_golden(self):
-        mismatches = {}
-        for (policy, workload), expected in GOLDEN_DIGESTS.items():
-            got = _run_digest(policy, workload)
-            if got != expected:
-                mismatches[(policy, workload)] = got
+        mismatches = _golden_mismatches("none")
         assert not mismatches, (
             "result digests drifted from the pre-optimization goldens "
             f"(behavioural regression): {mismatches}")
+
+    @pytest.mark.parametrize("channel", ["bus", "observer"])
+    def test_recording_leaves_goldens_unchanged(self, channel):
+        mismatches = _golden_mismatches(channel)
+        assert not mismatches, (
+            f"watching the run through {channel!r} changed its result: "
+            f"{mismatches}")
+
+    def test_drain_retire_matches_golden(self):
+        digest, drained = _drain_run()
+        # The timeline must drain at least one worker mid-task, so the
+        # retire-on-completion path is what the golden pins.
+        assert WorkerState.RUNNING in drained.values()
+        assert digest == GOLDEN_DRAIN_DIGEST, (
+            "drain-retire digest drifted from the golden (behavioural "
+            "regression in remove_worker or task completion)")
+
+    def test_accelerator_matches_golden(self):
+        digest, started = _accel_run()
+        assert started > 0
+        assert digest == GOLDEN_ACCEL_DIGEST, (
+            "accelerator digest drifted from the golden (behavioural "
+            "regression in offload or complete_offloaded)")
 
     def test_trained_concordia_matches_golden(self):
         assert _trained_digest() == GOLDEN_TRAINED_DIGEST, (
@@ -237,6 +355,8 @@ if __name__ == "__main__":  # pragma: no cover — golden regeneration aid
     payload = {f"{p}/{w}": d for (p, w), d in current.items()}
     payload["concordia/redis (trained)"] = _trained_digest()
     payload["mac+harq"] = _mac_digest()
+    payload["drain-retire"] = _drain_run()[0]
+    payload["accelerator"] = _accel_run()[0]
     payload["fleet"] = combined_digest(_fleet_digests(shards=1))
     payload["fleet (low load)"] = combined_digest(
         _fleet_digests(shards=1, load_fraction=LOW_LOAD_FRACTION))
