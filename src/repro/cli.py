@@ -15,7 +15,7 @@ Commands:
   which of wakeup latency, WCET under-prediction or cross-cell
   queueing dominated the (near-)miss;
 * ``fleet``   — run a metro deployment (N cells sharded K ways)
-  through the fleet planner, one forked process per shard
+  through the fleet planner, one spec per shard
   (``--jobs J`` at once), with an optional serial byte-identity check
   (``--verify-serial``);
 * ``list``    — enumerate available policies, workloads and figures.
@@ -289,6 +289,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _print_progress(event: dict) -> None:
+    """One stderr line per :func:`repro.exec.batch.run_batch` event
+    (the fleet planner's lockstep events share the shape)."""
+    line = (f"[{event['done']}/{event['total']}] "
+            f"{event['status']:<7s} {event['label']}")
+    if event["wall_s"]:
+        line += f"  ({event['wall_s']:.1f}s)"
+    if event["error"]:
+        line += f"  {event['error']}"
+    print(line, file=sys.stderr)
+
+
 def _cmd_sweep(args) -> int:
     from .exec.batch import run_batch
     from .exec.cache import ResultCache, default_cache_dir
@@ -325,22 +337,10 @@ def _cmd_sweep(args) -> int:
         cache = ResultCache(args.cache_dir if args.cache_dir is not None
                             else default_cache_dir())
 
-    def progress(event) -> None:
-        if args.json:
-            return
-        status = event["status"]
-        line = (f"[{event['done']}/{event['total']}] {status:<7s} "
-                f"{event['label']}")
-        if status not in ("cached",):
-            line += f"  ({event['wall_s']:.1f}s)"
-        if event["error"]:
-            line += f"  {event['error']}"
-        print(line, file=sys.stderr)
-
     report = run_batch(specs, jobs=args.jobs, cache=cache,
                        use_cache=not args.no_cache,
                        timeout_s=args.timeout, retries=args.retries,
-                       progress=progress)
+                       progress=None if args.json else _print_progress)
 
     rows = []
     for entry, outcome in zip(meta, report.outcomes):
@@ -495,18 +495,8 @@ def _cmd_fleet(args) -> int:
         reconfig=reconfig,
     )
 
-    def progress(event) -> None:
-        if args.json:
-            return
-        line = (f"[{event['done']}/{event['total']}] "
-                f"{event['kind']:<8s} shard {event['shard']}")
-        if "wall_s" in event:
-            line += f"  ({event['wall_s']:.1f}s)"
-        if event.get("error"):
-            line += f"  {event['error']}"
-        print(line, file=sys.stderr)
-
-    report = Planner(fleet, jobs=args.jobs, progress=progress).run()
+    report = Planner(fleet, jobs=args.jobs,
+                     progress=None if args.json else _print_progress).run()
 
     verified = None
     if args.verify_serial:

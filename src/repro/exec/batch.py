@@ -3,18 +3,20 @@
 :func:`run_jobs` is the one process pool: it runs a queue of
 :class:`Job` payloads through a child entry point, forking one process
 per attempt (``jobs=1`` runs in-process instead), and owns the failure
-policy — retry, timeout, straggler warning.  Its two callers keep their
-own outcome types: :func:`run_batch` (``repro sweep`` and the
-experiment drivers) and the fleet :class:`~repro.fleet.planner.Planner`.
+policy — retry, timeout, straggler warning.  :func:`run_batch` is its
+one caller: ``repro sweep``, the experiment drivers and the fleet
+:class:`~repro.fleet.planner.Planner` all submit :class:`SimSpec`
+batches.
 
 Execution model of a batch (the experiment-faabric work-queue shape,
 adapted):
 
 * jobs already in the cache are reported as hits without spawning
   anything;
-* the parent pre-trains (or reloads) every distinct predictor the
-  batch needs, so forked children inherit the trained models instead
-  of re-training them per process;
+* the parent pre-trains (or reloads) every predictor that two or more
+  pending specs share, so forked children inherit it instead of
+  re-training it per process; a predictor with one user trains in
+  that user's job, in parallel with the others;
 * at most ``jobs`` child processes run at once, each executing one
   spec hermetically and reporting through a pipe;
 * a job that raises or dies is recorded and retried up to ``retries``
@@ -30,6 +32,8 @@ are byte-identical to that serial baseline.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import gc
 import logging
 import multiprocessing
@@ -43,7 +47,7 @@ from typing import Callable, List, Optional, Sequence
 from ..obs.events import CacheEvent, global_bus
 from .cache import ResultCache, activated_cache, active_cache
 from .fingerprint import model_fingerprint
-from .spec import SimSpec, spec_key
+from .spec import SimSpec, predictor_cache_key, spec_key
 from .worker import run_job_in_child
 
 __all__ = ["BatchReport", "Job", "JobOutcome", "check_jobs",
@@ -252,17 +256,6 @@ def run_batch(
                                     key=key, label=spec.label()))
             pending.append(Job(index=index, payload=spec.to_dict()))
 
-    if pending:
-        # Activate the cache process-wide while warming so predictor
-        # training persists/reloads through it (forked children
-        # inherit both the activation and the trained models).
-        needed = [specs[job.index] for job in pending]
-        if cache is not None:
-            with activated_cache(cache):
-                _warm_predictors(needed)
-        else:
-            _warm_predictors(needed)
-
     def finish(job: Job, status: str, result: Optional[dict],
                error: Optional[str]) -> None:
         nonlocal done, retried
@@ -293,10 +286,17 @@ def run_batch(
         elif kind == "retry":
             emit(kind, job.index, kind, job.wall_s, info["error"])
 
-    # ``run_job_in_child`` is looked up in the module globals here, at
-    # call time, so a patched entry point reaches every job.
-    run_jobs(pending, jobs, run_job_in_child, finish, notify,
-             retries=retries, timeout_s=timeout_s)
+    # Activate the cache process-wide while warming and running, so
+    # predictor training persists/reloads through it in the parent and
+    # in every job (forked children inherit the activation and the
+    # trained models).
+    with (activated_cache(cache) if cache is not None
+          else contextlib.nullcontext()):
+        _warm_predictors([specs[job.index] for job in pending])
+        # ``run_job_in_child`` is looked up in the module globals here,
+        # at call time, so a patched entry point reaches every job.
+        run_jobs(pending, jobs, run_job_in_child, finish, notify,
+                 retries=retries, timeout_s=timeout_s)
 
     return BatchReport(
         outcomes=[o for o in outcomes if o is not None],
@@ -311,19 +311,26 @@ def run_batch(
 
 
 def _warm_predictors(specs: Sequence[SimSpec]) -> None:
-    """Train/reload each distinct predictor once, in the parent.
+    """Train/reload, in the parent, each predictor specs share.
 
-    Forked children then inherit the trained models through the
+    Forked children then inherit a shared model through the
     process-local predictor cache instead of re-training one copy per
-    job; with an on-disk cache active the models also persist
-    across batches.  :func:`~repro.experiments.common.get_predictor`
-    trains each distinct model once, so repeats are cache lookups.
+    job.  A model only one spec needs is left to that spec's job, so
+    the models of distinct pools (a fleet's shards) train in parallel
+    children rather than one after another here; with an on-disk cache
+    active, either way persists them across batches.
     """
     from ..experiments.common import get_predictor
 
-    for spec in specs:
-        if spec.scenario.policy != "concordia" or \
-                spec.training_slots is None:
+    fingerprint = model_fingerprint()
+    keyed = [(predictor_cache_key(spec.scenario.pool_config(),
+                                  spec.training_seed, spec.training_slots,
+                                  fingerprint), spec)
+             for spec in specs if spec.scenario.policy == "concordia"
+             and spec.training_slots is not None]
+    users = collections.Counter(key for key, _ in keyed)
+    for key, spec in keyed:
+        if users[key] < 2:
             continue
         try:
             get_predictor(spec.scenario.pool_config(),

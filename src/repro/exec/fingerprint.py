@@ -20,8 +20,10 @@ from pathlib import Path
 __all__ = ["model_fingerprint", "FINGERPRINTED_PACKAGES"]
 
 #: Sub-packages of ``repro`` whose sources define simulation results.
+#: ``fleet`` defines what a fleet shard's cached result carries (the
+#: demand recorder and the latency histogram).
 FINGERPRINTED_PACKAGES = ("ran", "sim", "core", "workloads", "baselines",
-                          "scenario")
+                          "scenario", "fleet")
 
 
 @lru_cache(maxsize=1)

@@ -5,13 +5,14 @@ A :class:`SimSpec` is one run: a :class:`~repro.scenario.Scenario`
 seed), the slot budget, and the predictor-training budget.  Two
 properties follow:
 
-* **hermetic execution** — :func:`run_spec` builds everything it
-  needs from the spec alone, including a private copy of the trained
-  predictor, so a spec's result is a pure function of its payload and
-  the model sources.  It is the only run path: :func:`execute_spec`
-  (the batch runner's job) and ``run_simulation`` (cached or not) both
-  call it, so serial, parallel, cached and uncached runs are
-  byte-identical.
+* **hermetic execution** — :func:`build_spec_simulation` builds
+  everything it needs from the spec alone, including a private copy of
+  the trained predictor, so a spec's result is a pure function of its
+  payload and the model sources.  It is the only build path:
+  :func:`run_spec` (behind :func:`execute_spec`, the batch runner's
+  job, and ``run_simulation``, cached or not) and the fleet planner's
+  lockstep migration both call it, so serial, parallel, cached,
+  uncached and migrated runs are byte-identical.
 * **content addressing** — :func:`spec_key` hashes the canonical JSON
   payload together with the model fingerprint, giving the on-disk
   cache key.
@@ -37,11 +38,12 @@ from ..scenario.scenario import (
 )
 
 if TYPE_CHECKING:
-    from ..sim.runner import SimulationResult
+    from ..sim.runner import Simulation, SimulationResult
 
 __all__ = [
     "SimSpec",
     "SpecError",
+    "build_spec_simulation",
     "execute_spec",
     "pool_config_from_dict",
     "pool_config_to_dict",
@@ -74,8 +76,9 @@ class SimSpec:
     a trained predictor) raises :class:`SpecError` at construction — a
     caller's predictor is :func:`run_spec`'s argument instead.
     ``knobs`` is a free-form dict that participates in the hash — used
-    for forward-compatible extensions and for the batch runner's
-    fault-injection tests.
+    for forward-compatible extensions (``"demand"``: record a fleet
+    shard's demand, see :func:`build_spec_simulation`) and for the
+    batch runner's fault-injection tests.
     """
 
     scenario: Scenario
@@ -126,11 +129,14 @@ class SimSpec:
         """Short human-readable job label for progress/telemetry."""
         scenario = self.scenario
         config = scenario.pool_config()
-        return (f"{scenario.policy}+{scenario.workload}"
-                f"@{scenario.load_fraction:.2f} "
-                f"{len(config.cells)}x{config.cells[0].bandwidth_mhz:g}MHz"
-                f"/{config.num_cores}c "
-                f"slots={self.num_slots} seed={scenario.seed}")
+        label = (f"{scenario.policy}+{scenario.workload}"
+                 f"@{scenario.load_fraction:.2f} "
+                 f"{len(config.cells)}x{config.cells[0].bandwidth_mhz:g}MHz"
+                 f"/{config.num_cores}c "
+                 f"slots={self.num_slots} seed={scenario.seed}")
+        if scenario.cell_id_base is not None:
+            label += f" cells@{scenario.cell_id_base}"
+        return label
 
 
 def canonical_json(payload: Any) -> str:
@@ -186,22 +192,21 @@ def _apply_test_hooks(spec: SimSpec, attempt: int) -> None:
         time.sleep(float(sleep_s))
 
 
-def run_spec(spec: SimSpec, predictor=None,
-             event_bus=None) -> "SimulationResult":
-    """Build and run the simulation a spec describes.
+def build_spec_simulation(spec: SimSpec, predictor=None,
+                          event_bus=None) -> "Simulation":
+    """Build, but do not run, the simulation a spec describes.
 
-    The one run path: :func:`execute_spec`, the batch runner and
-    :func:`repro.experiments.common.run_simulation` (cached or not) all
-    come through here, so equal specs give equal results on every path.
     The policy learns online on a private model: a caller-owned
-    ``predictor`` is copied before the run, and a ``concordia`` spec
-    without one gets a copy of the trained model for exactly
-    ``(pool, training_seed, training_slots)``
-    (:func:`repro.experiments.common.private_predictor`).  Neither
-    argument nor the process cache is changed by the run.
-
-    ``event_bus`` (a ``repro.obs.events.EventBus``) records the run's
-    structured events; it does not affect the result.
+    ``predictor`` is copied, and a ``concordia`` spec without one gets
+    a copy of the trained model for exactly ``(pool, training_seed,
+    training_slots)`` (:func:`repro.experiments.common.private_predictor`).
+    Neither argument nor the process cache is changed by the run.
+    ``knobs["demand"]`` attaches a
+    :class:`~repro.fleet.demand.ShardDemandRecorder`, so the result
+    carries the per-cell digests, the federated demand and the latency
+    histogram a fleet shard reports.  ``event_bus`` (a
+    ``repro.obs.events.EventBus``) records the run's structured events;
+    it does not affect the result.
     """
     # Imported lazily: experiments.common imports this module, and the
     # scenario package's build_simulation is looked up per call.
@@ -218,7 +223,26 @@ def run_spec(spec: SimSpec, predictor=None,
     simulation = build_simulation(scenario, predictor=predictor,
                                   policy_seed=spec.training_seed,
                                   event_bus=event_bus)
-    return simulation.run(spec.num_slots)
+    if spec.knobs.get("demand"):
+        from ..fleet.demand import ShardDemandRecorder
+
+        config = simulation.pool_config
+        simulation.demand_observer = ShardDemandRecorder(
+            config.cells, config.deadline_us)
+    return simulation
+
+
+def run_spec(spec: SimSpec, predictor=None,
+             event_bus=None) -> "SimulationResult":
+    """Build and run the simulation a spec describes.
+
+    The one run path: :func:`execute_spec`, the batch runner, the fleet
+    planner and :func:`repro.experiments.common.run_simulation` (cached
+    or not) all come through :func:`build_spec_simulation`, so equal
+    specs give equal results on every path.
+    """
+    return build_spec_simulation(spec, predictor, event_bus).run(
+        spec.num_slots)
 
 
 def execute_spec(spec: SimSpec, attempt: int = 0,

@@ -2,10 +2,11 @@
 
 The fleet layer scales one :class:`~repro.scenario.Scenario`-based
 simulation to a metro deployment: a :class:`FleetScenario` describes N
-cells partitioned into K per-server shards, a :class:`Planner` runs
-the shards through :func:`repro.exec.batch.run_jobs` (the fork-per-job
-runner ``repro sweep`` uses: one forked child per shard attempt, or
-in-process at ``jobs=1``), and the per-shard payloads aggregate into a
+cells partitioned into K per-server shard scenarios, a :class:`Planner`
+runs each shard as one :class:`~repro.exec.spec.SimSpec` through
+:func:`repro.exec.batch.run_batch` (the batch runner ``repro sweep``
+uses: cache hits, then one forked child per shard attempt, or
+in-process at ``jobs=1``), and the per-shard results aggregate into a
 :class:`FleetReport` (fleet tail latency, reclaimed CPU, per-server
 utilization, federated core demand).
 
@@ -25,8 +26,7 @@ from .report import (
     latency_histogram,
     merge_histograms,
 )
-from .scenario import CELL_KINDS, FLEET_SCHEMA, FleetScenario, ShardSpec
-from .worker import execute_shard, run_shard_in_child
+from .scenario import CELL_KINDS, FLEET_SCHEMA, FleetScenario
 
 __all__ = [
     "CELL_KINDS",
@@ -35,12 +35,9 @@ __all__ = [
     "FleetScenario",
     "Planner",
     "ShardDemandRecorder",
-    "ShardSpec",
     "build_fleet_report",
     "combined_digest",
-    "execute_shard",
     "histogram_percentile",
     "latency_histogram",
     "merge_histograms",
-    "run_shard_in_child",
 ]

@@ -32,6 +32,7 @@ from ..core.federated import CoreDemand, aggregate_demand, \
     federated_core_demand
 from ..ran.config import CellConfig
 from ..ran.dag import dag_kind_key, topology_for_key
+from .report import latency_histogram
 
 __all__ = ["ShardDemandRecorder"]
 
@@ -174,6 +175,16 @@ class ShardDemandRecorder:
             "cores": total.cores,
             "critical": total.critical,
             "deadline_us": self.deadline_us,
+        }
+
+    def summary(self, slot_latencies_us: Sequence[float]) -> dict:
+        """The shard's ``SimulationResult.demand``: digests, demand and
+        the slot-latency histogram the fleet report merges."""
+        return {
+            "cell_digests": self.cell_digests(),
+            "demand": self.demand_payload(),
+            "histogram": latency_histogram(slot_latencies_us,
+                                           self.deadline_us),
         }
 
 

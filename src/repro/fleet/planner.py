@@ -2,38 +2,40 @@
 
 The planner owns a fleet run end to end:
 
-1. derive the per-server shards from the :class:`FleetScenario`;
-2. run them through :func:`repro.exec.batch.run_jobs`, the same
-   fork-per-job runner ``repro sweep`` uses: ``jobs <= 1`` executes
-   every shard in-process, in shard order (the serial baseline);
-   otherwise at most ``jobs`` forked children run one shard attempt
-   each.  Retries, stragglers and dead children follow the runner's
-   one failure policy;
-3. merge the per-shard payloads into a
+1. derive the per-server shard scenarios from the
+   :class:`FleetScenario`, each as one :class:`~repro.exec.spec.SimSpec`
+   whose ``knobs["demand"]`` attaches the shard's demand recorder;
+2. run them through :func:`repro.exec.batch.run_batch`, the batch
+   runner ``repro sweep`` uses: shards already in the active result
+   cache are served from it, ``jobs <= 1`` executes the rest
+   in-process, in shard order (the serial baseline), otherwise at most
+   ``jobs`` forked children run one shard attempt each.  Retries,
+   stragglers and dead children follow the runner's one failure policy;
+3. merge the per-shard results into a
    :class:`~repro.fleet.report.FleetReport` — fleet tail latency from
    merged histograms, reclaimed-CPU totals, per-server utilization,
    the federated demand rollup and the sharding-invariant per-cell
    digests.
 
-Because :func:`~repro.fleet.worker.execute_shard` is hermetic and the
-report normalizes merge order, a fleet run is byte-identical (modulo
-wall-clock telemetry) for any ``jobs``; and because per-cell sampling
-is keyed by global cell id, the per-cell digests are further invariant
-to the *shard count* itself.
+Because a spec run is hermetic and the report merges in shard order,
+a fleet run is byte-identical (modulo wall-clock telemetry) for any
+``jobs`` and warm or cold cache; and because per-cell sampling is keyed
+by global cell id, the per-cell digests are further invariant to the
+*shard count* itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import time
 from typing import Callable, List, Optional
 
-from ..exec.batch import Job, check_jobs, run_jobs
-from ..scenario import build_simulation
-from .demand import ShardDemandRecorder
-from .report import FleetReport, build_fleet_report
-from .scenario import FleetScenario, ShardSpec
-from .worker import run_shard_in_child, shard_payload
+from ..exec.batch import check_jobs, run_batch
+from ..exec.spec import build_spec_simulation
+from ..experiments.common import make_spec
+from .report import FleetReport, build_fleet_report, missed_slots
+from .scenario import FleetScenario
 
 __all__ = ["Planner"]
 
@@ -54,7 +56,10 @@ class Planner:
     # -- driving -----------------------------------------------------------------
 
     def run(self) -> FleetReport:
-        shards = self.fleet.derive_shards()
+        specs = [dataclasses.replace(make_spec(scenario,
+                                               self.fleet.num_slots),
+                                     knobs={"demand": True})
+                 for scenario in self.fleet.derive_shards()]
         migrations = self.fleet.migrations()
         started = time.perf_counter()
         reconfig: List[dict] = []
@@ -68,61 +73,46 @@ class Planner:
                     "reconfig timeline has %d migration(s); running "
                     "the fleet in-process (lockstep), ignoring jobs=%d",
                     len(migrations), self.jobs)
-            payloads, failures, stats, reconfig = self._run_lockstep(
-                shards, migrations)
+            results, walls, failures, stats, reconfig = \
+                self._run_lockstep(specs, migrations)
         else:
-            payloads, failures, stats = self._run_shards(shards)
+            results, walls, failures, stats = self._run_shards(specs)
         return build_fleet_report(
-            self.fleet, payloads, failures,
+            self.fleet, results, walls, failures,
             jobs=self.jobs,
             wall_s=time.perf_counter() - started,
             reconfig=reconfig,
             **stats,
         )
 
-    def _emit(self, kind: str, shard_index: int, total: int, done: int,
-              **extra) -> None:
-        if self.progress is None:
-            return
-        event = {"kind": kind, "shard": shard_index, "total": total,
-                 "done": done}
-        event.update(extra)
-        self.progress(event)
-
-    def _run_shards(self, shards: List[ShardSpec]):
-        """Run every shard through the fork-per-job runner.
+    def _run_shards(self, specs):
+        """Run every shard spec through the batch runner.
 
         Telemetry comes from the runner's per-attempt accounting, so a
         lost attempt (a dead child, a retried exception) counts in
-        ``dispatches`` and ``total_job_wall_s`` like any other.
+        ``dispatches`` and ``total_job_wall_s`` like any other, and a
+        cached shard counts in neither and takes no worker.
         """
-        total = len(shards)
-        payloads, failures = [], []
-        stats = {"workers": min(self.jobs, total), "dispatches": 0,
-                 "total_job_wall_s": 0.0}
+        report = run_batch(specs, jobs=self.jobs, progress=self.progress)
+        outcomes = report.outcomes
+        failures = [{"shard_index": o.index, "error": o.error}
+                    for o in outcomes if not o.succeeded]
+        stats = {"workers": min(self.jobs, len(specs) - report.cached),
+                 "dispatches": sum(o.attempts for o in outcomes),
+                 "total_job_wall_s": report.total_job_wall_s}
+        return ([o.result if o.succeeded else None for o in outcomes],
+                [o.wall_s for o in outcomes], failures, stats)
 
-        def finish(job: Job, status: str, result: Optional[dict],
-                   error: Optional[str]) -> None:
-            stats["dispatches"] += job.attempt + 1
-            stats["total_job_wall_s"] += job.wall_s
-            if status == "ok":
-                payloads.append(result)
-                notify("done", job, wall_s=result["wall_s"])
-            else:
-                failures.append({"shard_index": job.index,
-                                 "error": error})
-                notify("failed", job, error=error)
+    def _emit(self, kind: str, index: int, total: int, done: int,
+              label: str, wall_s: float = 0.0) -> None:
+        """A progress event in :func:`~repro.exec.batch.run_batch`'s
+        shape."""
+        if self.progress is not None:
+            self.progress({"kind": kind, "index": index, "total": total,
+                           "done": done, "status": kind, "label": label,
+                           "wall_s": wall_s, "error": None})
 
-        def notify(kind: str, job: Job, **info) -> None:
-            self._emit(kind, job.index, total,
-                       len(payloads) + len(failures), **info)
-
-        run_jobs([Job(index=shard.shard_index, payload=shard.to_dict())
-                  for shard in shards],
-                 self.jobs, run_shard_in_child, finish, notify, retries=1)
-        return payloads, failures, stats
-
-    def _run_lockstep(self, shards: List[ShardSpec], migrations):
+    def _run_lockstep(self, specs, migrations):
         """In-process lockstep execution with mid-run cell migration.
 
         Every shard simulation advances to each migration's slot
@@ -137,20 +127,9 @@ class Planner:
         each migration a before/after row in the fleet report.
         """
         fleet = self.fleet
+        total = len(specs)
         started = time.perf_counter()
-        sims, recorders, metas = [], [], []
-        for shard in shards:
-            config = shard.scenario.pool_config()
-            simulation = build_simulation(shard.scenario)
-            recorder = ShardDemandRecorder(config.cells,
-                                           config.deadline_us)
-            simulation.demand_observer = recorder
-            sims.append(simulation)
-            recorders.append(recorder)
-            metas.append({"shard_index": shard.shard_index,
-                          "cell_id_base": shard.cell_id_base,
-                          "cell_names": list(shard.cell_names),
-                          "num_slots": shard.num_slots})
+        sims = [build_spec_simulation(spec) for spec in specs]
         for simulation in sims:
             simulation.start(fleet.num_slots)
         # Register every pause slot before any window fills, so no
@@ -184,38 +163,34 @@ class Planner:
                 warmup_slots=event.warmup_slots,
                 warmup_factor=event.warmup_factor,
             )
-            recorders[event.dst_shard].attach_cell(
-                name, recorders[event.src_shard].detach_cell(name))
+            dst.demand_observer.attach_cell(
+                name, src.demand_observer.detach_cell(name))
             reconfig_rows.append(row)
-            self._emit("migrate", event.src_shard, len(shards), 0,
-                       cell=name, dst_shard=event.dst_shard,
-                       at_slot=event.at_slot)
+            self._emit("migrate", event.src_shard, total, 0,
+                       f"{name} shard {event.src_shard}->"
+                       f"{event.dst_shard} @slot {event.at_slot}")
         for simulation in sims:
             simulation.run_to_end()
-        wall_each = (time.perf_counter() - started) / max(1, len(sims))
-        payloads = []
-        for simulation, recorder, meta in zip(sims, recorders, metas):
-            result = simulation.finish()
-            payloads.append(shard_payload(
-                simulation, result, recorder, meta, wall_each))
-            self._emit("done", meta["shard_index"], len(shards),
-                       len(payloads), wall_s=wall_each)
+        wall_each = (time.perf_counter() - started) / max(1, total)
+        results = []
+        for index, (spec, simulation) in enumerate(zip(specs, sims)):
+            results.append(simulation.finish().to_dict())
+            self._emit("ok", index, total, index + 1, spec.label(),
+                       wall_each)
         for row, event in zip(reconfig_rows, migrations):
-            src_p = payloads[event.src_shard]
-            dst_p = payloads[event.dst_shard]
+            src_r = results[event.src_shard]
+            dst_r = results[event.dst_shard]
             row["util_after"] = {
-                "src": src_p["vran_utilization"],
-                "dst": dst_p["vran_utilization"],
+                "src": src_r["vran_utilization"],
+                "dst": dst_r["vran_utilization"],
             }
             # Misses accumulated after the barrier: the migration's
             # bounded transient shows up here (held DAGs released late
             # with their original deadlines).
             row["miss_after_barrier"] = {
-                "src": src_p["miss_count"]
-                - row["miss_at_barrier"]["src"],
-                "dst": dst_p["miss_count"]
-                - row["miss_at_barrier"]["dst"],
+                "src": missed_slots(src_r) - row["miss_at_barrier"]["src"],
+                "dst": missed_slots(dst_r) - row["miss_at_barrier"]["dst"],
             }
-        stats = {"workers": 1, "dispatches": len(shards),
-                 "total_job_wall_s": wall_each * len(shards)}
-        return payloads, [], stats, reconfig_rows
+        stats = {"workers": 1, "dispatches": total,
+                 "total_job_wall_s": wall_each * total}
+        return results, [wall_each] * total, [], stats, reconfig_rows

@@ -22,6 +22,7 @@ __all__ = [
     "histogram_percentile",
     "latency_histogram",
     "merge_histograms",
+    "missed_slots",
 ]
 
 #: Bins per histogram; the range spans [0, 4 x deadline), so one bin is
@@ -278,56 +279,68 @@ def combined_digest(cell_digests: Dict[str, str]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def missed_slots(result: dict) -> int:
+    """Deadline-missed slots of a shard result (telemetry counter)."""
+    return result["telemetry"]["counters"]["slots/missed"]
+
+
 def build_fleet_report(
     fleet,
-    shard_payloads: Sequence[dict],
+    results: Sequence[Optional[dict]],
+    shard_wall_s: Sequence[float],
     failures: Sequence[dict] = (),
     *,
     jobs: int = 1,
     workers: int = 0,
     wall_s: float = 0.0,
-    total_job_wall_s: Optional[float] = None,
-    dispatches: Optional[int] = None,
+    total_job_wall_s: float = 0.0,
+    dispatches: int = 0,
     reconfig: Sequence[dict] = (),
 ) -> FleetReport:
-    """Aggregate per-shard result payloads into a :class:`FleetReport`.
+    """Aggregate per-shard results into a :class:`FleetReport`.
 
-    ``shard_payloads`` are :func:`repro.fleet.worker.execute_shard`
-    dicts; merge order is normalized to shard_index so serial and
-    parallel planner runs aggregate identically.
+    ``results[i]`` is shard ``i``'s ``SimulationResult.to_dict()`` from
+    a demand-recording spec, or None when the shard failed (it is then
+    in ``failures``); ``shard_wall_s[i]`` is the time spent on it.
+    Rows merge in shard order, so serial, parallel and cached planner
+    runs aggregate identically.
     """
-    payloads = sorted(shard_payloads, key=lambda p: p["shard_index"])
     deadline = fleet.deadline_us
-    merged = merge_histograms([p["histogram"] for p in payloads])
-    miss_count = sum(p["miss_count"] for p in payloads)
-    slot_count = sum(p["slot_count"] for p in payloads)
+    done = [(index, result) for index, result in enumerate(results)
+            if result is not None]
+    merged = merge_histograms([r["demand"]["histogram"] for _, r in done])
+    miss_count = 0
+    slot_count = 0
     servers = []
     cell_digests: Dict[str, str] = {}
     total_cores = 0
     reclaimed_cores = 0.0
     demand_total = 0
     demand_critical = False
-    for payload in payloads:
-        demand = payload["demand"]
+    for index, result in done:
+        demand = result["demand"]["demand"]
+        num_cores = result["telemetry"]["gauges"]["coretime/num_cores"]
+        misses = missed_slots(result)
+        slots = result["telemetry"]["counters"]["slots/completed"]
         servers.append({
-            "shard_index": payload["shard_index"],
-            "cells": list(payload["cell_names"]),
-            "num_cores": payload["num_cores"],
-            "utilization": payload["vran_utilization"],
-            "reclaimed_fraction": payload["reclaimed_fraction"],
-            "reclaimed_cores": payload["reclaimed_fraction"]
-            * payload["num_cores"],
-            "p99_us": payload["latency"]["p99_us"],
-            "miss_fraction": payload["miss_count"]
-            / max(1, payload["slot_count"]),
+            "shard_index": index,
+            "cells": [cell["name"] for cell
+                      in result["scenario"]["pool"]["cells"]],
+            "num_cores": num_cores,
+            "utilization": result["vran_utilization"],
+            "reclaimed_fraction": result["reclaimed_fraction"],
+            "reclaimed_cores": result["reclaimed_fraction"] * num_cores,
+            "p99_us": result["latency"]["p99_us"],
+            "miss_fraction": misses / max(1, slots),
             "demand_cores": demand["cores"],
             "demand_critical": demand["critical"],
-            "wall_s": payload["wall_s"],
+            "wall_s": shard_wall_s[index],
         })
-        cell_digests.update(payload["cell_digests"])
-        total_cores += payload["num_cores"]
-        reclaimed_cores += payload["reclaimed_fraction"] \
-            * payload["num_cores"]
+        cell_digests.update(result["demand"]["cell_digests"])
+        miss_count += misses
+        slot_count += slots
+        total_cores += num_cores
+        reclaimed_cores += result["reclaimed_fraction"] * num_cores
         demand_total += demand["cores"]
         demand_critical = demand_critical or demand["critical"]
     latency = {
@@ -356,7 +369,6 @@ def build_fleet_report(
         jobs=jobs,
         workers=workers,
         wall_s=wall_s,
-        total_job_wall_s=(total_job_wall_s if total_job_wall_s is not None
-                          else sum(p["wall_s"] for p in payloads)),
-        dispatches=dispatches if dispatches is not None else len(payloads),
+        total_job_wall_s=total_job_wall_s,
+        dispatches=dispatches,
     )

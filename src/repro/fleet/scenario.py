@@ -3,9 +3,12 @@
 A fleet scenario describes a *metro* deployment — N homogeneous cells
 of one reference kind (the paper's Table 1/2 cell types) — and how to
 partition it into per-server cell-shards.  ``derive_shards()`` turns
-the spec into one serializable :class:`~repro.scenario.Scenario` per
-server: contiguous, balanced groups of cells, each with its own core
-bank provisioned at the reference cores-per-cell ratio.
+the spec into one :class:`~repro.scenario.Scenario` per server, in
+shard order: contiguous, balanced groups of cells, each with its own
+core bank provisioned at the reference cores-per-cell ratio.  A
+shard's scenario is all of its identity — its list position is the
+shard index, its pool names the cells, ``cell_id_base`` is its first
+global cell id.
 
 Two properties make sharding an *execution* choice rather than a
 modelling one:
@@ -14,9 +17,10 @@ modelling one:
   fleet-wide index (``Scenario.cell_id_base``), so its traffic,
   UE-allocation and per-DAG sampling streams are byte-identical no
   matter which shard it lands in or how many shards exist;
-* **hermetic shards** — each shard's scenario is plain data, executed
-  independently (in-process or in a persistent forked worker), so the
-  planner is free to place shards anywhere.
+* **hermetic shards** — each shard's scenario is plain data, run as
+  one :class:`~repro.exec.spec.SimSpec` (in-process or in a forked
+  child, or served from the result cache), so the planner is free to
+  place shards anywhere.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from ..scenario import POLICY_NAMES, ReconfigEvent, Scenario, \
     reconfig_from_payload
 
 __all__ = ["FLEET_SCHEMA", "FLEET_RECONFIG_SCHEMA", "CELL_KINDS",
-           "FleetScenario", "ShardSpec"]
+           "FleetScenario"]
 
 #: Schema version embedded in serialized fleet scenarios.
 FLEET_SCHEMA = 1
@@ -64,36 +68,6 @@ CELL_KINDS = {
     "20mhz": _CellKind(cell_20mhz_fdd, 2000.0, 8.0 / 7.0, "cell20"),
     "100mhz": _CellKind(cell_100mhz_tdd, 1500.0, 12.0 / 2.0, "cell100"),
 }
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One server's slice of a fleet: a scenario plus its identity."""
-
-    shard_index: int
-    cell_id_base: int
-    cell_names: tuple
-    num_slots: int
-    scenario: Scenario
-
-    def to_dict(self) -> dict:
-        return {
-            "shard_index": self.shard_index,
-            "cell_id_base": self.cell_id_base,
-            "cell_names": list(self.cell_names),
-            "num_slots": self.num_slots,
-            "scenario": self.scenario.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ShardSpec":
-        return cls(
-            shard_index=payload["shard_index"],
-            cell_id_base=payload["cell_id_base"],
-            cell_names=tuple(payload["cell_names"]),
-            num_slots=payload["num_slots"],
-            scenario=Scenario.from_dict(payload["scenario"]),
-        )
 
 
 @dataclass
@@ -221,7 +195,8 @@ class FleetScenario:
                      for i in range(count))
 
     def derive_shards(self) -> list:
-        """The per-server :class:`ShardSpec` list for this fleet."""
+        """One :class:`~repro.scenario.Scenario` per server, in shard
+        order."""
         shards = []
         base = 0
         ratio = self._cores_per_cell()
@@ -244,7 +219,7 @@ class FleetScenario:
                 for event in self.reconfig
                 if event.action != "migrate"
                 and event.shard == shard_index)
-            scenario = Scenario(
+            shards.append(Scenario(
                 pool=pool,
                 policy=self.policy,
                 policy_params=dict(self.policy_params),
@@ -255,13 +230,6 @@ class FleetScenario:
                 harq=self.harq,
                 cell_id_base=base,
                 reconfig=routed,
-            )
-            shards.append(ShardSpec(
-                shard_index=shard_index,
-                cell_id_base=base,
-                cell_names=tuple(c.name for c in cells),
-                num_slots=self.num_slots,
-                scenario=scenario,
             ))
             base += count
         return shards

@@ -408,8 +408,10 @@ class VranPool:
             # One record per task, at finish: enqueue/start/finish as
             # three events tripled the hottest emission rate and blew
             # the CI overhead budget.  core is -1 for offloaded tasks.
+            # ``_value_`` is the Enum's plain attribute: ``.value`` is a
+            # property, two Python calls per recorded task.
             bus.record(REC_TASK, now, "task_done", dag.dag_id,
-                       task.task_id, task.task_type.value,
+                       task.task_id, task.task_type._value_,
                        task.cell_name, core, task.runtime_us,
                        task.predicted_wcet_us, 0.0,
                        task.enqueue_time, task.start_time)

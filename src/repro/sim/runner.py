@@ -155,6 +155,10 @@ class SimulationResult:
     #: Serialized :class:`repro.scenario.Scenario` that produced this
     #: result (schema-2 payloads; None when loaded from schema 1).
     scenario: Optional[dict] = None
+    #: A fleet shard's per-cell digests, federated demand and latency
+    #: histogram (:meth:`repro.fleet.demand.ShardDemandRecorder.summary`);
+    #: None unless a demand observer was attached.
+    demand: Optional[dict] = None
 
     @property
     def meets_five_nines(self) -> bool:
@@ -167,10 +171,11 @@ class SimulationResult:
         live ``metrics``/``pool`` objects are deliberately dropped —
         a result rebuilt by :meth:`from_dict` carries None for both,
         and callers that need them must bypass the cache
-        (``run_simulation(..., use_cache=False)``).
+        (``run_simulation(..., use_cache=False)``).  ``demand`` is
+        emitted only when set, so a non-fleet payload keeps its shape.
         """
         latency = self.latency
-        return {
+        payload = {
             "schema": 2,
             "policy_name": self.policy_name,
             "workload_name": self.workload_name,
@@ -201,6 +206,9 @@ class SimulationResult:
             "telemetry": self.telemetry,
             "scenario": self.scenario,
         }
+        if self.demand is not None:
+            payload["demand"] = self.demand
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SimulationResult":
@@ -235,6 +243,7 @@ class SimulationResult:
             harq=payload["harq"],
             telemetry=dict(payload.get("telemetry", {})),
             scenario=payload.get("scenario"),
+            demand=payload.get("demand"),
         )
 
 
@@ -371,7 +380,8 @@ class Simulation:
         #: ``DagBuilder.costed_rows`` columns and the slot's span of
         #: them.  It reads rows, so it forces no DAG build.  The fleet
         #: layer attaches a demand recorder here to compute per-cell
-        #: sampling digests and federated core-demand rollups.
+        #: sampling digests and federated core-demand rollups; the
+        #: result's ``demand`` is its ``summary(slot latencies)``.
         self.demand_observer = None
         # Mutable cell membership (elastic reconfiguration).  These
         # parallel lists are the slot pipeline's source of truth —
@@ -1147,6 +1157,9 @@ class Simulation:
             harq=self._harq_stats(),
             telemetry=self._telemetry(),
             scenario=self.scenario.to_dict(),
+            demand=(None if self.demand_observer is None
+                    else self.demand_observer.summary(
+                        self.metrics.slot_latencies)),
         )
 
     def _telemetry(self) -> dict:

@@ -313,12 +313,12 @@ class TestFleetShardingInvariance:
                               num_slots=FLEET_SLOTS, seed=SEED,
                               load_fraction=LOW_LOAD_FRACTION)
         committed = 0
-        for shard in fleet.derive_shards():
-            simulation = build_simulation(shard.scenario)
-            config = shard.scenario.pool_config()
+        for scenario in fleet.derive_shards():
+            simulation = build_simulation(scenario)
+            config = scenario.pool_config()
             simulation.demand_observer = ShardDemandRecorder(
                 config.cells, config.deadline_us)
-            simulation.run(shard.num_slots)
+            simulation.run(FLEET_SLOTS)
             committed += simulation.kernel_stats["array_slots"]
         assert committed > FLEET_SLOTS * LOW_LOAD_SHARDS // 2
         sharded = _fleet_digests(shards=LOW_LOAD_SHARDS,

@@ -351,6 +351,61 @@ class TestRunSimulationRouting:
             get_predictor(config)
 
 
+class TestPredictorWarmup:
+    """The parent trains only the models two or more jobs share; a
+    model with one user trains in that user's job."""
+
+    @staticmethod
+    def _parent_trainings(monkeypatch, configs) -> int:
+        import repro.experiments.common as common
+
+        parent = os.getpid()
+        trained = []
+
+        def fake_train(config, **kwargs):
+            if os.getpid() == parent:
+                trained.append(config)
+            return object()
+
+        monkeypatch.setattr(common, "train_predictor", fake_train)
+        monkeypatch.setattr(common, "_PREDICTOR_CACHE", {})
+        # The jobs crash before building anything, so only the
+        # parent's warm-up can train.
+        specs = [SimSpec(scenario=Scenario(pool=config, policy="concordia",
+                                           seed=seed),
+                         num_slots=10, training_slots=300,
+                         knobs={"__test_crash__": True})
+                 for seed, config in enumerate(configs)]
+        report = run_batch(specs, jobs=2, use_cache=False, retries=0)
+        assert report.failed == len(specs)
+        return len(trained)
+
+    def test_distinct_pools_train_nothing_in_parent(self, monkeypatch):
+        configs = [tiny_config(), small_config()]
+        assert self._parent_trainings(monkeypatch, configs) == 0
+
+    def test_shared_pool_trains_once_in_parent(self, monkeypatch):
+        configs = [tiny_config(), tiny_config()]
+        assert self._parent_trainings(monkeypatch, configs) == 1
+
+
+class TestFingerprintCoverage:
+    def test_fleet_result_sources_are_fingerprinted(self):
+        import inspect
+        from pathlib import Path
+
+        import repro
+        from repro.exec.fingerprint import FINGERPRINTED_PACKAGES
+        from repro.fleet.demand import ShardDemandRecorder
+        from repro.fleet.report import latency_histogram
+
+        root = Path(repro.__file__).resolve().parent
+        for obj in (ShardDemandRecorder, latency_histogram):
+            path = Path(inspect.getsourcefile(obj)).resolve()
+            package = path.relative_to(root).parts[0]
+            assert package in FINGERPRINTED_PACKAGES, (obj, package)
+
+
 class TestPredictorPersistence:
     def test_train_persist_reload(self, tmp_path):
         config = tiny_config()

@@ -3,15 +3,17 @@
 The metro-scale invariants under test:
 
 * shard derivation is a balanced, contiguous, globally-named partition
-  whose scenarios round-trip through plain data;
+  into one scenario per server;
 * per-cell sampling digests are invariant to shard count and to the
   serial/parallel execution mode (the PR-3 interleaving-independence
   invariant lifted to fleet scale);
-* the planner aggregates per-shard payloads identically no matter who
-  executed them, and retries a shard whose forked child died or whose
+* the planner aggregates per-shard results identically no matter who
+  executed them — a forked child, the parent, the lockstep path or the
+  result cache — and retries a shard whose forked child died or whose
   body raised exactly as ``repro sweep`` retries a job.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -20,12 +22,14 @@ import pytest
 
 from repro.cli import main
 from repro.core.federated import CoreDemand
+from repro.exec.cache import ResultCache, activated_cache
+from repro.exec.spec import run_spec
+from repro.experiments.common import make_spec
 from repro.fleet import (
     FleetScenario,
     Planner,
-    ShardSpec,
+    build_fleet_report,
     combined_digest,
-    execute_shard,
     histogram_percentile,
     latency_histogram,
     merge_histograms,
@@ -38,7 +42,7 @@ class TestFleetScenario:
         assert fleet.shard_sizes() == [4, 3, 3]
         shards = fleet.derive_shards()
         assert [s.cell_id_base for s in shards] == [0, 4, 7]
-        names = [n for s in shards for n in s.cell_names]
+        names = [c.name for s in shards for c in s.pool_config().cells]
         assert names == [fleet.cell_name(g) for g in range(10)]
         assert len(set(names)) == 10
 
@@ -46,24 +50,14 @@ class TestFleetScenario:
         # 20 MHz reference server: 8 cores / 7 cells.
         fleet = FleetScenario(cells=7, shards=1, num_slots=5)
         (shard,) = fleet.derive_shards()
-        assert shard.scenario.pool_config().num_cores == 8
+        assert shard.pool_config().num_cores == 8
         assert fleet.provisioned_cores == 8
 
     def test_shard_scenarios_carry_global_base(self):
         fleet = FleetScenario(cells=6, shards=2, num_slots=5)
         first, second = fleet.derive_shards()
-        assert first.scenario.cell_id_base == 0
-        assert second.scenario.cell_id_base == 3
-
-    def test_shard_spec_roundtrip(self):
-        fleet = FleetScenario(cells=4, shards=2, num_slots=5, seed=9)
-        shard = fleet.derive_shards()[1]
-        clone = ShardSpec.from_dict(
-            json.loads(json.dumps(shard.to_dict())))
-        # The pool deserializes to its inlined-dict form, so compare
-        # the canonical serialized payloads, not the live objects.
-        assert clone.to_dict() == shard.to_dict()
-        assert clone.scenario.cell_id_base == shard.cell_id_base
+        assert first.cell_id_base == 0
+        assert second.cell_id_base == 3
 
     def test_fleet_roundtrip(self):
         fleet = FleetScenario(cells=12, shards=3, cell_kind="100mhz",
@@ -134,20 +128,27 @@ class TestHistograms:
                               latency_histogram([], 1500.0)])
 
 
+def demand_spec(scenario, num_slots):
+    return dataclasses.replace(make_spec(scenario, num_slots),
+                               knobs={"demand": True})
+
+
 class TestShardExecution:
-    def test_execute_shard_payload(self):
+    def test_demand_spec_result(self):
         fleet = FleetScenario(cells=2, shards=1, num_slots=20, seed=4)
         (shard,) = fleet.derive_shards()
-        payload = execute_shard(shard.to_dict())
-        assert payload["shard_index"] == 0
-        assert sorted(payload["cell_digests"]) == \
-            sorted(shard.cell_names)
-        assert payload["slot_count"] > 0
-        demand = payload["demand"]
+        names = sorted(c.name for c in shard.pool_config().cells)
+        payload = run_spec(demand_spec(shard, 20)).to_dict()
+        assert sorted(payload["demand"]["cell_digests"]) == names
+        assert payload["telemetry"]["counters"]["slots/completed"] > 0
+        demand = payload["demand"]["demand"]
         assert demand["cores"] >= 1
-        assert set(demand["cells"]) == set(shard.cell_names)
-        # Round-trips through JSON (the pipe protocol requirement).
-        json.dumps(payload)
+        assert sorted(demand["cells"]) == names
+        # Round-trips through JSON (the result cache's format).
+        assert json.loads(json.dumps(payload)) == payload
+        # Without the knob the result has no demand key at all.
+        plain = run_spec(make_spec(shard, 20)).to_dict()
+        assert "demand" not in plain
 
     def test_demand_uses_federated_rule(self):
         fleet = FleetScenario(cells=2, shards=1, num_slots=20, seed=4)
@@ -155,11 +156,11 @@ class TestShardExecution:
         from repro.fleet.demand import ShardDemandRecorder
         from repro.scenario import build_simulation
 
-        config = shard.scenario.pool_config()
+        config = shard.pool_config()
         recorder = ShardDemandRecorder(config.cells, config.deadline_us)
-        simulation = build_simulation(shard.scenario)
+        simulation = build_simulation(shard)
         simulation.demand_observer = recorder
-        simulation.run(shard.num_slots)
+        simulation.run(fleet.num_slots)
         demand = recorder.shard_demand()
         assert isinstance(demand, CoreDemand)
         per_cell = [recorder.cell_demand(c.name) for c in config.cells]
@@ -263,9 +264,40 @@ class TestPlanner:
         events = []
         fleet = FleetScenario(cells=2, shards=2, num_slots=5)
         Planner(fleet, jobs=1, progress=events.append).run()
-        kinds = [e["kind"] for e in events]
-        assert kinds.count("dispatch") == 2
-        assert kinds.count("done") == 2
+        assert [e["status"] for e in events] == ["ok", "ok"]
+        assert [e["index"] for e in events] == [0, 1]
+
+    def test_warm_cache_runs_no_shard(self, tmp_path):
+        fleet = FleetScenario(cells=4, shards=2, num_slots=10, seed=6)
+
+        def strip(report):
+            payload = report.to_dict()
+            planner = payload.pop("planner")
+            for row in payload["servers"]:
+                row.pop("wall_s")
+            return payload, planner
+
+        with activated_cache(ResultCache(tmp_path)):
+            cold, cold_planner = strip(Planner(fleet, jobs=1).run())
+            warm, warm_planner = strip(Planner(fleet, jobs=1).run())
+        assert cold_planner["dispatches"] == 2
+        assert warm_planner["dispatches"] == 0
+        assert warm == cold
+
+    def test_lockstep_and_batch_paths_agree(self):
+        fleet = FleetScenario(cells=4, shards=2, num_slots=15, seed=6)
+        planner = Planner(fleet, jobs=1)
+        specs = [demand_spec(shard, fleet.num_slots)
+                 for shard in fleet.derive_shards()]
+        lockstep, *_ = planner._run_lockstep(specs, ())
+        batch, *_ = planner._run_shards(specs)
+
+        def rows(results):
+            report = build_fleet_report(fleet, results,
+                                        [0.0] * len(results))
+            return report.servers, report.cell_digests
+
+        assert rows(lockstep) == rows(batch)
 
     def test_dead_worker_shard_is_requeued(self, monkeypatch):
         """Killing a shard's forked child must not forfeit the shard.
@@ -274,7 +306,7 @@ class TestPlanner:
         report is clean and the fleet digest matches the serial run
         byte for byte.
         """
-        _kill_first_attempt(monkeypatch, shard_index=0)
+        _kill_first_attempt(monkeypatch, cell_id_base=0)
         events = []
         fleet = FleetScenario(cells=4, shards=2, num_slots=10, seed=6)
         report = Planner(fleet, jobs=2, progress=events.append).run()
@@ -286,28 +318,26 @@ class TestPlanner:
         assert report.cell_digests == serial.cell_digests
 
     def test_lost_attempt_counts_in_telemetry(self, monkeypatch):
-        _kill_first_attempt(monkeypatch, shard_index=1)
+        _kill_first_attempt(monkeypatch, cell_id_base=1)
         fleet = FleetScenario(cells=3, shards=3, num_slots=5, seed=2)
         report = Planner(fleet, jobs=2).run()
         assert report.ok, report.failures
         assert report.dispatches == fleet.shards + 1
-        assert report.total_job_wall_s > \
-            sum(row["wall_s"] for row in report.servers)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_shard_exception_is_retried_then_failed(self, monkeypatch,
                                                     jobs):
         """A raising shard body gets the sweep's retry, serial or forked."""
-        import repro.fleet.planner as planner_module
+        import repro.exec.batch as batch_module
 
-        entry = planner_module.run_shard_in_child
+        entry = batch_module.run_job_in_child
 
         def corrupt_shard_zero(conn, payload, attempt):
-            if payload["shard_index"] == 0:
+            if payload["scenario"]["cell_id_base"] == 0:
                 payload = dict(payload, scenario={"schema": -1})
             entry(conn, payload, attempt)
 
-        monkeypatch.setattr(planner_module, "run_shard_in_child",
+        monkeypatch.setattr(batch_module, "run_job_in_child",
                             corrupt_shard_zero)
         events = []
         fleet = FleetScenario(cells=2, shards=2, num_slots=5, seed=3)
@@ -321,24 +351,26 @@ class TestPlanner:
         assert report.dispatches == 3
 
 
-def _kill_first_attempt(monkeypatch, shard_index: int) -> None:
-    """SIGKILL the forked child of ``shard_index``'s first attempt.
+def _kill_first_attempt(monkeypatch, cell_id_base: int) -> None:
+    """SIGKILL the forked child of the first attempt of the shard whose
+    first global cell is ``cell_id_base``.
 
     At ``jobs=1`` the entry point runs in the test process itself,
     which is never killed.
     """
-    import repro.fleet.planner as planner_module
+    import repro.exec.batch as batch_module
 
-    entry = planner_module.run_shard_in_child
+    entry = batch_module.run_job_in_child
     parent = os.getpid()
 
     def die_once(conn, payload, attempt):
-        if (attempt == 0 and payload["shard_index"] == shard_index
+        if (attempt == 0
+                and payload["scenario"]["cell_id_base"] == cell_id_base
                 and os.getpid() != parent):
             os.kill(os.getpid(), signal.SIGKILL)
         entry(conn, payload, attempt)
 
-    monkeypatch.setattr(planner_module, "run_shard_in_child", die_once)
+    monkeypatch.setattr(batch_module, "run_job_in_child", die_once)
 
 
 class TestFleetCli:
