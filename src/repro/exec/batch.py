@@ -40,6 +40,7 @@ import multiprocessing
 import os
 import statistics
 import time
+import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import Callable, List, Optional, Sequence
@@ -47,11 +48,10 @@ from typing import Callable, List, Optional, Sequence
 from ..obs.events import CacheEvent, global_bus
 from .cache import ResultCache, activated_cache, active_cache
 from .fingerprint import model_fingerprint
-from .spec import SimSpec, predictor_cache_key, spec_key
-from .worker import run_job_in_child
+from .spec import SimSpec, execute_spec, predictor_cache_key, spec_key
 
 __all__ = ["BatchReport", "Job", "JobOutcome", "check_jobs",
-           "default_jobs", "run_batch", "run_jobs"]
+           "default_jobs", "run_batch", "run_job_in_child", "run_jobs"]
 
 logger = logging.getLogger(__name__)
 
@@ -356,6 +356,40 @@ class _Mailbox:
         pass
 
 
+def run_job_in_child(conn, spec_payload: dict, attempt: int) -> None:
+    """Execute one spec and ship ``(status, payload)`` through ``conn``.
+
+    The child entry point :func:`run_batch` hands :func:`run_jobs`: it
+    runs in a forked child (or, at ``jobs=1``, in-process with a
+    :class:`_Mailbox` for the pipe) and never raises across that
+    boundary.  It sends ``("ok", {"result", "wall_s"})``, or ``("error",
+    {"error", "traceback", "wall_s"})`` for any exception (a malformed
+    payload's :class:`~repro.exec.spec.SpecError` included), and closes
+    ``conn`` on every exit, so one crashing job never takes the batch
+    down; a child that dies without reporting surfaces in the parent as
+    an EOF on the pipe.
+    """
+    start = time.perf_counter()
+    try:
+        result = execute_spec(SimSpec.from_dict(spec_payload),
+                              attempt=attempt)
+        conn.send(("ok", {
+            "result": result,
+            "wall_s": time.perf_counter() - start,
+        }))
+    except Exception as exc:  # noqa: BLE001 - isolation boundary
+        try:
+            conn.send(("error", {
+                "error": f"{type(exc).__name__}: {exc}",
+                "traceback": traceback.format_exc(),
+                "wall_s": time.perf_counter() - start,
+            }))
+        except (BrokenPipeError, OSError):  # parent gave up on us
+            pass
+    finally:
+        conn.close()
+
+
 def run_jobs(queue: Sequence[Job], jobs: int, child: ChildEntry,
              finish: Callable[[Job, str, Optional[object],
                                Optional[str]], None],
@@ -364,9 +398,9 @@ def run_jobs(queue: Sequence[Job], jobs: int, child: ChildEntry,
     """Run every job through ``child`` and settle each one exactly once.
 
     ``child(conn, payload, attempt)`` is a child entry point (see
-    :func:`repro.exec.worker.report_to_parent`).  ``jobs=1`` calls it
-    in-process in queue order; otherwise at most ``jobs`` forked
-    children run at once.  The failure policy is the same either way:
+    :func:`run_job_in_child`).  ``jobs=1`` calls it in-process in
+    queue order; otherwise at most ``jobs`` forked children run at
+    once.  The failure policy is the same either way:
 
     * a reported exception, or a child that dies without reporting, is
       retried up to ``retries`` times and then finished as ``failed``;

@@ -37,6 +37,21 @@ from .report import latency_histogram
 __all__ = ["ShardDemandRecorder"]
 
 
+class _CellTally:
+    """One cell's digest stream and demand accumulators."""
+
+    __slots__ = ("hash", "work_sum", "crit_sum", "peak_work", "slots",
+                 "dags")
+
+    def __init__(self) -> None:
+        self.hash = hashlib.sha256()
+        self.work_sum = 0.0
+        self.crit_sum = 0.0
+        self.peak_work = 0.0
+        self.slots = 0
+        self.dags = 0
+
+
 class ShardDemandRecorder:
     """Accumulates per-cell digests and demand over one shard's run."""
 
@@ -44,13 +59,8 @@ class ShardDemandRecorder:
                  critical_margin_us: float = 20.0) -> None:
         self.deadline_us = deadline_us
         self.critical_margin_us = critical_margin_us
-        self._hash: Dict[str, "hashlib._Hash"] = {
-            cell.name: hashlib.sha256() for cell in cells}
-        self._work_sum = {cell.name: 0.0 for cell in cells}
-        self._crit_sum = {cell.name: 0.0 for cell in cells}
-        self._peak_work = {cell.name: 0.0 for cell in cells}
-        self._slots = {cell.name: 0 for cell in cells}
-        self._dags = {cell.name: 0 for cell in cells}
+        self._tallies: Dict[str, _CellTally] = {
+            cell.name: _CellTally() for cell in cells}
 
     def __call__(self, jobs: list, costed: tuple, span: tuple) -> None:
         """Observe one slot's DAG rows (all cells) at window-fill time.
@@ -62,10 +72,11 @@ class ShardDemandRecorder:
         costs, _cbs, _bytes, _margins, _probes, mults, cache_us, \
             cache_tails = costed
         first, end, row = span[:3]
-        slot_work: Dict[str, float] = {}
-        slot_crit: Dict[str, float] = {}
+        tallies = self._tallies
+        slot_work: Dict[_CellTally, float] = {}
+        slot_crit: Dict[_CellTally, float] = {}
         for load, cell, _release, _deadline, _index in jobs[first:end]:
-            name = cell.name
+            tally = tallies[cell.name]
             topology = topology_for_key(dag_kind_key(load))
             rows = slice(row, row + topology.num_tasks)
             row = rows.stop
@@ -83,68 +94,53 @@ class ShardDemandRecorder:
                          for base, mult, cache_u, cache_tail in zip(
                              bases, factors, cache_us[rows],
                              cache_tails[rows]))
-            self._hash[name].update(";".join(parts).encode())
+            tally.hash.update(";".join(parts).encode())
             work = 0.0
             for cost in sampled:  # left fold; sum() compensates (3.12+)
                 work += cost
-            slot_work[name] = slot_work.get(name, 0.0) + work
-            slot_crit[name] = max(slot_crit.get(name, 0.0),
-                                  _critical_path(topology, sampled))
-            self._dags[name] += 1
-        for name, work in slot_work.items():
-            self._work_sum[name] += work
-            self._crit_sum[name] += slot_crit[name]
-            self._peak_work[name] = max(self._peak_work[name], work)
-            self._slots[name] += 1
+            slot_work[tally] = slot_work.get(tally, 0.0) + work
+            slot_crit[tally] = max(slot_crit.get(tally, 0.0),
+                                   _critical_path(topology, sampled))
+            tally.dags += 1
+        for tally, work in slot_work.items():
+            tally.work_sum += work
+            tally.crit_sum += slot_crit[tally]
+            tally.peak_work = max(tally.peak_work, work)
+            tally.slots += 1
 
     # -- elastic migration -------------------------------------------------------
 
-    def detach_cell(self, name: str) -> dict:
-        """Remove one cell's accumulators; returns the carry state.
+    def detach_cell(self, name: str) -> _CellTally:
+        """Stop tracking one cell; returns its live tally.
 
-        The live hash object travels with the cell: the destination
-        recorder keeps appending to the same SHA-256 stream, so the
+        The tally's SHA-256 object travels with the cell: the
+        destination recorder keeps appending to the same stream, so the
         final per-cell digest of a migrated cell is byte-identical to
         an unmigrated run's.
         """
-        return {
-            "hash": self._hash.pop(name),
-            "work_sum": self._work_sum.pop(name),
-            "crit_sum": self._crit_sum.pop(name),
-            "peak_work": self._peak_work.pop(name),
-            "slots": self._slots.pop(name),
-            "dags": self._dags.pop(name),
-        }
+        return self._tallies.pop(name)
 
-    def attach_cell(self, name: str, carry: dict = None) -> None:
-        """Adopt a cell, resuming from ``carry`` (or fresh counters)."""
-        if name in self._hash:
+    def attach_cell(self, name: str, tally: _CellTally) -> None:
+        """Adopt a cell with the tally another recorder detached."""
+        if name in self._tallies:
             raise ValueError(f"recorder already tracks cell {name!r}")
-        if carry is None:
-            carry = {"hash": hashlib.sha256(), "work_sum": 0.0,
-                     "crit_sum": 0.0, "peak_work": 0.0, "slots": 0,
-                     "dags": 0}
-        self._hash[name] = carry["hash"]
-        self._work_sum[name] = carry["work_sum"]
-        self._crit_sum[name] = carry["crit_sum"]
-        self._peak_work[name] = carry["peak_work"]
-        self._slots[name] = carry["slots"]
-        self._dags[name] = carry["dags"]
+        self._tallies[name] = tally
 
     # -- results -----------------------------------------------------------------
 
     def cell_digests(self) -> Dict[str, str]:
         """SHA-256 hex digest of each cell's sampled demand trace."""
-        return {name: h.hexdigest() for name, h in self._hash.items()}
+        return {name: tally.hash.hexdigest()
+                for name, tally in self._tallies.items()}
 
     def cell_demand(self, name: str) -> CoreDemand:
         """Federated core demand of one cell at its mean per-slot load."""
-        slots = self._slots[name]
-        if slots == 0:
+        tally = self._tallies[name]
+        if tally.slots == 0:
             return CoreDemand(0, False)
         return federated_core_demand(
-            self._work_sum[name] / slots,
-            self._crit_sum[name] / slots,
+            tally.work_sum / tally.slots,
+            tally.crit_sum / tally.slots,
             slack_us=self.deadline_us,
             critical_margin_us=self.critical_margin_us,
         )
@@ -152,22 +148,22 @@ class ShardDemandRecorder:
     def shard_demand(self) -> CoreDemand:
         """Aggregate demand over all of the shard's cells."""
         return aggregate_demand(
-            self.cell_demand(name) for name in self._hash)
+            self.cell_demand(name) for name in self._tallies)
 
     def demand_payload(self) -> dict:
         """JSON-able per-cell and aggregate demand summary."""
         cells = {}
-        for name in self._hash:
+        for name, tally in self._tallies.items():
             demand = self.cell_demand(name)
-            slots = max(1, self._slots[name])
+            slots = max(1, tally.slots)
             cells[name] = {
                 "cores": demand.cores,
                 "critical": demand.critical,
-                "mean_work_us": self._work_sum[name] / slots,
-                "mean_critical_path_us": self._crit_sum[name] / slots,
-                "peak_work_us": self._peak_work[name],
-                "slots": self._slots[name],
-                "dags": self._dags[name],
+                "mean_work_us": tally.work_sum / slots,
+                "mean_critical_path_us": tally.crit_sum / slots,
+                "peak_work_us": tally.peak_work,
+                "slots": tally.slots,
+                "dags": tally.dags,
             }
         total = self.shard_demand()
         return {

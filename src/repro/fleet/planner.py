@@ -117,12 +117,12 @@ class Planner:
 
         Every shard simulation advances to each migration's slot
         barrier; there the planner detaches the cell from the source
-        (portable snapshot: exact traffic/allocation/HARQ generator
-        states) and attaches it to the destination with the
+        and hands its live record (traffic generator, allocation
+        stream, MAC and HARQ state) to the destination with the
         migration-cost model (state-transfer hold, predictor warm-up).
-        The demand recorder's live hash travels with the cell, so the
-        migrated cell's sampling digest is byte-identical to an
-        unmigrated run's.  Per-server utilization and deadline-miss
+        The demand recorder's tally, live hash included, moves the same
+        way, so the migrated cell's sampling digest is byte-identical
+        to an unmigrated run's.  Per-server utilization and deadline-miss
         counters are read at the barrier and again at the end, giving
         each migration a before/after row in the fleet report.
         """
@@ -156,9 +156,8 @@ class Planner:
                     "dst": dst.metrics.slot_deadlines_missed,
                 },
             }
-            snapshot = src.detach_cell(name)
             dst.attach_cell(
-                snapshot,
+                src.detach_cell(name),
                 transfer_slots=event.transfer_slots,
                 warmup_slots=event.warmup_slots,
                 warmup_factor=event.warmup_factor,

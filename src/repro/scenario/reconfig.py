@@ -14,9 +14,10 @@ Actions
     :class:`~repro.sim.pool.VranPool` by ``count`` workers.  In a
     fleet script, ``shard`` routes the event to one server.
 ``detach_cell`` / ``attach_cell``
-    Quiesce the named cell at the slot boundary and snapshot its
-    portable state (outage scripting within one simulation); a later
-    ``attach_cell`` of the same name resumes it.
+    Quiesce the named cell at the slot boundary and set its live
+    record (traffic, allocation, MAC and HARQ state) aside (outage
+    scripting within one simulation); a later ``attach_cell`` of the
+    same name resumes it where it stopped.
 ``migrate``
     Fleet-planner verb: move ``cell`` from ``src_shard`` to
     ``dst_shard`` at ``at_slot``, modelling migration cost —

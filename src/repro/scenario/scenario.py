@@ -69,12 +69,7 @@ _TRAFFIC_MODES = ("model", "profiling")
 
 
 def cell_config_to_dict(cell: CellConfig) -> dict:
-    """Inline one :class:`CellConfig` as a JSON-able dict.
-
-    Also the cell half of a detached-cell snapshot
-    (:meth:`repro.sim.runner.Simulation.detach_cell`): a cell's static
-    configuration travels with its portable RNG/HARQ state.
-    """
+    """Inline one :class:`CellConfig` as a JSON-able dict."""
     return {
         "name": cell.name,
         "bandwidth_mhz": cell.bandwidth_mhz,

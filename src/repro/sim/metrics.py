@@ -69,10 +69,8 @@ class Metrics:
         self.num_cores = num_cores
         self._initial_cores = num_cores
         #: ``(time_us, num_cores)`` steps recorded by elastic
-        #: reconfiguration (``VranPool.add_worker``/``remove_worker``).
-        #: Empty for the (overwhelmingly common) fixed-capacity run, in
-        #: which case the legacy closed-form core-time integral is used
-        #: unchanged.
+        #: reconfiguration (``VranPool.add_worker``/``remove_worker``);
+        #: empty for a fixed-capacity run.
         self._capacity_segments: list[tuple[float, int]] = []
         self.registry = MetricsRegistry()
         self.slot_latencies: list[float] = []
@@ -112,9 +110,8 @@ class Metrics:
     def on_capacity_change(self, now_us: float, num_cores: int) -> None:
         """Called when the *physical* core count of the pool changes.
 
-        Elastic worker add/remove turns ``total_core_time_us`` into a
-        piecewise integral; runs that never reconfigure keep the exact
-        legacy ``duration * num_cores`` closed form.
+        Each change starts a new piece of ``total_core_time_us``'s
+        piecewise integral.
         """
         self._advance(now_us)
         self._capacity_segments.append((now_us, num_cores))
@@ -145,15 +142,14 @@ class Metrics:
 
     @property
     def total_core_time_us(self) -> float:
-        segments = self._capacity_segments
-        if not segments:
-            return self.duration_us * self.num_cores
-        # Piecewise integral over capacity steps (elastic runs only).
+        # Piecewise integral over capacity steps; with none, any run of
+        # positive length gets ``duration_us * num_cores`` to the bit
+        # (``0.0 + x == x``).
         end = max(self.end_time_us, self._last_change_us)
         prev_t = self.start_time_us
         prev_n = self._initial_cores
         total = 0.0
-        for t, n in segments:
+        for t, n in self._capacity_segments:
             t = min(max(t, prev_t), end)
             total += (t - prev_t) * prev_n
             prev_t, prev_n = t, n

@@ -61,11 +61,11 @@ import numpy as np
 from ..ran.config import SlotType
 from ..ran.dag import (DagBuilder, dag_kind_key, plan_task_rows,
                        topology_for_key)
-from ..ran.harq import HarqConfig, HarqManager, _PendingRetransmission
+from ..ran.harq import HarqManager
 from ..ran.mac import MacCell
 from ..ran.tasks import CostModel
 from ..ran.traffic import CellTraffic
-from ..ran.ue import MCS_TABLE, SlotLoad, UeAllocation, bytes_to_allocations
+from ..ran.ue import SlotLoad, bytes_to_allocations
 from ..workloads.base import WorkloadHost
 from ..workloads.catalog import MixController, make_workload
 from .arraykernel import ArraySlotKernel
@@ -261,6 +261,33 @@ def _stream_rng(seed: int, *spawn_key: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
 
 
+class _CellSource:
+    """One attached cell and the live objects its slots are drawn from.
+
+    The cell config, its global id, and its traffic generator,
+    allocation stream, MAC pipelines (``{uplink: MacCell}``, MAC
+    allocation only) and HARQ manager (HARQ runs only).
+    :meth:`Simulation.detach_cell` hands the record itself over,
+    stamped with the ``seed`` and ``slot`` it left at and the
+    simulation-wide allocation stream it shared (``shared_alloc``,
+    None for a fleet-keyed cell), so the cell resumes elsewhere from
+    exactly the state it quiesced in.
+    """
+
+    __slots__ = ("cell", "gid", "traffic", "alloc_rng", "mac", "harq",
+                 "seed", "slot", "shared_alloc")
+
+    def __init__(self, cell, gid: int, traffic: CellTraffic, alloc_rng,
+                 mac: Optional[dict], harq: Optional[HarqManager]) -> None:
+        self.cell = cell
+        self.gid = gid
+        self.traffic = traffic
+        self.alloc_rng = alloc_rng
+        self.mac = mac
+        self.harq = harq
+        self.seed = self.slot = self.shared_alloc = None
+
+
 class Simulation:
     """One configured experiment: pool + policy + traffic + workloads.
 
@@ -276,31 +303,21 @@ class Simulation:
         self.policy = policy
         seed = scenario.seed
         workload = scenario.workload
-        load_fraction = scenario.load_fraction
         mix_interval_us = scenario.mix_interval_us
         # Fleet keying (see module docstring): a cell-shard keys every
         # per-cell stream by the global cell id and pool-level streams
         # by the shard's base, so cell-level sampling is independent of
         # how the metro deployment was sharded.
         base = scenario.cell_id_base
-        self._cell_id_base = 0 if base is None else base
         fleet = base is not None
         pool_key = (base,) if fleet else ()
         self._rng_traffic = _stream_rng(seed, 1, *pool_key)
         self._rng_os = _stream_rng(seed, 3, *pool_key)
         self._rng_mix = _stream_rng(seed, 5, *pool_key)
-        if fleet:
-            # One counter-keyed allocation stream per cell: within a
-            # cell the draw order (slot, then direction) is fixed, so
-            # the stream never observes other cells' draws.
-            self._rng_alloc = None
-            self._rng_alloc_cells = [
-                _stream_rng(seed, 2, base + index)
-                for index in range(len(pool_config.cells))
-            ]
-        else:
-            self._rng_alloc = _stream_rng(seed, 2)
-            self._rng_alloc_cells = None
+        # Fleet shards draw allocations from one counter-keyed stream
+        # per cell (made with the cell's record below); elsewhere every
+        # cell shares this one.
+        self._rng_alloc = None if fleet else _stream_rng(seed, 2)
 
         self.engine = Engine()
         self.cost_model = CostModel()
@@ -341,40 +358,13 @@ class Simulation:
                 max_interval_us=mix_interval_us[1],
                 rng=self._rng_mix,
             )
-        cell_base = self._cell_id_base
-        self.traffic = [
-            CellTraffic.for_cell(
-                cell, load_fraction,
-                rng=_stream_rng(seed, 7, cell_base + index),
-            )
+        #: One record per attached cell, in build order: the slot
+        #: pipeline's source of truth for cell membership
+        #: (``pool_config`` stays the frozen as-built description).
+        self._cells = [
+            self._cell_source(cell, (base or 0) + index)
             for index, cell in enumerate(pool_config.cells)
         ]
-        # Optional HARQ loop: failed uplink transport blocks come back
-        # as retransmissions a few slots later.
-        self._harq: dict = {}
-        if scenario.harq:
-            for index in range(len(pool_config.cells)):
-                self._harq[index] = HarqManager(
-                    rng=_stream_rng(seed, 8, cell_base + index))
-        # Optional MAC-layer allocation pipeline (buffer-driven PF
-        # scheduling instead of i.i.d. byte splitting).
-        self._mac: dict = {}
-        if scenario.allocation == "mac":
-            for index, cell in enumerate(pool_config.cells):
-                for uplink in (True, False):
-                    rate = (cell.avg_ul_mbps if uplink
-                            else cell.avg_dl_mbps) * 1e6 * load_fraction
-                    if cell.duplex.value == "tdd":
-                        share = cell.direction_share(uplink)
-                        if share > 0:
-                            rate /= share
-                    self._mac[(index, uplink)] = MacCell(
-                        cell,
-                        num_ues=cell.max_ues_per_slot,
-                        total_rate_bps=rate,
-                        rng=_stream_rng(seed, 9, cell_base + index,
-                                        int(uplink)),
-                    )
         #: Optional hook called once per slot at window-fill time with
         #: ``(jobs, costed, span)``: the window's build jobs, its
         #: ``DagBuilder.costed_rows`` columns and the slot's span of
@@ -383,16 +373,8 @@ class Simulation:
         #: sampling digests and federated core-demand rollups; the
         #: result's ``demand`` is its ``summary(slot latencies)``.
         self.demand_observer = None
-        # Mutable cell membership (elastic reconfiguration).  These
-        # parallel lists are the slot pipeline's source of truth —
-        # ``pool_config`` stays the frozen as-built description.
-        # Index i of _cell_list/_cell_gids/traffic/_rng_alloc_cells/
-        # _harq all refer to the same attached cell.
-        self._cell_list = list(pool_config.cells)
-        self._cell_gids = list(
-            range(cell_base, cell_base + len(pool_config.cells)))
-        #: Snapshots stashed by a timeline ``detach_cell``, keyed by
-        #: cell name, for a later ``attach_cell`` (outage scripting).
+        #: Records stashed by a timeline ``detach_cell``, keyed by cell
+        #: name, for a later ``attach_cell`` (outage scripting).
         self.detached_cells: dict = {}
         # Migration-cost model state: cells whose freshly built DAGs
         # are buffered until a hold slot (state-transfer delay), and
@@ -455,6 +437,50 @@ class Simulation:
         self._array_kernel = ArraySlotKernel(self)
         self._use_array = False
 
+    def _cell_source(self, cell, gid: int) -> _CellSource:
+        """The record of ``cell``, its streams keyed by global id ``gid``."""
+        scenario = self.scenario
+        seed = scenario.seed
+        load_fraction = scenario.load_fraction
+        alloc_rng = self._rng_alloc
+        if alloc_rng is None:
+            # Fleet keying: within a cell the draw order (slot, then
+            # direction) is fixed, so the stream never observes other
+            # cells' draws.
+            alloc_rng = _stream_rng(seed, 2, gid)
+        # Optional MAC-layer allocation pipeline (buffer-driven PF
+        # scheduling instead of i.i.d. byte splitting).
+        mac = None
+        if scenario.allocation == "mac":
+            mac = {}
+            for uplink in (True, False):
+                rate = (cell.avg_ul_mbps if uplink
+                        else cell.avg_dl_mbps) * 1e6 * load_fraction
+                if cell.duplex.value == "tdd":
+                    share = cell.direction_share(uplink)
+                    if share > 0:
+                        rate /= share
+                mac[uplink] = MacCell(
+                    cell,
+                    num_ues=cell.max_ues_per_slot,
+                    total_rate_bps=rate,
+                    rng=_stream_rng(seed, 9, gid, int(uplink)),
+                )
+        # Optional HARQ loop: failed uplink transport blocks come back
+        # as retransmissions a few slots later.
+        harq = (HarqManager(rng=_stream_rng(seed, 8, gid))
+                if scenario.harq else None)
+        return _CellSource(
+            cell, gid,
+            CellTraffic.for_cell(cell, load_fraction,
+                                 rng=_stream_rng(seed, 7, gid)),
+            alloc_rng, mac, harq)
+
+    @property
+    def traffic(self) -> list:
+        """Each attached cell's traffic generator, in build order."""
+        return [source.traffic for source in self._cells]
+
     # -- slot driving --------------------------------------------------------------
 
     def _fill_window(self) -> None:
@@ -508,37 +534,34 @@ class Simulation:
         for barrier in self._window_barriers:
             if start_slot < barrier < start_slot + count:
                 count = barrier - start_slot
-        cells = self._cell_list
-        mac = self._mac
+        sources = self._cells
+        mac = self.scenario.allocation == "mac"
         profiling = self.scenario.profiling_traffic
         # Directions per cell and slot, then (model traffic) one
         # batched draw per (cell, direction) generator covering the
         # window.
         cell_dirs = []
         draws = []
-        for cell_index, cell in enumerate(cells):
+        for source in sources:
+            cell = source.cell
             dirs_by_slot = [_slot_directions(cell, start_slot + rel)
                             for rel in range(count)]
             cell_dirs.append(dirs_by_slot)
             per_dir = {}
             if not (mac or profiling):
-                generator = self.traffic[cell_index]
+                generator = source.traffic
                 for uplink in (True, False):
                     needed = sum(1 for dirs in dirs_by_slot
                                  for u, _ in dirs if u == uplink)
                     if needed:
-                        source = (generator.uplink if uplink
+                        stream = (generator.uplink if uplink
                                   else generator.downlink)
                         per_dir[uplink] = iter(
-                            source.next_slots(needed).tolist())
+                            stream.next_slots(needed).tolist())
             draws.append(per_dir)
         jobs = []
         job_counts = []
         idle_flags = []
-        gids = self._cell_gids
-        harq = self._harq
-        alloc_cells = self._rng_alloc_cells
-        shared_alloc = self._rng_alloc
         rng_traffic = self._rng_traffic
         deadline_us = self.pool_config.deadline_us
         slot_us = self._slot_us
@@ -550,13 +573,13 @@ class Simulation:
             slot_meta.append((release, deadline))
             n_jobs = 0
             idle = True
-            for cell_index, cell in enumerate(cells):
-                per_dir = draws[cell_index]
-                alloc_rng = (shared_alloc if alloc_cells is None
-                             else alloc_cells[cell_index])
-                for uplink, scale in cell_dirs[cell_index][rel]:
+            for source, per_dir, dirs_by_slot in zip(sources, draws,
+                                                     cell_dirs):
+                cell = source.cell
+                harq = source.harq
+                for uplink, scale in dirs_by_slot[rel]:
                     if mac:
-                        allocations = mac[(cell_index, uplink)].step()
+                        allocations = source.mac[uplink].step()
                     else:
                         if not profiling:
                             total = int(next(per_dir[uplink]) * scale)
@@ -570,13 +593,13 @@ class Simulation:
                                 0, cell.peak_bytes_per_slot(uplink))
                                 * scale)
                         allocations = bytes_to_allocations(
-                            total, alloc_rng,
+                            total, source.alloc_rng,
                             max_ues=cell.max_ues_per_slot,
                             max_layers=cell.max_layers,
                         )
-                    if uplink and cell_index in harq:
-                        allocations = harq[cell_index].process_slot(
-                            slot_index, allocations)
+                    if uplink and harq is not None:
+                        allocations = harq.process_slot(slot_index,
+                                                        allocations)
                     if allocations:
                         idle = False
                     jobs.append((SlotLoad(cell_name=cell.name,
@@ -584,7 +607,7 @@ class Simulation:
                                           uplink=uplink,
                                           allocations=allocations),
                                  cell, release, deadline,
-                                 gids[cell_index]))
+                                 source.gid))
                     n_jobs += 1
             job_counts.append(n_jobs)
             idle_flags.append(idle)
@@ -756,13 +779,13 @@ class Simulation:
                 self.detached_cells[event.cell] = self.detach_cell(event.cell)
             elif action == "attach_cell":
                 try:
-                    snapshot = self.detached_cells.pop(event.cell)
+                    source = self.detached_cells.pop(event.cell)
                 except KeyError:
                     raise ValueError(
                         f"attach_cell {event.cell!r}: no detached "
                         f"snapshot of that name") from None
                 self.attach_cell(
-                    snapshot,
+                    source,
                     transfer_slots=event.transfer_slots,
                     warmup_slots=event.warmup_slots,
                     warmup_factor=event.warmup_factor,
@@ -826,194 +849,93 @@ class Simulation:
             if entry is not None:
                 dag.wcet_inflation = entry[1]
 
-    def detach_cell(self, name: str) -> dict:
-        """Quiesce cell ``name`` at a slot boundary; return its snapshot.
+    def _at_cell_barrier(self, verb: str) -> None:
+        """Check that a cell may move here now; flush deferred metrics.
 
-        The snapshot is plain data (JSON-able apart from the numpy
-        BitGenerator state dicts) carrying everything another
-        :class:`Simulation` needs to resume the cell mid-run with
-        byte-identical sampling: the cell config, global cell id, the
-        exact traffic/allocation/HARQ generator states and the pending
-        HARQ retransmissions.  Must be called at a slot boundary the
-        window kernel was told about (a timeline event's slot, or
-        :meth:`add_window_barrier` before the run) so no draws for the
-        cell have been made beyond the current slot.
+        A cell moves only under model traffic (profiling draws from
+        one shared stream) and at a slot boundary the window kernel
+        was told about (a timeline event's slot, or
+        :meth:`add_window_barrier` before the run), so no generator has
+        drawn past the current slot.
         """
         if self.scenario.profiling_traffic:
             raise ValueError(
-                "detach_cell requires model traffic (profiling mode "
-                "draws from one shared stream)")
-        if self.scenario.allocation == "mac":
-            raise ValueError(
-                "detach_cell requires i.i.d. allocation (MAC pipelines "
-                "hold non-portable buffer state)")
+                f"{verb} requires model traffic (profiling mode draws "
+                f"from one shared stream)")
         if self._window:
             raise ValueError(
-                "detach_cell mid-window: the detach slot must be a "
-                "window barrier (timeline events register theirs; "
-                "planners call add_window_barrier before the run)")
-        # The snapshot boundary must see fully applied metrics.
+                f"{verb} mid-window: the {verb.split('_')[0]} slot must "
+                f"be a window barrier (timeline events register theirs; "
+                f"planners call add_window_barrier before the run)")
+        # The hand-over boundary must see fully applied metrics.
         self._array_kernel.flush_pending()
-        for index, cell in enumerate(self._cell_list):
-            if cell.name == name:
+
+    def detach_cell(self, name: str) -> _CellSource:
+        """Quiesce cell ``name`` at a slot boundary; return its record.
+
+        The record keeps the cell's live traffic, allocation, MAC and
+        HARQ objects and is stamped with this simulation's seed, the
+        current slot and its shared allocation stream, for
+        :meth:`attach_cell`.
+        """
+        self._at_cell_barrier("detach_cell")
+        for index, source in enumerate(self._cells):
+            if source.cell.name == name:
                 break
         else:
             raise ValueError(f"no attached cell named {name!r}")
-        # Lazy: repro.scenario imports this module for build_simulation.
-        from ..scenario.scenario import cell_config_to_dict
-
-        del self._cell_list[index]
-        gid = self._cell_gids.pop(index)
-        traffic = self.traffic.pop(index)
-        alloc_state = None
-        if self._rng_alloc_cells is not None:
-            alloc_state = self._rng_alloc_cells.pop(index).bit_generator.state
-        harq = self._harq.pop(index, None)
-        # Re-index the HARQ dict: entries above the removed cell shift
-        # down with their cells.
-        self._harq = {(i if i < index else i - 1): manager
-                      for i, manager in self._harq.items()}
+        del self._cells[index]
         self._held_cells.pop(name, None)
         self._warm_cells.pop(name, None)
         if self._backlog:
             self._backlog = [(n, d) for n, d in self._backlog if n != name]
-        snapshot = {
-            "schema": 1,
-            "cell": cell_config_to_dict(cell),
-            "global_id": gid,
-            "seed": self.scenario.seed,
-            "load_fraction": self.scenario.load_fraction,
-            "slot_index": self._slot_index,
-            "harq_enabled": harq is not None,
-            "traffic": {
-                "uplink": {
-                    "rng_state": traffic.uplink.rng.bit_generator.state,
-                    "active": bool(traffic.uplink._active),
-                },
-                "downlink": {
-                    "rng_state": traffic.downlink.rng.bit_generator.state,
-                    "active": bool(traffic.downlink._active),
-                },
-            },
-        }
-        if alloc_state is not None:
-            snapshot["alloc_rng_state"] = alloc_state
-        if harq is not None:
-            snapshot["harq"] = {
-                "rng_state": harq.rng.bit_generator.state,
-                "config": {
-                    "rtt_slots": harq.config.rtt_slots,
-                    "max_attempts": harq.config.max_attempts,
-                    "combining_gain_db": harq.config.combining_gain_db,
-                },
-                "pending": [
-                    {
-                        "due_slot": p.due_slot,
-                        "attempt": p.attempt,
-                        "ue_id": p.allocation.ue_id,
-                        "tbs_bytes": p.allocation.tbs_bytes,
-                        "mcs_index": p.allocation.mcs.index,
-                        "layers": p.allocation.layers,
-                        "snr_db": p.allocation.snr_db,
-                    }
-                    for p in harq._pending
-                ],
-                "transport_blocks": harq.transport_blocks,
-                "retransmissions": harq.retransmissions,
-                "failures": harq.failures,
-                "residual_losses": harq.residual_losses,
-            }
-        return snapshot
+        source.seed = self.scenario.seed
+        source.slot = self._slot_index
+        source.shared_alloc = self._rng_alloc
+        return source
 
-    def attach_cell(self, snapshot: dict, *, transfer_slots: int = 0,
+    def attach_cell(self, source: _CellSource, *, transfer_slots: int = 0,
                     warmup_slots: int = 0,
                     warmup_factor: float = 1.5) -> None:
-        """Resume a detached cell from its snapshot, in this simulation.
+        """Resume a cell :meth:`detach_cell` returned, in this simulation.
 
-        The cell's generators are rebuilt from the (seed, global id)
-        stream map and then overwritten with the snapshot's exact
-        states, so its sampling continues byte-identically no matter
-        which simulation it lands in — the portability invariant behind
-        fleet migration.  ``transfer_slots``/``warmup_slots`` apply the
-        migration-cost model (state-transfer hold, then predictor
-        warm-up by ``warmup_factor``); zero (the default) attaches with
-        no transient.
+        The record's objects draw on from where they stopped, so the
+        cell's sampling continues byte-identically wherever its streams
+        stay the same: the same seed (the per-DAG streams come from
+        this simulation's builder), and the allocation stream the cell
+        was keyed with — a fleet-keyed cell moves between fleet shards
+        of one allocation mode, a cell that shared a simulation's
+        stream only back into that simulation.
+        ``transfer_slots``/``warmup_slots`` apply the migration-cost
+        model (state-transfer hold, then predictor warm-up by
+        ``warmup_factor``); zero (the default) attaches with no
+        transient.
         """
-        if snapshot.get("schema") != 1:
+        name = source.cell.name
+        if source.seed != self.scenario.seed:
             raise ValueError(
-                f"unsupported cell snapshot schema "
-                f"{snapshot.get('schema')!r}")
-        if snapshot["seed"] != self.scenario.seed:
+                f"cell {name!r} was detached at seed {source.seed}, "
+                f"this scenario's seed is {self.scenario.seed}: its "
+                f"per-DAG streams would change")
+        if source.slot > self._slot_index:
             raise ValueError(
-                f"cell snapshot seed {snapshot['seed']} != scenario "
-                f"seed {self.scenario.seed}; portable state requires "
-                f"the same stream map")
-        if snapshot["slot_index"] > self._slot_index:
+                f"cell {name!r} detached at slot {source.slot} is ahead "
+                f"of this simulation (slot {self._slot_index})")
+        if (source.shared_alloc is not self._rng_alloc
+                or (source.mac is None)
+                == (self.scenario.allocation == "mac")):
             raise ValueError(
-                f"cell snapshot from slot {snapshot['slot_index']} is "
-                f"ahead of this simulation (slot {self._slot_index})")
-        if self._window:
-            raise ValueError(
-                "attach_cell mid-window: the attach slot must be a "
-                "window barrier (timeline events register theirs; "
-                "planners call add_window_barrier before the run)")
-        self._array_kernel.flush_pending()
-        # Lazy: repro.scenario imports this module for build_simulation.
-        from ..scenario.scenario import cell_config_from_dict
-
-        cell = cell_config_from_dict(snapshot["cell"])
-        if any(c.name == cell.name for c in self._cell_list):
-            raise ValueError(f"cell {cell.name!r} is already attached")
-        gid = snapshot["global_id"]
-        seed = snapshot["seed"]
-        traffic = CellTraffic.for_cell(
-            cell, snapshot["load_fraction"], rng=_stream_rng(seed, 7, gid))
-        for direction, source in (("uplink", traffic.uplink),
-                                  ("downlink", traffic.downlink)):
-            state = snapshot["traffic"][direction]
-            source.rng.bit_generator.state = state["rng_state"]
-            source._active = state["active"]
-        if self._rng_alloc_cells is not None:
-            if "alloc_rng_state" not in snapshot:
-                raise ValueError(
-                    "cell snapshot lacks a per-cell allocation stream; "
-                    "it was detached from a non-fleet simulation")
-            alloc_rng = _stream_rng(seed, 2, gid)
-            alloc_rng.bit_generator.state = snapshot["alloc_rng_state"]
-            self._rng_alloc_cells.append(alloc_rng)
-        index = len(self._cell_list)
-        self._cell_list.append(cell)
-        self._cell_gids.append(gid)
-        self.traffic.append(traffic)
-        if snapshot["harq_enabled"]:
-            payload = snapshot["harq"]
-            manager = HarqManager(
-                config=HarqConfig(**payload["config"]),
-                rng=_stream_rng(seed, 8, gid))
-            manager.rng.bit_generator.state = payload["rng_state"]
-            manager._pending = [
-                _PendingRetransmission(
-                    due_slot=p["due_slot"],
-                    allocation=UeAllocation(
-                        ue_id=p["ue_id"],
-                        tbs_bytes=p["tbs_bytes"],
-                        mcs=MCS_TABLE[p["mcs_index"]],
-                        layers=p["layers"],
-                        snr_db=p["snr_db"],
-                    ),
-                    attempt=p["attempt"],
-                )
-                for p in payload["pending"]
-            ]
-            manager.transport_blocks = payload["transport_blocks"]
-            manager.retransmissions = payload["retransmissions"]
-            manager.failures = payload["failures"]
-            manager.residual_losses = payload["residual_losses"]
-            self._harq[index] = manager
+                f"cell {name!r} was keyed with another allocation "
+                f"stream: a cell moves only between fleet shards of one "
+                f"allocation mode, or back into the simulation it left")
+        self._at_cell_barrier("attach_cell")
+        if any(other.cell.name == name for other in self._cells):
+            raise ValueError(f"cell {name!r} is already attached")
+        self._cells.append(source)
         if transfer_slots > 0:
-            self._held_cells[cell.name] = self._slot_index + transfer_slots
+            self._held_cells[name] = self._slot_index + transfer_slots
         if warmup_slots > 0:
-            self._warm_cells[cell.name] = (
+            self._warm_cells[name] = (
                 self._slot_index + transfer_slots + warmup_slots,
                 float(warmup_factor),
             )
@@ -1179,9 +1101,10 @@ class Simulation:
         return telemetry
 
     def _harq_stats(self) -> Optional[dict]:
-        if not self._harq:
+        managers = [source.harq for source in self._cells
+                    if source.harq is not None]
+        if not managers:
             return None
-        managers = self._harq.values()
         blocks = sum(m.transport_blocks for m in managers)
         return {
             "transport_blocks": blocks,

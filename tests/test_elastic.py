@@ -7,10 +7,13 @@ The invariants under test:
   set mid-run — distinct from the ``request_cores`` ratchet — with
   drain-then-retire semantics (a busy worker is never preempted) and
   capacity-segment-aware core-time accounting;
-* a cell's portable snapshot (traffic/allocation/HARQ generator states
-  plus in-flight HARQ) resumes byte-identically in another simulation,
-  so a mid-run fleet migration leaves the migrated cell's sampling
-  digest untouched while rebalancing per-server utilization;
+* a detached cell's live record (traffic generator, allocation stream,
+  MAC pipelines, HARQ manager with its in-flight retransmissions)
+  resumes byte-identically in another fleet shard or back in the
+  simulation it left, so a mid-run fleet migration leaves the migrated
+  cell's sampling digest untouched while rebalancing per-server
+  utilization; a move that would change the cell's allocation stream
+  is rejected;
 * an *empty* reconfig timeline is invisible: scenarios serialize with
   their legacy schemas and all digests are byte-identical;
 * the migration-cost model produces a bounded deadline-miss transient
@@ -27,6 +30,7 @@ from repro.cli import main
 from repro.exec.digest import (canonical_json, canonical_result_payload,
                                result_digest)
 from repro.fleet import FleetScenario, Planner
+from repro.fleet.demand import ShardDemandRecorder
 from repro.obs.events import CoreEvent, EventBus
 from repro.obs.export import chrome_trace
 from repro.ran.config import PoolConfig, cell_20mhz_fdd
@@ -257,9 +261,10 @@ class TestReconfigEvent:
                  "dst_shard": 1, "at_slot": 99},))
 
 
-def _scenario(reconfig=(), seed=11):
+def _scenario(reconfig=(), seed=11, **fields):
     return Scenario(pool={"name": "20mhz"}, policy="concordia-noml",
-                    load_fraction=0.5, seed=seed, reconfig=reconfig)
+                    load_fraction=0.5, seed=seed, reconfig=reconfig,
+                    **fields)
 
 
 class TestSimulationTimeline:
@@ -285,25 +290,30 @@ class TestSimulationTimeline:
         with pytest.raises(ValueError, match="outside"):
             simulation.run(20)
 
-    def test_detach_attach_same_slot_is_identity(self):
+    @pytest.mark.parametrize("slot", [1, 20, 33])
+    @pytest.mark.parametrize("fields", [
+        {}, {"allocation": "mac", "harq": True}], ids=["iid", "mac-harq"])
+    def test_detach_attach_same_slot_is_identity(self, fields, slot):
         # Detaching the *last* cell and re-attaching it at the same
         # boundary preserves within-slot build order, so every sampled
         # and accumulated number must be byte-identical to a
-        # timeline-free run.  The embedded scenario payload is excluded
-        # from the comparison — carrying a timeline legitimately bumps
-        # its schema.
+        # timeline-free run — MAC buffers and in-flight HARQ
+        # retransmissions included.  The embedded scenario payload is
+        # excluded from the comparison — carrying a timeline
+        # legitimately bumps its schema.
         def behavior_digest(result):
             payload = canonical_result_payload(result.to_dict())
             payload.pop("scenario", None)
             return hashlib.sha256(
                 canonical_json(payload).encode()).hexdigest()
 
-        baseline = build_simulation(_scenario()).run(40)
+        baseline = build_simulation(_scenario(**fields)).run(40)
         cycled = build_simulation(_scenario((
-            {"action": "detach_cell", "cell": "cell20-6", "at_slot": 20},
-            {"action": "attach_cell", "cell": "cell20-6", "at_slot": 20,
-             "transfer_slots": 0, "warmup_slots": 0},
-        ))).run(40)
+            {"action": "detach_cell", "cell": "cell20-6",
+             "at_slot": slot},
+            {"action": "attach_cell", "cell": "cell20-6",
+             "at_slot": slot, "transfer_slots": 0, "warmup_slots": 0},
+        ), **fields)).run(40)
         assert behavior_digest(cycled) == behavior_digest(baseline)
 
     def test_detach_outage_reattach_later(self):
@@ -315,7 +325,7 @@ class TestSimulationTimeline:
         result = simulation.run(40)
         assert result.num_slots == 40
         assert not simulation.detached_cells
-        assert len(simulation._cell_list) == 7
+        assert len(simulation._cells) == 7
 
     def test_attach_without_snapshot_rejected(self):
         simulation = build_simulation(_scenario((
@@ -345,6 +355,59 @@ class TestSimulationTimeline:
         donor.attach_cell(snapshot)
         with pytest.raises(ValueError, match="already attached"):
             donor.attach_cell(snapshot)
+
+    @staticmethod
+    def _move_b(fleet: bool, dst_allocation: str = "iid") -> str:
+        """Move cell ``b`` from pool {a, b} to pool {c} at slot 10;
+        returns ``b``'s sampling digest."""
+        cells = [cell_20mhz_fdd(name) for name in "abc"]
+        sims = []
+        for base, shard, allocation in ((0, cells[:2], "iid"),
+                                        (2, cells[2:], dst_allocation)):
+            scenario = Scenario(
+                pool=PoolConfig(cells=tuple(shard), num_cores=4,
+                                deadline_us=2000.0),
+                policy="concordia-noml", load_fraction=0.5, seed=3,
+                allocation=allocation,
+                cell_id_base=base if fleet else None)
+            simulation = build_simulation(scenario)
+            simulation.demand_observer = ShardDemandRecorder(
+                shard, 2000.0)
+            simulation.start(40)
+            simulation.add_window_barrier(10)
+            simulation.run_to_barrier(10)
+            sims.append(simulation)
+        src, dst = sims
+        dst.attach_cell(src.detach_cell("b"))
+        dst.demand_observer.attach_cell(
+            "b", src.demand_observer.detach_cell("b"))
+        for simulation in sims:
+            simulation.run_to_end()
+        return dst.finish().demand["cell_digests"]["b"]
+
+    def test_fleet_keyed_move_keeps_digest(self):
+        unmoved = build_simulation(Scenario(
+            pool=PoolConfig(cells=(cell_20mhz_fdd("a"),
+                                   cell_20mhz_fdd("b")),
+                            num_cores=4, deadline_us=2000.0),
+            policy="concordia-noml", load_fraction=0.5, seed=3,
+            cell_id_base=0))
+        unmoved.demand_observer = ShardDemandRecorder(
+            unmoved.pool_config.cells, 2000.0)
+        digest = unmoved.run(40).demand["cell_digests"]["b"]
+        assert self._move_b(fleet=True) == digest
+
+    def test_move_between_unkeyed_simulations_rejected(self):
+        # Outside a fleet every cell draws its allocations from its
+        # simulation's one shared stream, so a cell moved into another
+        # simulation would draw from that simulation's stream instead.
+        with pytest.raises(ValueError, match="allocation stream"):
+            self._move_b(fleet=False)
+
+    def test_move_across_allocation_modes_rejected(self):
+        # An i.i.d. cell has no MAC pipelines for a MAC shard to step.
+        with pytest.raises(ValueError, match="allocation stream"):
+            self._move_b(fleet=True, dst_allocation="mac")
 
     def test_segmented_run_matches_monolithic(self):
         baseline = build_simulation(_scenario()).run(40)
