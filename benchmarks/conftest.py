@@ -11,11 +11,11 @@ minutes).
 
 Execution opt-ins (see :mod:`repro.exec`):
 
-* ``REPRO_JOBS=N`` — the spec-batch drivers (Fig. 8, 11, 14, the
-  long-run reliability windows and any future grid) fan their
-  simulations out over N worker processes;
-  results are byte-identical to a serial run.
-* ``REPRO_CACHE=1`` — simulations route through the persistent result
+* ``REPRO_JOBS=N`` — every driver grid (Figs. 4 and 8-15, the
+  long-run reliability windows) is one spec batch, fanned out over N
+  worker processes; results are byte-identical to a serial run, apart
+  from Fig. 15a's wall times.
+* ``REPRO_CACHE=1`` — spec batches route through the persistent result
   cache under ``results/cache`` (``REPRO_CACHE_DIR`` overrides), so a
   re-run of the suite only executes what calibration changes
   invalidated.

@@ -15,23 +15,29 @@ import time
 
 from repro.core.leaf_evt import LeafEvtQuantileTree
 from repro.core.training import train_predictor
-from repro.experiments.common import run_simulation, scaled_slots
+from repro.exec.spec import run_spec
+from repro.experiments.common import make_spec, run_spec_batch, scaled_slots
 from repro.ran.config import pool_20mhz_7cells
 from repro.scenario import Scenario
 
 
-def _run(policy_params, num_slots=None, policy="concordia", **fields):
+def _spec(policy_params, num_slots=None, policy="concordia", **fields):
     slots = num_slots if num_slots is not None else scaled_slots(5000)
-    return run_simulation(
+    return make_spec(
         Scenario(pool=pool_20mhz_7cells(), policy=policy,
                  policy_params=policy_params, workload="redis",
                  load_fraction=0.5, seed=7, **fields), slots)
 
 
+def _run_grid(specs: dict) -> dict:
+    """Run ``{name: spec}`` as one batch; returns ``{name: result}``."""
+    return dict(zip(specs, run_spec_batch(list(specs.values()))))
+
+
 def test_ablation_tick_interval(benchmark, write_report):
     def sweep():
-        return {tick: _run({"tick_interval_us": tick})
-                for tick in (20.0, 100.0, 500.0)}
+        return _run_grid({tick: _spec({"tick_interval_us": tick})
+                          for tick in (20.0, 100.0, 500.0)})
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     lines = [
@@ -50,8 +56,8 @@ def test_ablation_tick_interval(benchmark, write_report):
 
 def test_ablation_release_hold(benchmark, write_report):
     def sweep():
-        return {hold: _run({"release_hold_us": hold})
-                for hold in (0.0, 300.0, 1500.0)}
+        return _run_grid({hold: _spec({"release_hold_us": hold})
+                          for hold in (0.0, 300.0, 1500.0)})
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     lines = [
@@ -74,10 +80,10 @@ def test_ablation_release_hold(benchmark, write_report):
 
 def test_ablation_predictor(benchmark, write_report):
     def sweep():
-        return {
-            "quantile-tree": _run({}),
-            "no-ml-fallback": _run({}, policy="concordia-noml"),
-        }
+        return _run_grid({
+            "quantile-tree": _spec({}),
+            "no-ml-fallback": _spec({}, policy="concordia-noml"),
+        })
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     lines = [
@@ -108,10 +114,10 @@ def test_ablation_leaf_predictor(benchmark, write_report):
             start = time.perf_counter()
             predictor = train_predictor(config, num_slots=slots, seed=42,
                                         model_factory=factory)
-            result = run_simulation(
+            result = run_spec(make_spec(
                 Scenario(pool=config, policy="concordia", workload="redis",
                          load_fraction=0.5, seed=7),
-                scaled_slots(3000), predictor=predictor)
+                scaled_slots(3000)), predictor=predictor)
             out[name] = (result, time.perf_counter() - start)
         return out
 
@@ -136,13 +142,13 @@ def test_ablation_static_partition(benchmark, write_report):
     Concordia gets both ends at once."""
 
     def sweep():
-        out = {}
-        for cores in (3, 5, 8):
-            out[f"static-{cores}"] = _run(
-                {"reserved_cores": cores}, policy="static",
-                num_slots=scaled_slots(3000))
-        out["concordia"] = _run({}, num_slots=scaled_slots(3000))
-        return out
+        specs = {
+            f"static-{cores}": _spec({"reserved_cores": cores},
+                                     policy="static",
+                                     num_slots=scaled_slots(3000))
+            for cores in (3, 5, 8)}
+        specs["concordia"] = _spec({}, num_slots=scaled_slots(3000))
+        return _run_grid(specs)
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     lines = [
@@ -167,11 +173,10 @@ def test_ablation_harq_feedback(benchmark, write_report):
     """HARQ retransmissions add correlated load; Concordia absorbs it."""
 
     def sweep():
-        return {
-            "no-harq": _run({}, num_slots=scaled_slots(3000)),
-            "harq": _run({}, num_slots=scaled_slots(3000),
-                         harq=True),
-        }
+        return _run_grid({
+            "no-harq": _spec({}, num_slots=scaled_slots(3000)),
+            "harq": _spec({}, num_slots=scaled_slots(3000), harq=True),
+        })
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     lines = []

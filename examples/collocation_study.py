@@ -13,7 +13,7 @@ Run:  python examples/collocation_study.py [num_slots]
 import sys
 
 from repro import pool_100mhz_2cells
-from repro.experiments.common import format_table, run_simulation
+from repro.experiments.common import format_table, make_spec, run_spec_batch
 from repro.scenario import Scenario
 
 NUM_SLOTS = int(sys.argv[1]) if len(sys.argv) > 1 else 4000
@@ -25,23 +25,26 @@ def main():
     config = pool_100mhz_2cells(num_cores=8)
     print(f"2 x 100 MHz TDD cells, 8 cores, deadline "
           f"{config.deadline_us:.0f} us, {NUM_SLOTS} slots per run\n")
-    # Concordia trains its predictor once; each run learns on a copy.
+    # One batch (REPRO_JOBS=N runs it on N workers); Concordia trains
+    # its predictor once and each run learns on a copy.
+    grid = [(policy, workload) for policy in POLICIES
+            for workload in WORKLOADS]
+    results = run_spec_batch([
+        make_spec(Scenario(pool=config, policy=policy, workload=workload,
+                           load_fraction=0.5, seed=11), NUM_SLOTS)
+        for policy, workload in grid])
     rows = []
-    for policy in POLICIES:
-        for workload in WORKLOADS:
-            result = run_simulation(
-                Scenario(pool=config, policy=policy, workload=workload,
-                         load_fraction=0.5, seed=11), NUM_SLOTS)
-            latency = result.latency
-            best_effort = sum(result.workload_rates_per_s.values())
-            rows.append([
-                policy, workload,
-                f"{latency.p9999_us:7.0f}",
-                "yes" if latency.p9999_us <= latency.deadline_us else "NO",
-                f"{latency.miss_fraction:.1e}",
-                f"{result.reclaimed_fraction * 100:5.1f}%",
-                f"{best_effort:14,.0f}",
-            ])
+    for (policy, workload), result in zip(grid, results):
+        latency = result.latency
+        best_effort = sum(result.workload_rates_per_s.values())
+        rows.append([
+            policy, workload,
+            f"{latency.p9999_us:7.0f}",
+            "yes" if latency.p9999_us <= latency.deadline_us else "NO",
+            f"{latency.miss_fraction:.1e}",
+            f"{result.reclaimed_fraction * 100:5.1f}%",
+            f"{best_effort:14,.0f}",
+        ])
     print(format_table(
         ["policy", "workload", "p99.99 (us)", "meets deadline",
          "miss frac", "reclaimed", "best-effort ops/s"],

@@ -4,7 +4,6 @@ plotting, structured result export and bootstrap A/B comparison."""
 from .comparison import (
     TailComparison,
     bootstrap_percentile_ci,
-    compare_runs,
     compare_tails,
 )
 from .plotting import bar_chart, histogram_chart, line_chart
@@ -28,7 +27,6 @@ __all__ = [
     "ViolinSummary",
     "bar_chart",
     "bootstrap_percentile_ci",
-    "compare_runs",
     "compare_tails",
     "empirical_cdf",
     "histogram_chart",

@@ -7,9 +7,7 @@ error.  These helpers quantify it:
 * :func:`bootstrap_percentile_ci` — confidence interval of a percentile
   by resampling;
 * :func:`compare_tails` — is A's tail percentile credibly lower than
-  B's? (bootstrap difference test);
-* :func:`compare_runs` — a full scorecard for two
-  :class:`~repro.sim.runner.SimulationResult` objects.
+  B's? (bootstrap difference test).
 
 Used when tuning model constants or validating that a code change did
 not regress the reproduction.
@@ -22,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["bootstrap_percentile_ci", "compare_tails", "compare_runs",
-           "TailComparison"]
+__all__ = ["bootstrap_percentile_ci", "compare_tails", "TailComparison"]
 
 
 def bootstrap_percentile_ci(
@@ -95,24 +92,3 @@ def compare_tails(
                          - np.percentile(b, percentile)),
         p_a_below_b=below / iterations,
     )
-
-
-def compare_runs(result_a, result_b, percentile: float = 99.9,
-                 iterations: int = 300,
-                 rng: Optional[np.random.Generator] = None) -> dict:
-    """Scorecard comparing two SimulationResults (A vs B)."""
-    tail = compare_tails(result_a.metrics.slot_latencies,
-                         result_b.metrics.slot_latencies,
-                         percentile=percentile, iterations=iterations,
-                         rng=rng)
-    return {
-        "tail": tail,
-        "miss_fraction": (result_a.latency.miss_fraction,
-                          result_b.latency.miss_fraction),
-        "reclaimed": (result_a.reclaimed_fraction,
-                      result_b.reclaimed_fraction),
-        "scheduling_events": (result_a.scheduling_events,
-                              result_b.scheduling_events),
-        "reclaim_advantage_a": result_a.reclaimed_fraction
-        - result_b.reclaimed_fraction,
-    }

@@ -16,8 +16,11 @@ invalidates everything cleanly.
 Entry points:
 
 * ``python -m repro sweep --jobs N`` — CLI over a spec grid;
-* :func:`repro.experiments.common.run_spec_batch` — driver-facing
-  helper returning :class:`~repro.sim.runner.SimulationResult`s;
+* :func:`repro.experiments.common.run_spec_batch` — the one way a
+  figure driver runs its grid, returning
+  :class:`~repro.sim.runner.SimulationResult`s that are the same plain
+  data whether they ran in-process, in a forked worker or came from
+  the cache;
 * ``REPRO_JOBS`` / ``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` — environment
   opt-ins honoured by the drivers and the benchmark harness.
 """

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import Callable, List, Optional, Sequence
 
-from ..obs.events import CacheEvent, global_bus
+from ..obs.events import REC_CACHE, global_bus
 from .cache import ResultCache, activated_cache, active_cache
 from .fingerprint import model_fingerprint
 from .spec import SimSpec, execute_spec, predictor_cache_key, spec_key
@@ -187,11 +187,11 @@ class _Running:
 
 def _result_loadable(artifact: dict) -> bool:
     """True when the cached result payload deserializes today."""
-    from ..sim.runner import RESULT_SCHEMAS
+    from ..sim.runner import RESULT_SCHEMA
 
     result = artifact.get("result")
     return (isinstance(result, dict)
-            and result.get("schema") in RESULT_SCHEMAS)
+            and result.get("schema") == RESULT_SCHEMA)
 
 
 def run_batch(
@@ -247,13 +247,13 @@ def run_batch(
                                          status="cached", attempts=0,
                                          result=artifact["result"])
             if bus.enabled:
-                bus.emit(CacheEvent(ts_us=bus.now(), kind="cache_hit",
-                                    key=key, label=spec.label()))
+                bus.record(REC_CACHE, bus.now(), "cache_hit", key,
+                           spec.label())
             emit("cached", index, "cached")
         else:
             if bus.enabled:
-                bus.emit(CacheEvent(ts_us=bus.now(), kind="cache_miss",
-                                    key=key, label=spec.label()))
+                bus.record(REC_CACHE, bus.now(), "cache_miss", key,
+                           spec.label())
             pending.append(Job(index=index, payload=spec.to_dict()))
 
     def finish(job: Job, status: str, result: Optional[dict],
@@ -367,12 +367,13 @@ def run_job_in_child(conn, spec_payload: dict, attempt: int) -> None:
     payload's :class:`~repro.exec.spec.SpecError` included), and closes
     ``conn`` on every exit, so one crashing job never takes the batch
     down; a child that dies without reporting surfaces in the parent as
-    an EOF on the pipe.
+    an EOF on the pipe.  ``attempt`` (0 for the first try) is part of
+    the entry-point signature for wrappers; a spec's result does not
+    depend on it.
     """
     start = time.perf_counter()
     try:
-        result = execute_spec(SimSpec.from_dict(spec_payload),
-                              attempt=attempt)
+        result = execute_spec(SimSpec.from_dict(spec_payload))
         conn.send(("ok", {
             "result": result,
             "wall_s": time.perf_counter() - start,

@@ -6,8 +6,9 @@ folds in the model fingerprint — a calibration change changes every
 key, so stale artifacts are simply never addressed again).  Trained
 predictors are pickled under ``<root>/predictors/``.
 
-A cache can be *activated* process-wide so that
-:func:`repro.experiments.common.run_simulation` and the predictor
+A cache can be *activated* process-wide so that every spec batch
+(:func:`repro.exec.batch.run_batch`, behind the drivers'
+:func:`repro.experiments.common.run_spec_batch`) and the predictor
 training path route through it without plumbing a handle through every
 driver; setting ``REPRO_CACHE=1`` activates the default cache
 (``results/cache``, overridable via ``REPRO_CACHE_DIR``).
@@ -103,7 +104,7 @@ _ACTIVE: Optional[ResultCache] = None
 
 
 def activate_cache(cache: Optional[ResultCache] = None) -> ResultCache:
-    """Route ``run_simulation``/predictor training through ``cache``."""
+    """Route spec batches and predictor training through ``cache``."""
     global _ACTIVE
     _ACTIVE = cache if cache is not None else ResultCache(default_cache_dir())
     return _ACTIVE

@@ -10,9 +10,12 @@ properties follow:
   the trained predictor, so a spec's result is a pure function of its
   payload and the model sources.  It is the only build path:
   :func:`run_spec` (behind :func:`execute_spec`, the batch runner's
-  job, and ``run_simulation``, cached or not) and the fleet planner's
-  lockstep migration both call it, so serial, parallel, cached,
-  uncached and migrated runs are byte-identical.
+  job) and the fleet planner's lockstep migration both call it, so
+  serial, parallel, cached, uncached and migrated runs are
+  byte-identical.  A driver runs a grid as one batch
+  (:func:`repro.experiments.common.run_spec_batch`); only a run with a
+  caller-owned predictor, which has no spec address, calls
+  :func:`run_spec` directly.
 * **content addressing** — :func:`spec_key` hashes the canonical JSON
   payload together with the model fingerprint, giving the on-disk
   cache key.
@@ -23,7 +26,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -75,10 +77,10 @@ class SimSpec:
     ``policy_params`` must hold JSON values only; a live object (e.g.
     a trained predictor) raises :class:`SpecError` at construction — a
     caller's predictor is :func:`run_spec`'s argument instead.
-    ``knobs`` is a free-form dict that participates in the hash — used
-    for forward-compatible extensions (``"demand"``: record a fleet
-    shard's demand, see :func:`build_spec_simulation`) and for the
-    batch runner's fault-injection tests.
+    ``knobs`` is a free-form dict that participates in the hash, for
+    options that change what a run records rather than the scenario
+    (``"demand"``: record a fleet shard's demand, see
+    :func:`build_spec_simulation`).
     """
 
     scenario: Scenario
@@ -178,20 +180,6 @@ def predictor_cache_key(config: PoolConfig, seed: int, num_slots: int,
 # -- execution ---------------------------------------------------------------------
 
 
-def _apply_test_hooks(spec: SimSpec, attempt: int) -> None:
-    """Fault-injection knobs used by the batch runner's test suite."""
-    hooks = spec.knobs
-    if hooks.get("__test_crash__"):
-        raise RuntimeError("injected crash (knobs.__test_crash__)")
-    if attempt < hooks.get("__test_crash_until_attempt__", 0):
-        raise RuntimeError(
-            f"injected crash on attempt {attempt} "
-            f"(knobs.__test_crash_until_attempt__)")
-    sleep_s = hooks.get("__test_sleep_s__")
-    if sleep_s:
-        time.sleep(float(sleep_s))
-
-
 def build_spec_simulation(spec: SimSpec, predictor=None,
                           event_bus=None) -> "Simulation":
     """Build, but do not run, the simulation a spec describes.
@@ -236,17 +224,17 @@ def run_spec(spec: SimSpec, predictor=None,
              event_bus=None) -> "SimulationResult":
     """Build and run the simulation a spec describes.
 
-    The one run path: :func:`execute_spec`, the batch runner, the fleet
-    planner and :func:`repro.experiments.common.run_simulation` (cached
-    or not) all come through :func:`build_spec_simulation`, so equal
-    specs give equal results on every path.
+    The one run path: :func:`execute_spec` (the batch runner's job) and
+    the fleet planner come through :func:`build_spec_simulation`, so
+    equal specs give equal results on every path.  Called directly
+    only with a caller-owned ``predictor`` (copied, never trained in
+    place), which a spec cannot address and so never meets the cache.
     """
     return build_spec_simulation(spec, predictor, event_bus).run(
         spec.num_slots)
 
 
-def execute_spec(spec: SimSpec, attempt: int = 0,
-                 event_bus=None) -> dict:
+def execute_spec(spec: SimSpec, event_bus=None) -> dict:
     """Run one spec to completion; returns the JSON-able result payload.
 
     :func:`run_spec`'s result as ``to_dict()``, a pure function of the
@@ -254,5 +242,4 @@ def execute_spec(spec: SimSpec, attempt: int = 0,
     payload; ``event_bus`` leaves it unchanged, so cached and live
     results stay identical.
     """
-    _apply_test_hooks(spec, attempt)
     return run_spec(spec, event_bus=event_bus).to_dict()

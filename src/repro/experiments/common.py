@@ -27,10 +27,9 @@ from ..core.predictor import ConcordiaPredictor
 from ..core.training import train_predictor
 from ..exec.cache import active_cache
 from ..exec.fingerprint import model_fingerprint
-from ..exec.spec import SimSpec, predictor_cache_key, run_spec
+from ..exec.spec import SimSpec, predictor_cache_key
 from ..ran.config import PoolConfig
 from ..scenario.scenario import Scenario
-from ..sim.runner import SimulationResult
 
 __all__ = [
     "scaled_slots",
@@ -38,7 +37,6 @@ __all__ = [
     "get_predictor",
     "private_predictor",
     "make_spec",
-    "run_simulation",
     "run_spec_batch",
     "format_table",
 ]
@@ -127,37 +125,16 @@ def make_spec(scenario: Scenario, num_slots: int) -> SimSpec:
                    training_slots=training_slots)
 
 
-def run_simulation(scenario: Scenario, num_slots: int, *, predictor=None,
-                   use_cache: Optional[bool] = None) -> SimulationResult:
-    """Run one scenario for ``num_slots`` slots.
-
-    The call becomes one spec (:func:`make_spec`) run by
-    :func:`repro.exec.spec.run_spec`, so it is a pure function of its
-    arguments: a caller's ``predictor`` (used by the ``concordia``
-    policy instead of the trained default) is copied, never trained in
-    place.  When a result cache is active (``REPRO_CACHE=1``, a
-    ``repro sweep``, or an :func:`repro.exec.cache.activated_cache`
-    scope), the spec goes through the cache as a one-job batch
-    (:func:`run_spec_batch`): a hit returns the stored result, a miss
-    runs and stores it.  Cached results carry ``metrics=None``/
-    ``pool=None`` — callers that consume those live objects must pass
-    ``use_cache=False``.  A caller-owned predictor has no spec address,
-    so such a call bypasses the cache.
-    """
-    spec = make_spec(scenario, num_slots)
-    cache = active_cache() if use_cache is not False else None
-    if cache is None or predictor is not None:
-        return run_spec(spec, predictor=predictor)
-    return run_spec_batch([spec], jobs=1, cache=cache, retries=0)[0]
-
-
 def run_spec_batch(specs: Sequence[SimSpec], jobs: Optional[int] = None,
                    **batch_kwargs) -> list:
     """Execute a driver's spec grid; returns ``SimulationResult``s.
 
-    ``jobs=None`` honours ``REPRO_JOBS`` (default 1 = serial, in
-    submission order).  Raises if any job failed — drivers want all
-    their grid points.
+    The one way a driver runs its grid.  ``jobs=None`` honours
+    ``REPRO_JOBS`` (default 1 = serial, in submission order); the
+    active result cache, if any, serves and stores every spec unless
+    ``use_cache=False``.  A result is the same plain data on every
+    path.  Raises if any job failed — drivers want all their grid
+    points.
     """
     from ..exec.batch import run_batch
 

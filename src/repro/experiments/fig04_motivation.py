@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from ..ran.config import PoolConfig, cell_100mhz_tdd
 from ..scenario import Scenario
-from .common import format_table, run_simulation, scaled_slots
+from .common import format_table, make_spec, run_spec_batch, scaled_slots
 
 __all__ = ["run_utilization", "run_interference", "main",
            "UL_ONLY_3CELLS", "TDD_1CELL", "TDD_2CELLS"]
@@ -53,36 +53,38 @@ def run_utilization(num_slots: int = None, seed: int = 3) -> list:
     """Fig. 4a: utilization of the dedicated pool at peak traffic."""
     if num_slots is None:
         num_slots = scaled_slots(3000)
-    rows = []
-    for label, config, paper_util in (UL_ONLY_3CELLS, TDD_1CELL,
-                                      TDD_2CELLS):
-        result = run_simulation(
-            Scenario(pool=config, policy="dedicated", load_fraction=1.0,
-                     seed=seed), num_slots)
-        rows.append({
-            "scenario": label,
-            "num_cores": config.num_cores,
-            "utilization": result.vran_utilization,
-            "paper_utilization": paper_util / 100.0,
-            "deadline_met": result.latency.miss_fraction < 1e-3,
-        })
-    return rows
+    grid = (UL_ONLY_3CELLS, TDD_1CELL, TDD_2CELLS)
+    results = run_spec_batch([
+        make_spec(Scenario(pool=config, policy="dedicated",
+                           load_fraction=1.0, seed=seed), num_slots)
+        for __, config, __ in grid])
+    return [{
+        "scenario": label,
+        "num_cores": config.num_cores,
+        "utilization": result.vran_utilization,
+        "paper_utilization": paper_util / 100.0,
+        "deadline_met": result.latency.miss_fraction < 1e-3,
+    } for (label, config, paper_util), result in zip(grid, results)]
 
 
 def run_interference(num_slots: int = None, seed: int = 3) -> list:
     """Fig. 4b: 99.99 % latency of the yield-sharing baseline."""
     if num_slots is None:
         num_slots = scaled_slots(12_000)
-    rows = []
-    for label, config, __ in (UL_ONLY_3CELLS, TDD_1CELL, TDD_2CELLS):
-        row = {"scenario": label, "deadline_us": config.deadline_us}
-        for workload in ("none", "nginx", "redis"):
-            result = run_simulation(
-                Scenario(pool=config, policy="flexran", workload=workload,
-                         load_fraction=0.6, seed=seed), num_slots)
-            row[workload] = result.latency.p9999_us
-        rows.append(row)
-    return rows
+    grid = [(label, config, workload)
+            for label, config, __ in (UL_ONLY_3CELLS, TDD_1CELL, TDD_2CELLS)
+            for workload in ("none", "nginx", "redis")]
+    results = run_spec_batch([
+        make_spec(Scenario(pool=config, policy="flexran",
+                           workload=workload, load_fraction=0.6,
+                           seed=seed), num_slots)
+        for __, config, workload in grid])
+    rows = {}
+    for (label, config, workload), result in zip(grid, results):
+        row = rows.setdefault(label, {"scenario": label,
+                                      "deadline_us": config.deadline_us})
+        row[workload] = result.latency.p9999_us
+    return list(rows.values())
 
 
 def main(num_slots: int = None) -> str:

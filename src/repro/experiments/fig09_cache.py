@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from ..ran.config import pool_100mhz_2cells
 from ..scenario import Scenario
-from .common import format_table, run_simulation, scaled_slots
+from ..sim.cache import l1_miss_increase, llc_load_increase
+from .common import format_table, make_spec, run_spec_batch, scaled_slots
 
 __all__ = ["run", "main"]
 
@@ -21,22 +22,18 @@ def run(num_slots: int = None, workload: str = "redis",
     if num_slots is None:
         num_slots = scaled_slots(6000)
     config = pool_100mhz_2cells(num_cores=8)
-    results = {}
-    for policy in ("concordia", "flexran"):
-        # use_cache=False: this driver reads the live cache model off
-        # result.pool, which cached (reconstructed) results don't carry.
-        result = run_simulation(
-            Scenario(pool=config, policy=policy, workload=workload,
-                     load_fraction=load_fraction, seed=seed),
-            num_slots, use_cache=False)
-        cache = result.pool.cache_model
-        results[policy] = {
-            "stall_increase": cache.mean_stall_increase,
-            "l1_miss_increase": cache.l1_miss_increase(),
-            "llc_load_increase": cache.llc_load_increase(),
-            "scheduling_events": result.scheduling_events,
-        }
-    return results
+    policies = ("concordia", "flexran")
+    runs = run_spec_batch([
+        make_spec(Scenario(pool=config, policy=policy, workload=workload,
+                           load_fraction=load_fraction, seed=seed),
+                  num_slots)
+        for policy in policies])
+    return {policy: {
+        "stall_increase": result.mean_stall_increase,
+        "l1_miss_increase": l1_miss_increase(result.mean_stall_increase),
+        "llc_load_increase": llc_load_increase(result.mean_stall_increase),
+        "scheduling_events": result.scheduling_events,
+    } for policy, result in zip(policies, runs)}
 
 
 def main(num_slots: int = None) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ..ran.config import pool_100mhz_2cells
 from ..scenario import Scenario
-from .common import format_table, run_simulation, scaled_slots
+from .common import format_table, make_spec, run_spec_batch, scaled_slots
 
 __all__ = ["run", "main"]
 
@@ -27,21 +27,18 @@ def run(num_slots: int = None, load_fraction: float = 0.5,
     if num_slots is None:
         num_slots = scaled_slots(6000)
     config = pool_100mhz_2cells(num_cores=8)
-    results = {}
-    for policy in ("flexran", "concordia"):
-        for workload in ("none", "redis"):
-            # Everything this figure needs rides in the telemetry
-            # registry snapshot, so cached sweep results work too.
-            result = run_simulation(
-                Scenario(pool=config, policy=policy, workload=workload,
-                         load_fraction=load_fraction, seed=seed),
-                num_slots)
-            counters = result.telemetry.get("counters", {})
-            results[(policy, workload)] = {
-                "histogram": result.wakeup_histogram,
-                "total_events": result.scheduling_events,
-                "wakeups": counters.get("sched/wakeups", 0),
-            }
+    grid = [(policy, workload) for policy in ("flexran", "concordia")
+            for workload in ("none", "redis")]
+    runs = run_spec_batch([
+        make_spec(Scenario(pool=config, policy=policy, workload=workload,
+                           load_fraction=load_fraction, seed=seed),
+                  num_slots)
+        for policy, workload in grid])
+    results = {key: {
+        "histogram": result.wakeup_histogram,
+        "total_events": result.scheduling_events,
+        "wakeups": result.telemetry["counters"].get("sched/wakeups", 0),
+    } for key, result in zip(grid, runs)}
     results["event_ratio"] = (
         results[("flexran", "redis")]["total_events"]
         / max(1, results[("concordia", "redis")]["total_events"])

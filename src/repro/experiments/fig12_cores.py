@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from ..ran.config import pool_100mhz_2cells, pool_20mhz_7cells
 from ..scenario import Scenario
-from .common import format_table, run_simulation, scaled_slots
+from .common import format_table, make_spec, run_spec_batch, scaled_slots
 
 __all__ = ["run", "main"]
 
 
 def run(num_slots: int = None, load_fraction: float = 0.6,
         seed: int = 7) -> dict:
-    results = {}
+    grid, specs = [], []
     for label, factory, slots_default in (
         ("20MHz", pool_20mhz_7cells, 8000),
         ("100MHz", pool_100mhz_2cells, 16000),
@@ -26,19 +26,18 @@ def run(num_slots: int = None, load_fraction: float = 0.6,
         slots = num_slots if num_slots is not None else \
             scaled_slots(slots_default)
         for cores in (8, 9):
-            config = factory(num_cores=cores)
-            result = run_simulation(
-                Scenario(pool=config, policy="concordia", workload="mix",
-                         load_fraction=load_fraction, seed=seed), slots)
-            summary = result.latency
-            results[(label, cores)] = {
-                "p9999_us": summary.p9999_us,
-                "p99999_us": summary.p99999_us,
-                "deadline_us": summary.deadline_us,
-                "miss_fraction": summary.miss_fraction,
-                "meets_five_nines": summary.meets_five_nines,
-            }
-    return results
+            grid.append((label, cores))
+            specs.append(make_spec(
+                Scenario(pool=factory(num_cores=cores), policy="concordia",
+                         workload="mix", load_fraction=load_fraction,
+                         seed=seed), slots))
+    return {key: {
+        "p9999_us": result.latency.p9999_us,
+        "p99999_us": result.latency.p99999_us,
+        "deadline_us": result.latency.deadline_us,
+        "miss_fraction": result.latency.miss_fraction,
+        "meets_five_nines": result.latency.meets_five_nines,
+    } for key, result in zip(grid, run_spec_batch(specs))}
 
 
 def main(num_slots: int = None) -> str:

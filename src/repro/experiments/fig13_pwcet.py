@@ -13,9 +13,11 @@
 from __future__ import annotations
 
 from ..core.models import PwcetEVT
+from ..core.training import train_predictor
+from ..exec.spec import run_spec
 from ..ran.config import pool_20mhz_7cells
 from ..scenario import Scenario
-from .common import format_table, run_simulation, scaled_slots
+from .common import format_table, make_spec, run_spec_batch, scaled_slots
 
 __all__ = ["run_pwcet", "run_wcetless", "main"]
 
@@ -26,30 +28,29 @@ def run_pwcet(num_slots: int = None, seed: int = 7,
     if num_slots is None:
         num_slots = scaled_slots(2500)
     config = pool_20mhz_7cells()
-    results = {"loads": list(loads), "series": {}}
-    from ..core.training import train_predictor
+    specs = [make_spec(Scenario(pool=config, policy="concordia",
+                                workload="redis", load_fraction=load,
+                                seed=seed), num_slots)
+             for load in loads]
+    # The pWCET model is trained here and has no spec address, so its
+    # series runs one spec at a time with the model as an argument.
     pwcet_predictor = train_predictor(
         config, num_slots=scaled_slots(600, minimum=300), seed=42,
         model_factory=PwcetEVT,
     )
-    for name, predictor in (
-        ("concordia", None),
-        ("pwcet", pwcet_predictor),
-    ):
-        series = []
-        for load in loads:
-            result = run_simulation(
-                Scenario(pool=config, policy="concordia", workload="redis",
-                         load_fraction=load, seed=seed),
-                num_slots, predictor=predictor)
-            series.append({
-                "load": load,
-                "reclaimed": result.reclaimed_fraction,
-                "p99999_us": result.latency.p99999_us,
-                "miss_fraction": result.latency.miss_fraction,
-            })
-        results["series"][name] = series
-    return results
+    series = {
+        "concordia": run_spec_batch(specs),
+        "pwcet": [run_spec(spec, predictor=pwcet_predictor)
+                  for spec in specs],
+    }
+    return {"loads": list(loads), "series": {
+        name: [{
+            "load": load,
+            "reclaimed": result.reclaimed_fraction,
+            "p99999_us": result.latency.p99999_us,
+            "miss_fraction": result.latency.miss_fraction,
+        } for load, result in zip(loads, results)]
+        for name, results in series.items()}}
 
 
 def run_wcetless(num_slots: int = None, seed: int = 7,
@@ -58,24 +59,20 @@ def run_wcetless(num_slots: int = None, seed: int = 7,
     if num_slots is None:
         num_slots = scaled_slots(4000)
     config = pool_20mhz_7cells()
-    results = {}
-    for threshold in (5.0, 50.0, 200.0):
-        result = run_simulation(Scenario(
-            pool=config, policy="shenango",
-            policy_params={"queue_delay_threshold_us": threshold},
-            workload="redis", load_fraction=load_fraction, seed=seed),
-            num_slots)
-        results[f"shenango-{threshold:.0f}us"] = _wcetless_entry(result)
-    result = run_simulation(Scenario(
-        pool=config, policy="utilization", policy_params={"threshold": 0.6},
-        workload="redis", load_fraction=load_fraction, seed=seed),
-        num_slots)
-    results["utilization-60%"] = _wcetless_entry(result)
-    result = run_simulation(Scenario(
-        pool=config, policy="concordia", workload="redis",
-        load_fraction=load_fraction, seed=seed), num_slots)
-    results["concordia"] = _wcetless_entry(result)
-    return results
+    grid = {
+        f"shenango-{threshold:.0f}us": (
+            "shenango", {"queue_delay_threshold_us": threshold})
+        for threshold in (5.0, 50.0, 200.0)}
+    grid["utilization-60%"] = ("utilization", {"threshold": 0.6})
+    grid["concordia"] = ("concordia", {})
+    results = run_spec_batch([
+        make_spec(Scenario(pool=config, policy=policy,
+                           policy_params=params, workload="redis",
+                           load_fraction=load_fraction, seed=seed),
+                  num_slots)
+        for policy, params in grid.values()])
+    return {name: _wcetless_entry(result)
+            for name, result in zip(grid, results)}
 
 
 def _wcetless_entry(result) -> dict:

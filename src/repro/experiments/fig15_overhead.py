@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from ..ran.config import PoolConfig, cell_20mhz_fdd, pool_20mhz_7cells
 from ..scenario import Scenario
-from .common import format_table, run_simulation, scaled_slots
+from .common import format_table, make_spec, run_spec_batch, scaled_slots
 
 __all__ = ["run_overhead", "run_deadline_sweep", "main"]
 
@@ -26,16 +26,18 @@ def run_overhead(num_slots: int = None, seed: int = 7,
     """Fig. 15a: per-call wall time of scheduler and predictor."""
     if num_slots is None:
         num_slots = scaled_slots(1500)
+    configs = [PoolConfig(cells=tuple(cell_20mhz_fdd(f"c{i}")
+                                      for i in range(num_cells)),
+                          num_cores=8, deadline_us=2000.0)
+               for num_cells in cell_counts]
+    specs = [make_spec(Scenario(pool=config, policy="concordia",
+                                load_fraction=0.6, seed=seed), num_slots)
+             for config in configs]
+    # Uncached: the columns are wall-clock times of this run, read
+    # back through the telemetry snapshot.
+    runs = run_spec_batch(specs, use_cache=False)
     results = {}
-    for num_cells in cell_counts:
-        cells = tuple(cell_20mhz_fdd(f"c{i}") for i in range(num_cells))
-        config = PoolConfig(cells=cells, num_cores=8, deadline_us=2000.0)
-        # Uncached: the columns are wall-clock times of this run.
-        result = run_simulation(
-            Scenario(pool=config, policy="concordia", load_fraction=0.6,
-                     seed=seed), num_slots, use_cache=False)
-        # Read the overhead counters back through the telemetry
-        # snapshot (the same numbers a cached result would carry).
+    for num_cells, result in zip(cell_counts, runs):
         counters = result.telemetry["counters"]
         decisions = max(1, counters["scheduler/scheduling_calls"])
         predictions = max(1, counters["scheduler/prediction_calls"])
@@ -54,18 +56,15 @@ def run_deadline_sweep(num_slots: int = None, seed: int = 7,
     """Fig. 15b: TTI deadline vs tail latency and reclaimed cores."""
     if num_slots is None:
         num_slots = scaled_slots(6000)
-    results = {}
-    for deadline in deadlines:
-        config = pool_20mhz_7cells(deadline_us=deadline)
-        result = run_simulation(
-            Scenario(pool=config, policy="concordia", workload="redis",
-                     load_fraction=0.25, seed=seed), num_slots)
-        results[deadline] = {
-            "p99999_us": result.latency.p99999_us,
-            "reclaimed": result.reclaimed_fraction,
-            "miss_fraction": result.latency.miss_fraction,
-        }
-    return results
+    specs = [make_spec(Scenario(pool=pool_20mhz_7cells(deadline_us=d),
+                                policy="concordia", workload="redis",
+                                load_fraction=0.25, seed=seed), num_slots)
+             for d in deadlines]
+    return {deadline: {
+        "p99999_us": result.latency.p99999_us,
+        "reclaimed": result.reclaimed_fraction,
+        "miss_fraction": result.latency.miss_fraction,
+    } for deadline, result in zip(deadlines, run_spec_batch(specs))}
 
 
 def main(num_slots: int = None) -> str:

@@ -6,7 +6,7 @@ attribute test::
 
     bus = self.event_bus
     if bus is not None and bus.enabled:
-        bus.emit(TaskEvent(...))
+        bus.record(REC_TASK, now, "task_done", dag_id, ...)
 
 so a simulation without a bus pays one pointer comparison per
 would-be event — nothing is allocated, formatted or stored.  This is
@@ -14,8 +14,10 @@ the Shenango-style "telemetry must not perturb the datapath" rule that
 the CI overhead guard enforces (<10 % wall-clock with the bus on, and
 no measurable cost with it off).
 
-Events are small ``__slots__`` dataclasses rather than dicts: typed
-fields keep emit sites honest and the exporters simple.  The bus is a
+Every emit site records through :meth:`EventBus.record`, passing one
+``REC_*`` index and the event's fields as a flat tuple; readers get
+small ``__slots__`` dataclasses rather than dicts, so typed fields keep
+the exporters simple.  The bus is a
 bounded buffer (drops are counted, never silently): the one recorded
 timeline, read after the run by the Chrome-trace exporter, ``repro
 postmortem`` and :func:`repro.obs.postmortem.render_gantt`.  Live
@@ -132,7 +134,7 @@ class CacheEvent:
     label: str
 
 
-#: Record-type indices for :meth:`EventBus.record`.  Hot emit sites
+#: Record-type indices for :meth:`EventBus.record`.  Emit sites
 #: pass one of these followed by the event's fields *positionally and
 #: completely* — the bus stores the flat argument tuple and only
 #: constructs the dataclass when someone reads :attr:`EventBus.events`.
@@ -186,15 +188,8 @@ class EventBus:
             self._raw = 0
         return buffer
 
-    def emit(self, event) -> None:
-        """Record one event (caller has already checked ``enabled``)."""
-        if len(self._buffer) < self.capacity:
-            self._buffer.append(event)
-        else:
-            self.dropped += 1
-
     def record(self, *rec) -> None:
-        """Fast path: ``record(REC_*, field0, field1, ...)``.
+        """Record one event: ``record(REC_*, field0, field1, ...)``.
 
         Fields are positional in dataclass order (trailing fields with
         defaults may be omitted); the tuple is stored as-is and turned

@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-__all__ = ["CacheInterferenceModel"]
+__all__ = ["CacheInterferenceModel", "l1_miss_increase",
+           "llc_load_increase"]
 
 #: Scheduling-event rate (events/ms) at which churn saturates.  Vanilla
 #: FlexRAN at a moderate load produces ~10-15 acquire/release events per
@@ -180,10 +181,15 @@ class CacheInterferenceModel:
             return 0.0
         return self._stall_sum / self._stall_samples
 
-    def l1_miss_increase(self) -> float:
-        """Proxy for Fig. 9's L1-misses-per-instruction increase."""
-        return 0.6 * self.mean_stall_increase
 
-    def llc_load_increase(self) -> float:
-        """Proxy for Fig. 9's LLC-loads-per-instruction increase."""
-        return 0.8 * self.mean_stall_increase
+# -- Fig. 9 proxies of a run's mean_stall_increase ---------------------------------
+
+
+def l1_miss_increase(stall_increase: float) -> float:
+    """Proxy for Fig. 9's L1-misses-per-instruction increase."""
+    return 0.6 * stall_increase
+
+
+def llc_load_increase(stall_increase: float) -> float:
+    """Proxy for Fig. 9's LLC-loads-per-instruction increase."""
+    return 0.8 * stall_increase

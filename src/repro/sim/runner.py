@@ -79,12 +79,12 @@ from .pool import VranPool
 if TYPE_CHECKING:
     from ..scenario.scenario import Scenario
 
-__all__ = ["RESULT_SCHEMAS", "Simulation", "SimulationResult"]
+__all__ = ["RESULT_SCHEMA", "Simulation", "SimulationResult"]
 
-#: Result-payload schemas :meth:`SimulationResult.from_dict` can load.
-#: Schema 1 predates the scenario layer (no ``scenario`` key); schema 2
-#: embeds the serialized scenario that produced the result.
-RESULT_SCHEMAS = (1, 2)
+#: The result-payload schema :meth:`SimulationResult.to_dict` writes
+#: and :meth:`SimulationResult.from_dict` loads.  Schema 2 embeds the
+#: serialized scenario that produced the result.
+RESULT_SCHEMA = 2
 
 #: Fraction of a direction's traffic carried in a TDD special slot.
 SPECIAL_SLOT_DL_SCALE = 0.5
@@ -143,17 +143,14 @@ class SimulationResult:
     workload_rates_per_s: dict
     preemptions_per_core_ms: float
     mean_stall_increase: float
-    metrics: Metrics = field(repr=False)
-    pool: VranPool = field(repr=False)
     #: HARQ statistics (only when the simulation ran with harq=True).
     harq: Optional[dict] = None
     #: JSON-able registry snapshot (repro.obs): event counters, the
     #: wakeup-latency histogram, core-time gauges and scheduler
-    #: overhead counters.  Unlike ``metrics``/``pool`` this survives
-    #: the repro.exec result cache.
+    #: overhead counters.
     telemetry: dict = field(default_factory=dict, repr=False)
     #: Serialized :class:`repro.scenario.Scenario` that produced this
-    #: result (schema-2 payloads; None when loaded from schema 1).
+    #: result.
     scenario: Optional[dict] = None
     #: A fleet shard's per-cell digests, federated demand and latency
     #: histogram (:meth:`repro.fleet.demand.ShardDemandRecorder.summary`);
@@ -167,16 +164,16 @@ class SimulationResult:
     def to_dict(self) -> dict:
         """JSON-able payload for the on-disk result cache.
 
-        Captures every scalar series the figure drivers consume; the
-        live ``metrics``/``pool`` objects are deliberately dropped —
-        a result rebuilt by :meth:`from_dict` carries None for both,
-        and callers that need them must bypass the cache
-        (``run_simulation(..., use_cache=False)``).  ``demand`` is
-        emitted only when set, so a non-fleet payload keeps its shape.
+        A result is plain data: the payload holds every field, so a
+        result run in-process, in a forked batch child or rebuilt from
+        the cache by :meth:`from_dict` is the same value.  A caller
+        that wants the live pool or metrics reads them off its
+        :class:`Simulation`.  ``demand`` is emitted only when set, so a
+        non-fleet payload keeps its shape.
         """
         latency = self.latency
         payload = {
-            "schema": 2,
+            "schema": RESULT_SCHEMA,
             "policy_name": self.policy_name,
             "workload_name": self.workload_name,
             "load_fraction": self.load_fraction,
@@ -212,14 +209,13 @@ class SimulationResult:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SimulationResult":
-        """Rebuild a result from :meth:`to_dict` (metrics/pool = None).
+        """Rebuild a result from :meth:`to_dict`.
 
-        Accepts every schema in :data:`RESULT_SCHEMAS`; anything else
-        (including newer schemas written by a later version) raises
+        Accepts :data:`RESULT_SCHEMA` only; any other schema raises
         ``ValueError`` so callers such as the exec result cache can
         treat the payload as a miss instead of misreading it.
         """
-        if payload.get("schema") not in RESULT_SCHEMAS:
+        if payload.get("schema") != RESULT_SCHEMA:
             raise ValueError(
                 f"unsupported result schema {payload.get('schema')!r}")
         return cls(
@@ -238,11 +234,9 @@ class SimulationResult:
             workload_rates_per_s=dict(payload["workload_rates_per_s"]),
             preemptions_per_core_ms=payload["preemptions_per_core_ms"],
             mean_stall_increase=payload["mean_stall_increase"],
-            metrics=None,
-            pool=None,
             harq=payload["harq"],
-            telemetry=dict(payload.get("telemetry", {})),
-            scenario=payload.get("scenario"),
+            telemetry=dict(payload["telemetry"]),
+            scenario=payload["scenario"],
             demand=payload.get("demand"),
         )
 
@@ -1074,8 +1068,6 @@ class Simulation:
             workload_rates_per_s=rates,
             preemptions_per_core_ms=preempt_rate,
             mean_stall_increase=self.pool.cache_model.mean_stall_increase,
-            metrics=self.metrics,
-            pool=self.pool,
             harq=self._harq_stats(),
             telemetry=self._telemetry(),
             scenario=self.scenario.to_dict(),

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.sim.cache import CacheInterferenceModel
+from repro.sim.cache import (
+    CacheInterferenceModel,
+    l1_miss_increase,
+    llc_load_increase,
+)
 
 
 @pytest.fixture
@@ -126,5 +130,6 @@ class TestMultipliers:
             model.record_scheduling_event(t)
             model.multipliers_for(t, *_draw(rng))
         assert model.mean_stall_increase > 0.0
-        assert model.l1_miss_increase() < model.mean_stall_increase
-        assert model.llc_load_increase() < model.mean_stall_increase
+        stall = model.mean_stall_increase
+        assert l1_miss_increase(stall) < stall
+        assert llc_load_increase(stall) < stall

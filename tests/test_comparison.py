@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.comparison import (
-    bootstrap_percentile_ci,
-    compare_runs,
-    compare_tails,
-)
-from repro.ran.config import PoolConfig, cell_20mhz_fdd
-from repro.scenario import Scenario, build_simulation
+from repro.analysis.comparison import bootstrap_percentile_ci, compare_tails
 
 
 class TestBootstrapCi:
@@ -62,19 +56,3 @@ class TestCompareTails:
     def test_validation(self):
         with pytest.raises(ValueError):
             compare_tails([1.0], [1.0, 2.0])
-
-
-class TestCompareRuns:
-    def test_scorecard_structure(self):
-        config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=4,
-                            deadline_us=2000.0)
-        run_a = build_simulation(Scenario(
-            pool=config, policy="flexran", load_fraction=0.4, seed=10)).run(250)
-        run_b = build_simulation(Scenario(
-            pool=config, policy="dedicated", load_fraction=0.4, seed=10)).run(250)
-        card = compare_runs(run_a, run_b, percentile=99,
-                            rng=np.random.default_rng(11))
-        assert card["tail"].percentile == 99
-        assert card["reclaimed"][0] > card["reclaimed"][1]
-        assert card["reclaim_advantage_a"] > 0
-        assert len(card["miss_fraction"]) == 2

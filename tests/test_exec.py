@@ -7,6 +7,7 @@ numbers.
 
 import json
 import os
+import time
 
 import pytest
 
@@ -25,11 +26,12 @@ from repro.exec import (
 )
 from repro.exec.batch import default_jobs
 from repro.exec.digest import result_digest
+from repro.exec.spec import run_spec
 from repro.experiments.common import (
     get_predictor,
     make_spec,
     repro_scale,
-    run_simulation,
+    run_spec_batch,
 )
 from repro.ran.config import PoolConfig, cell_20mhz_fdd, pool_20mhz_7cells
 from repro.scenario import Scenario, build_policy, build_simulation
@@ -61,6 +63,32 @@ FORMAT_SCENARIOS = {
 }
 
 
+def inject_faults(monkeypatch, fault) -> None:
+    """Call ``fault(spec, attempt)`` before each job attempt runs.
+
+    Patches ``repro.exec.batch.execute_spec`` and ``run_job_in_child``,
+    which the runner looks up at call time; forked children inherit
+    the patch.  A ``fault`` that raises fails the attempt through the
+    job's own error path; one that sleeps makes a slow job.
+    """
+    import repro.exec.batch as batch_module
+
+    entry = batch_module.run_job_in_child
+    execute = batch_module.execute_spec
+    attempts = []
+
+    def entry_with_attempt(conn, payload, attempt):
+        attempts.append(attempt)
+        entry(conn, payload, attempt)
+
+    def faulty_execute(spec, **kwargs):
+        fault(spec, attempts[-1])
+        return execute(spec, **kwargs)
+
+    monkeypatch.setattr(batch_module, "run_job_in_child", entry_with_attempt)
+    monkeypatch.setattr(batch_module, "execute_spec", faulty_execute)
+
+
 def format_scenario(**fields) -> Scenario:
     return Scenario(pool=tiny_config(), policy="shenango",
                     policy_params={"queue_delay_threshold_us": 50.0},
@@ -81,7 +109,7 @@ class TestSpec:
         scenario = format_scenario(**FORMAT_SCENARIOS[name])
         digests = {
             result_digest(execute_spec(make_spec(scenario, 60))),
-            result_digest(run_simulation(scenario, 60)),
+            result_digest(run_spec_batch([make_spec(scenario, 60)])[0]),
             result_digest(build_simulation(scenario).run(60)),
         }
         assert len(digests) == 1
@@ -159,13 +187,16 @@ class TestBatchRunner:
         again = run_batch(specs, jobs=1, cache=cache)
         assert again.cached == 0 and again.executed == 1
 
-    def test_crash_is_isolated_and_retried(self):
-        crash = flexran_spec(seed=7, num_slots=100)
-        crash.knobs["__test_crash__"] = True
-        flaky = flexran_spec(seed=8, num_slots=100)
-        flaky.knobs["__test_crash_until_attempt__"] = 1
-        good = flexran_spec(seed=9, num_slots=100)
-        report = run_batch([crash, flaky, good], jobs=2,
+    def test_crash_is_isolated_and_retried(self, monkeypatch):
+        def fault(spec, attempt):
+            # Seed 7 crashes on every attempt, seed 8 on the first.
+            if spec.scenario.seed == 7 or (spec.scenario.seed == 8
+                                           and attempt == 0):
+                raise RuntimeError(f"injected crash on attempt {attempt}")
+
+        inject_faults(monkeypatch, fault)
+        report = run_batch([flexran_spec(seed=s, num_slots=100)
+                            for s in (7, 8, 9)], jobs=2,
                            use_cache=False, retries=1)
         by_status = {o.spec.scenario.seed: o for o in report.outcomes}
         assert by_status[7].status == "failed"
@@ -213,11 +244,10 @@ class TestBatchRunner:
             assert outcome.status == "failed"
             assert "without reporting" in outcome.error
 
-    def test_timeout_kills_the_job(self):
-        slow = flexran_spec(seed=10, num_slots=100)
-        slow.knobs["__test_sleep_s__"] = 30.0
-        report = run_batch([slow], jobs=2, use_cache=False,
-                           timeout_s=0.5)
+    def test_timeout_kills_the_job(self, monkeypatch):
+        inject_faults(monkeypatch, lambda spec, attempt: time.sleep(30.0))
+        report = run_batch([flexran_spec(seed=10, num_slots=100)], jobs=2,
+                           use_cache=False, timeout_s=0.5)
         outcome = report.outcomes[0]
         assert outcome.status == "timeout"
         assert "killed" in outcome.error
@@ -226,11 +256,11 @@ class TestBatchRunner:
     def test_straggler_is_flagged_once(self, monkeypatch, caplog):
         monkeypatch.setattr("repro.exec.batch.STRAGGLER_FACTOR", 1.0)
         monkeypatch.setattr("repro.exec.batch.STRAGGLER_MIN_S", 0.5)
-        fast = flexran_spec(seed=13, num_slots=100)
-        slow = flexran_spec(seed=14, num_slots=100)
-        slow.knobs["__test_sleep_s__"] = 3.0
+        inject_faults(monkeypatch, lambda spec, attempt: time.sleep(
+            3.0 if spec.scenario.seed == 14 else 0.0))
         events = []
-        report = run_batch([fast, slow], jobs=2, use_cache=False,
+        report = run_batch([flexran_spec(seed=s, num_slots=100)
+                            for s in (13, 14)], jobs=2, use_cache=False,
                            progress=events.append)
         flagged = [e for e in events if e["kind"] == "straggler"]
         assert [e["index"] for e in flagged] == [1]
@@ -268,9 +298,8 @@ def _concordia_scenario(seed) -> Scenario:
                     workload="redis", load_fraction=0.8, seed=seed)
 
 
-def _concordia(seed, **kwargs):
-    return run_simulation(_concordia_scenario(seed), HERMETIC_SLOTS,
-                          **kwargs)
+def _concordia_spec(seed) -> SimSpec:
+    return make_spec(_concordia_scenario(seed), HERMETIC_SLOTS)
 
 
 def _predictor_state(predictor) -> list:
@@ -288,31 +317,33 @@ def _flexran(config, seed) -> Scenario:
 
 
 class TestRunSimulationRouting:
+    """How one run reaches the result cache: a spec batch goes through
+    the active cache unless ``use_cache=False``; :func:`run_spec`, the
+    path for a caller-owned predictor, never touches it."""
+
     def test_hit_returns_identical_payload(self, tmp_path):
-        config = small_config()
+        spec = make_spec(_flexran(small_config(), 12), 100)
         with activated_cache(ResultCache(tmp_path)) as cache:
-            first = run_simulation(_flexran(config, 12), 100)
-            second = run_simulation(_flexran(config, 12), 100)
+            first, = run_spec_batch([spec])
+            second, = run_spec_batch([spec])
         assert cache.hits >= 1
-        assert first.metrics is None and first.pool is None
         assert first.to_dict() == second.to_dict()
 
     def test_use_cache_false_bypasses(self, tmp_path):
-        config = small_config()
+        spec = make_spec(_flexran(small_config(), 13), 100)
         with activated_cache(ResultCache(tmp_path)) as cache:
-            result = run_simulation(_flexran(config, 13), 100,
-                                    use_cache=False)
-        assert result.metrics is not None  # live, uncached result
+            result, = run_spec_batch([spec], use_cache=False)
+        assert result.latency.count > 0
         assert cache.hits == 0 and cache.misses == 0
+        assert not any(tmp_path.iterdir())  # nothing stored either
 
     def test_unspeccable_call_falls_back(self, tmp_path):
-        config = small_config()
+        spec = make_spec(_flexran(small_config(), 14), 100)
         with activated_cache(ResultCache(tmp_path)) as cache:
-            result = run_simulation(_flexran(config, 14), 100,
-                                    predictor=object())
-        # A caller-owned predictor has no spec address, so the call
-        # must bypass the cache entirely.
-        assert result.metrics is not None
+            result = run_spec(spec, predictor=object())
+        # A caller-owned predictor has no spec address, so its run
+        # bypasses the cache entirely.
+        assert result.latency.count > 0
         assert cache.hits == 0 and cache.misses == 0
 
     # Cached, uncached and batched runs are one pure function: a
@@ -321,25 +352,24 @@ class TestRunSimulationRouting:
 
     @pytest.mark.usefixtures("small_training_budget")
     def test_two_uncached_concordia_calls_are_equal(self):
-        first = _concordia(5, use_cache=False)
-        second = _concordia(5, use_cache=False)
+        first = run_spec(_concordia_spec(5))
+        second = run_spec(_concordia_spec(5))
         assert result_digest(first) == result_digest(second)
 
     @pytest.mark.usefixtures("small_training_budget")
     def test_cached_uncached_and_spec_payloads_are_equal(self, tmp_path):
-        uncached = _concordia(6, use_cache=False)
+        uncached = run_spec(_concordia_spec(6))
         with activated_cache(ResultCache(tmp_path)) as cache:
-            cached = _concordia(6)
+            cached, = run_spec_batch([_concordia_spec(6)])
         assert cache.misses == 1
-        payload = execute_spec(make_spec(_concordia_scenario(6),
-                                         HERMETIC_SLOTS))
+        payload = execute_spec(_concordia_spec(6))
         assert result_digest(uncached) == result_digest(cached) == \
             result_digest(payload)
 
     def test_caller_predictor_is_not_trained_in_place(self):
         predictor = train_predictor(tiny_config(), num_slots=300, seed=42)
         before = _predictor_state(predictor)
-        result = _concordia(7, predictor=predictor)
+        result = run_spec(_concordia_spec(7), predictor=predictor)
         assert result.latency.count > 0
         assert _predictor_state(predictor) == before
         assert predictor.predictions_made == 0
@@ -371,10 +401,13 @@ class TestPredictorWarmup:
         monkeypatch.setattr(common, "_PREDICTOR_CACHE", {})
         # The jobs crash before building anything, so only the
         # parent's warm-up can train.
+        def crash(spec, attempt):
+            raise RuntimeError("injected crash")
+
+        inject_faults(monkeypatch, crash)
         specs = [SimSpec(scenario=Scenario(pool=config, policy="concordia",
                                            seed=seed),
-                         num_slots=10, training_slots=300,
-                         knobs={"__test_crash__": True})
+                         num_slots=10, training_slots=300)
                  for seed, config in enumerate(configs)]
         report = run_batch(specs, jobs=2, use_cache=False, retries=0)
         assert report.failed == len(specs)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.training import collect_offline_dataset
+from repro.exec.cache import ResultCache, activated_cache
 from repro.exec.spec import predictor_cache_key
 from repro.experiments import (
     fig03_traffic,
@@ -27,7 +28,8 @@ from repro.experiments import (
 from repro.experiments.common import (
     format_table,
     get_predictor,
-    run_simulation,
+    make_spec,
+    run_spec_batch,
     scaled_slots,
 )
 from repro.ran.config import PoolConfig, cell_20mhz_fdd, pool_20mhz_7cells
@@ -86,13 +88,15 @@ class TestCommon:
         assert lines[0] == "T"
         assert len({len(line) for line in lines[1:]}) == 1
 
-    def test_run_simulation_policy_params(self):
+    def test_spec_batch_policy_params(self):
         config = pool_20mhz_7cells(num_cores=4)
-        result = run_simulation(
+        result, = run_spec_batch([make_spec(
             Scenario(pool=config, policy="shenango", seed=7,
                      policy_params={"queue_delay_threshold_us": 42.0}),
-            200)
+            200)])
         assert result.latency.count > 0
+        assert result.scenario["policy_params"] == {
+            "queue_delay_threshold_us": 42.0}
 
 
 class TestDrivers:
@@ -120,6 +124,19 @@ class TestDrivers:
     def test_fig09(self):
         results = fig09_cache.run(num_slots=500)
         assert set(results) == {"concordia", "flexran"}
+
+    def test_fig09_is_cached(self, tmp_path, monkeypatch):
+        import repro.exec.spec as spec_module
+
+        def executed(*args, **kwargs):
+            raise AssertionError("a cached grid point was executed")
+
+        with activated_cache(ResultCache(tmp_path)):
+            first = fig09_cache.run(num_slots=300)
+            monkeypatch.setattr(spec_module, "build_spec_simulation",
+                                executed)
+            second = fig09_cache.run(num_slots=300)
+        assert second == first
 
     def test_fig10(self):
         results = fig10_sched_latency.run(num_slots=500)

@@ -10,8 +10,9 @@ import json
 
 import pytest
 
-from repro.obs.events import (CacheEvent, CoreEvent, EventBus, TaskEvent,
-                              TickEvent, WakeupEvent, global_bus)
+from repro.obs.events import (REC_TICK, REC_WAKEUP, CacheEvent, CoreEvent,
+                              EventBus, TaskEvent, TickEvent, WakeupEvent,
+                              global_bus)
 from repro.obs.export import chrome_trace, metrics_rows
 from repro.obs.postmortem import (CAUSE_QUEUEING, CAUSE_WAKEUP, CAUSE_WCET,
                                   analyze_miss)
@@ -40,13 +41,13 @@ class TestEventBus:
         bus = EventBus(enabled=False)
         # Emit sites guard on .enabled; a disabled bus is never fed.
         if bus.enabled:
-            bus.emit(TickEvent(0.0, "tick", 0, 0, 0, False))
+            bus.record(REC_TICK, 0.0, "tick", 0, 0, 0, False)
         assert len(bus) == 0
 
     def test_capacity_bound_counts_drops(self):
         bus = EventBus(capacity=2)
         for i in range(5):
-            bus.emit(TickEvent(float(i), "tick", 0, 0, 0, False))
+            bus.record(REC_TICK, float(i), "tick", 0, 0, 0, False)
         assert len(bus) == 2
         assert bus.dropped == 3
         bus.clear()
@@ -54,9 +55,9 @@ class TestEventBus:
 
     def test_of_kind_filters(self):
         bus = EventBus()
-        bus.emit(TickEvent(0.0, "tick", 0, 0, 0, False))
-        bus.emit(TickEvent(1.0, "slot_start", 0, 0, 0, False))
-        bus.emit(WakeupEvent(2.0, "wakeup", 5.0, core=1))
+        bus.record(REC_TICK, 0.0, "tick", 0, 0, 0, False)
+        bus.record(REC_TICK, 1.0, "slot_start", 0, 0, 0, False)
+        bus.record(REC_WAKEUP, 2.0, "wakeup", 5.0, 1)
         assert len(list(bus.of_kind("tick"))) == 1
         assert len(list(bus.of_kind("tick", "wakeup"))) == 2
 
@@ -285,7 +286,7 @@ class TestTelemetryThroughCache:
         second = run_batch([spec], cache=cache)
         assert second.outcomes[0].status == "cached"
         live, cached = first.results()[0], second.results()[0]
-        assert cached.metrics is None  # live objects don't survive
+        assert cached.to_dict() == live.to_dict()  # plain data
         assert cached.telemetry == live.telemetry
         assert cached.telemetry["counters"]["slots/completed"] > 0
         hist = cached.telemetry["histograms"]["sched/wakeup_latency_us"]

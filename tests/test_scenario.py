@@ -20,7 +20,7 @@ from repro.scenario import (
     resolve_pool,
 )
 from repro.exec.digest import result_digest
-from repro.sim.runner import RESULT_SCHEMAS, SimulationResult
+from repro.sim.runner import RESULT_SCHEMA, SimulationResult
 
 
 def small_pool(num_cores: int = 4) -> PoolConfig:
@@ -283,27 +283,19 @@ class TestResultSchema:
         clone = SimulationResult.from_dict(result.to_dict())
         assert clone.latency.p99999_us == result.latency.p99999_us
         assert clone.scenario == result.scenario
-        assert clone.metrics is None and clone.pool is None
-
-    def test_schema_1_payload_still_loads(self):
-        result = build_simulation(
-            Scenario(pool=small_pool(), policy="concordia-noml",
-                     seed=1)).run(20)
-        payload = result.to_dict()
-        payload["schema"] = 1
-        del payload["scenario"]
-        clone = SimulationResult.from_dict(payload)
-        assert clone.scenario is None
-        assert clone.num_slots == result.num_slots
+        assert clone.to_dict() == result.to_dict()
 
     def test_unknown_schema_raises(self):
         result = build_simulation(
             Scenario(pool=small_pool(), policy="concordia-noml",
                      seed=1)).run(20)
-        payload = result.to_dict()
-        payload["schema"] = max(RESULT_SCHEMAS) + 1
-        with pytest.raises(ValueError, match="result schema"):
-            SimulationResult.from_dict(payload)
+        # Schema 1 (no scenario) is retired: cache keys fingerprint the
+        # model sources, so no current key can address such a payload.
+        for schema in (1, RESULT_SCHEMA + 1, None):
+            payload = result.to_dict()
+            payload["schema"] = schema
+            with pytest.raises(ValueError, match="result schema"):
+                SimulationResult.from_dict(payload)
 
 
 class TestCacheSchemaBump:
@@ -311,26 +303,25 @@ class TestCacheSchemaBump:
         from repro.exec.cache import ResultCache, activated_cache
         from repro.exec.fingerprint import model_fingerprint
         from repro.exec.spec import spec_key
-        from repro.experiments.common import make_spec, run_simulation
+        from repro.experiments.common import make_spec, run_spec_batch
 
         config = small_pool()
         cache = ResultCache(tmp_path / "cache")
+        spec = make_spec(Scenario(pool=config, policy="concordia-noml",
+                                  seed=3), 20)
         with activated_cache(cache):
-            scenario = Scenario(pool=config, policy="concordia-noml",
-                                seed=3)
-            first = run_simulation(scenario, 20)
-            spec = make_spec(scenario, 20)
+            first, = run_spec_batch([spec])
             key = spec_key(spec, model_fingerprint())
             artifact = cache.get(key)
             assert artifact is not None
             # Simulate an artifact written by a future result schema.
-            artifact["result"]["schema"] = max(RESULT_SCHEMAS) + 1
+            artifact["result"]["schema"] = RESULT_SCHEMA + 1
             cache.put(key, artifact)
-            again = run_simulation(scenario, 20)
+            again, = run_spec_batch([spec])
         assert again.latency.p99_us == first.latency.p99_us
         # The re-executed artifact replaced the stale one.
         refreshed = cache.get(key)
-        assert refreshed["result"]["schema"] in RESULT_SCHEMAS
+        assert refreshed["result"]["schema"] == RESULT_SCHEMA
 
     def test_batch_treats_stale_result_schema_as_miss(self, tmp_path):
         from repro.exec.batch import run_batch
@@ -347,7 +338,7 @@ class TestCacheSchemaBump:
         assert report.executed == 1
         key = spec_key(spec, model_fingerprint())
         artifact = cache.get(key)
-        artifact["result"]["schema"] = max(RESULT_SCHEMAS) + 1
+        artifact["result"]["schema"] = RESULT_SCHEMA + 1
         cache.put(key, artifact)
         report2 = run_batch([spec], cache=cache)
         assert report2.executed == 1 and report2.cached == 0
