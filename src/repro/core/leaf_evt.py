@@ -55,11 +55,10 @@ class LeafEvtQuantileTree(WcetModel):
         return self
 
     def _refit_leaf(self, leaf: int) -> None:
-        buffer = self.tree.leaves[leaf]
-        if len(buffer) < 8:
+        values = self.tree.leaf_values(leaf)
+        if len(values) < 8:
             self._leaf_params[leaf] = None
             return
-        values = buffer.values()
         # Guard against degenerate (constant) leaves.
         if float(values.std()) < 1e-12:
             self._leaf_params[leaf] = (float(values[0]), 1e-9)
@@ -73,14 +72,14 @@ class LeafEvtQuantileTree(WcetModel):
         params = self._leaf_params[leaf]
         if params is None:
             try:
-                return self.tree.leaves[leaf].max()
+                return self.tree.leaf_max(leaf)
             except ValueError:
                 return self._global_max
         mu, beta = params
         quantile = mu - beta * math.log(-math.log(self.confidence))
         # Never predict below the worst sample actually observed.
         try:
-            observed = self.tree.leaves[leaf].max()
+            observed = self.tree.leaf_max(leaf)
         except ValueError:
             observed = 0.0
         return max(quantile, observed)

@@ -15,6 +15,10 @@ harness can swap them freely:
   for the Fig. 13 comparison;
 * :class:`QuantileTreeWCET` — adapter putting the Concordia quantile
   decision tree behind the same interface.
+
+The regression baselines keep their online residuals in a
+:class:`~repro.core.ring_buffer.RingBuffer`; the quantile tree keeps
+its leaf buffers in a :class:`~repro.core.quantile_tree.LeafBank`.
 """
 
 from __future__ import annotations
@@ -309,20 +313,12 @@ class QuantileTreeWCET(WcetModel):
         return self
 
     def predict(self, x: np.ndarray) -> float:
-        return self.predict_leaf(self.tree.leaf_index(x))
-
-    def observe(self, x: np.ndarray, runtime: float) -> None:
-        self.observe_leaf(self.tree.leaf_index(x), runtime)
-
-    def predict_leaf(self, leaf: int) -> float:
-        """WCET of an already-routed task: the leaf buffer's maximum."""
         try:
-            return self.tree.leaves[leaf].max()
+            return self.tree.predict_wcet(x)
         except ValueError:
             # Empty leaf buffer (fresh online phase): fall back to the
             # most pessimistic offline observation.
             return self._global_max
 
-    def observe_leaf(self, leaf: int, runtime: float) -> None:
-        """Online training step for an already-routed task."""
-        self.tree.leaves[leaf].push(float(runtime))
+    def observe(self, x: np.ndarray, runtime: float) -> None:
+        self.tree.observe(x, runtime)

@@ -1,9 +1,10 @@
 """Fixed-capacity ring buffer of runtime samples with max tracking.
 
-Each leaf of a quantile decision tree owns one of these buffers
-(Algorithm 2 of the paper): the online training step pushes observed
-runtimes, and the prediction step reads the maximum of the stored
-samples as the WCET estimate.
+The regression baselines keep their online residuals in one, and the
+EVT baseline its online samples.  The quantile tree's leaf buffers
+(Algorithm 2 of the paper) follow the same push/max semantics as rows
+of one :class:`repro.core.quantile_tree.LeafBank`, which the tests
+check against this class.
 
 The buffer is implemented over a preallocated NumPy array.  ``max()`` is
 cached and recomputed lazily only when the previous maximum is evicted,

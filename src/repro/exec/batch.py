@@ -185,15 +185,6 @@ class _Running:
     straggler: bool = False
 
 
-def _result_loadable(artifact: dict) -> bool:
-    """True when the cached result payload deserializes today."""
-    from ..sim.runner import RESULT_SCHEMA
-
-    result = artifact.get("result")
-    return (isinstance(result, dict)
-            and result.get("schema") == RESULT_SCHEMA)
-
-
 def run_batch(
     specs: Sequence[SimSpec],
     jobs: Optional[int] = None,
@@ -235,12 +226,6 @@ def run_batch(
     bus = global_bus()
     for index, (spec, key) in enumerate(zip(specs, keys)):
         artifact = cache.get(key) if cache is not None else None
-        if artifact is not None and not _result_loadable(artifact):
-            # Result-schema bump since the artifact was written (the
-            # spec payload hashes identically but the stored result
-            # can no longer be deserialized): treat as a miss and
-            # re-execute instead of crashing in BatchReport.results().
-            artifact = None
         if artifact is not None:
             done += 1
             outcomes[index] = JobOutcome(index=index, spec=spec, key=key,

@@ -40,6 +40,15 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", "results/cache"))
 
 
+def _result_loadable(artifact) -> bool:
+    """True when the artifact's result payload deserializes today."""
+    from ..sim.runner import RESULT_SCHEMA
+
+    result = artifact.get("result") if isinstance(artifact, dict) else None
+    return (isinstance(result, dict)
+            and result.get("schema") == RESULT_SCHEMA)
+
+
 class ResultCache:
     """JSON artifact store addressed by spec hash, plus predictor pickles."""
 
@@ -54,12 +63,20 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[dict]:
-        """The stored artifact for ``key``, or None (corrupt == miss)."""
+        """The stored artifact for ``key``, or None.
+
+        A corrupt artifact is a miss, and so is one whose result no
+        longer deserializes: a result-schema bump since it was written
+        leaves the spec hash unchanged, so such an artifact must be
+        re-executed, not served.
+        """
         path = self._artifact_path(key)
         try:
             with path.open("r", encoding="utf-8") as handle:
                 artifact = json.load(handle)
         except (OSError, json.JSONDecodeError):
+            artifact = None
+        if artifact is None or not _result_loadable(artifact):
             self.misses += 1
             return None
         self.hits += 1

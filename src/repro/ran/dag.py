@@ -220,9 +220,10 @@ class DagBuilder:
     ``router`` (the simulation's
     :meth:`~repro.core.scheduler.ConcordiaScheduler.route`, a timed
     :meth:`~repro.core.predictor.ConcordiaPredictor.route`) maps a
-    batch's type codes and feature matrix to predictor leaves; every
-    build stores them on ``TaskInstance.leaf``.  Without one, every
-    task's leaf is -1.
+    batch's type codes and feature matrix to global leaf ids of the
+    predictor's forest, in one descent for every task type; every build
+    stores them on ``TaskInstance.leaf``.  Without one, every task's
+    leaf is -1.
     """
 
     def __init__(self, cost_model: CostModel,

@@ -167,11 +167,12 @@ class TaskInstance:
     #: Presampled cache-interference tail magnitude, applied iff
     #: ``cache_u`` lands under the tail probability.
     cache_tail: float = 1.0
-    #: Leaf this task routes to in the tree of the predictor whose
-    #: ``route`` the builder holds
-    #: (:meth:`repro.core.predictor.ConcordiaPredictor.route`); set on
-    #: every build, and read by that predictor alone instead of a tree
-    #: walk per call.  -1 when the task was never routed.
+    #: Global leaf id this task routes to in the forest of the
+    #: predictor whose ``route`` the builder holds
+    #: (:meth:`repro.core.predictor.ConcordiaPredictor.route`): its row
+    #: in that forest's leaf bank.  Set on every build, and read by that
+    #: predictor alone instead of a tree walk per call.  -1 when the
+    #: task was never routed.
     leaf: int = -1
     #: Whether this task type suffers multi-core memory stalls
     #: (precomputed: the frozenset membership test costs an enum hash

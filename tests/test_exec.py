@@ -35,6 +35,7 @@ from repro.experiments.common import (
 )
 from repro.ran.config import PoolConfig, cell_20mhz_fdd, pool_20mhz_7cells
 from repro.scenario import Scenario, build_policy, build_simulation
+from repro.sim.runner import RESULT_SCHEMA
 
 
 def small_config(num_cores: int = 4) -> PoolConfig:
@@ -146,9 +147,24 @@ class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.get("ab" * 32) is None
-        cache.put("ab" * 32, {"result": {"x": 1}})
-        assert cache.get("ab" * 32)["result"] == {"x": 1}
+        result = {"schema": RESULT_SCHEMA, "x": 1}
+        cache.put("ab" * 32, {"result": result})
+        assert cache.get("ab" * 32)["result"] == result
         assert cache.hits == 1 and cache.misses == 1
+
+    def test_stale_schema_artifact_is_a_miss(self, tmp_path):
+        # The spec hash ignores the result schema, so an artifact from
+        # before a schema bump is still addressed: it must count as a
+        # miss, like the re-execution the batch report records.
+        spec = flexran_spec(seed=15, num_slots=20)
+        key = spec_key(spec, model_fingerprint())
+        cache = ResultCache(tmp_path)
+        cache.put(key, {"result": {"schema": RESULT_SCHEMA - 1}})
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        report = run_batch([spec], jobs=1, cache=cache)
+        assert (report.executed, report.cached) == (1, 0)
+        assert (cache.hits, cache.misses) == (0, 2)
 
     def test_corrupt_artifact_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -308,7 +324,8 @@ def _predictor_state(predictor) -> list:
     for task_type, model in sorted(predictor.models.items(),
                                    key=lambda item: item[0].name):
         assert isinstance(model, QuantileTreeWCET)
-        state.append([leaf.values().tolist() for leaf in model.tree.leaves])
+        state.append([model.tree.leaf_values(leaf).tolist()
+                      for leaf in range(model.tree.num_leaves)])
     return state
 
 

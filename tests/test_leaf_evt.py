@@ -30,7 +30,7 @@ class TestLeafEvt:
         model = LeafEvtQuantileTree(confidence=0.9).fit(X, y)
         x = X[0]
         leaf = model.tree.leaf_index(x)
-        assert model.predict(x) >= model.tree.leaves[leaf].max()
+        assert model.predict(x) >= model.tree.leaf_max(leaf)
 
     def test_higher_confidence_more_pessimistic(self):
         X, y = _dataset(seed=2)

@@ -1,7 +1,9 @@
 """Tests for the Concordia predictor and offline training pipeline."""
 
 import copy
-import itertools
+import cProfile
+import pickle
+import pstats
 import time
 
 import numpy as np
@@ -182,11 +184,15 @@ class TestRouting:
 
     @staticmethod
     def _scalar_leaf(predictor, task):
+        """The task's global leaf: its tree's offset into the forest's
+        leaf bank plus the scalar walk's leaf."""
         model = predictor.models.get(task.task_type)
         if not isinstance(model, QuantileTreeWCET):
             return -1
         selected = predictor.selected_features[task.task_type]
-        return model.tree.leaf_index(task.features[selected])
+        tree = model.tree
+        assert tree.bank is predictor.forest.bank
+        return tree.leaf_base + tree.leaf_index(task.features[selected])
 
     def test_route_mixed_batch_equals_per_task_routing(self, predictor):
         assert isinstance(predictor.models[TaskType.PRECODING],
@@ -233,24 +239,75 @@ class TestRouting:
         run(tasks[:200], leaves[:200])
         # A fresh online phase: empty leaves fall back to _global_max
         # until they see a sample, on both paths alike.
-        for model in itertools.chain(plain.models.values(),
-                                     routed.models.values()):
-            if isinstance(model, QuantileTreeWCET):
-                model.tree.reset_online()
+        plain.reset_online()
+        routed.reset_online()
         predictions = run(tasks[200:], leaves[200:])
         global_maxes = {m._global_max for m in routed.models.values()
                         if isinstance(m, QuantileTreeWCET)}
         assert any(p in global_maxes for p in predictions)
         assert plain.predictions_made == routed.predictions_made > 0
         assert plain.observations_made == routed.observations_made > 0
+        # The routed runtimes observed since the last prediction are
+        # still pending: fold them before reading the buffers.
+        routed.fold()
         for task_type, model in routed.models.items():
             other = plain.models[task_type]
             if isinstance(model, QuantileTreeWCET):
-                for a, b in zip(model.tree.leaves, other.tree.leaves):
-                    assert a.values().tolist() == b.values().tolist()
+                for leaf in range(model.tree.num_leaves):
+                    assert model.tree.leaf_values(leaf).tolist() == \
+                        other.tree.leaf_values(leaf).tolist()
             else:
                 assert model._residuals.values().tolist() == \
                     other._residuals.values().tolist()
+
+    def test_copies_of_a_mid_run_predictor_predict_alike(self):
+        """A deepcopy and a pickle round-trip taken with runtimes still
+        pending each own one leaf bank, shared by their trees, and
+        continue exactly like the original."""
+        original = ConcordiaPredictor().fit_offline(_mixed_dataset())
+        tasks = self._stream()
+        codes = np.array([TYPE_CODE[t.task_type] for t in tasks])
+        leaves = original.route(codes, np.stack([t.features for t in tasks]))
+        twins = [_copy_with_leaf(t, int(leaf))
+                 for t, leaf in zip(tasks, leaves)]
+        for task in twins[:150]:
+            original.predict_task(task)
+            original.observe_task(task)
+        assert original._pending_leaves
+        copies = [copy.deepcopy(original),
+                  pickle.loads(pickle.dumps(original))]
+        for twin in copies:
+            assert twin.forest.bank is not original.forest.bank
+            for model in twin.models.values():
+                if isinstance(model, QuantileTreeWCET):
+                    assert model.tree.bank is twin.forest.bank
+
+        def rest(run):
+            out = []
+            for task in twins[150:]:
+                out.append(run.predict_task(task))
+                run.observe_task(task)
+            run.fold()
+            return out, run.forest.bank.leaf_max.tolist(), \
+                run.predictions_made, run.observations_made
+
+        expected = rest(original)
+        assert [rest(twin) for twin in copies] == [expected, expected]
+
+    def test_per_task_path_hashes_no_task_type(self, predictor):
+        """The per-task path looks its model up by type code: no
+        ``Enum.__hash__`` per predicted or observed task."""
+        tasks = self._stream(n=40)
+        profile = cProfile.Profile()
+        profile.enable()
+        for task in tasks:
+            predictor.predict_task(task)
+            predictor.observe_task(task)
+        profile.disable()
+        names = {(path, name) for path, _, name in
+                 pstats.Stats(profile).stats}
+        assert not [name for path, name in names
+                    if name == "__hash__" and path.endswith("enum.py")]
 
     def test_builder_routes_every_build(self, predictor):
         builder = DagBuilder(CostModel(), router=predictor.route)

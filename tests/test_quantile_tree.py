@@ -1,11 +1,15 @@
 """Tests for the quantile decision tree (the paper's Algorithms 1-2)."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.quantile_tree import QuantileDecisionTree, TreeConfig
+from repro.core.quantile_tree import (LeafBank, QuantileDecisionTree,
+                                     QuantileForest, TreeConfig)
+from repro.core.ring_buffer import RingBuffer
 
 
 def _piecewise_dataset(n=3000, seed=0):
@@ -81,7 +85,7 @@ class TestPrediction:
         leaf = tree.leaf_index(x)
         # The fitted buffers hold the (trailing window of) offline
         # samples in that leaf; the WCET is their maximum.
-        expected = tree.leaves[leaf].max()
+        expected = tree.leaf_max(leaf)
         assert tree.predict_wcet(x) == expected
         assert expected >= np.median(y[leaves == leaf])
 
@@ -204,3 +208,132 @@ def test_leaf_indices_matches_scalar_walk_on_shallow_trees(constant):
     assert batch.tolist() == [tree.leaf_index(row) for row in probes]
     if not constant:
         assert set(batch[:10].tolist()) != set(batch[10:20].tolist())
+
+
+def _assert_bank_matches(bank, refs):
+    """Every row of ``bank`` holds its reference buffer's window, and
+    its ``leaf_max`` is that window's max (the fallback while empty)."""
+    for row, ref in enumerate(refs):
+        assert bank.values(row).tolist() == ref.values().tolist()
+        expected = ref.max() if len(ref) else bank.empty_max[row]
+        assert bank.leaf_max[row] == expected
+
+
+@pytest.mark.parametrize("capacity", [*range(1, 9), 5000])
+@pytest.mark.parametrize("seed", range(3))
+def test_fold_matches_ring_buffer_reference(capacity, seed):
+    """Random completion sequences folded (and pushed) into the bank
+    give exactly the per-leaf ring buffers' windows and maxima."""
+    rng = np.random.default_rng(1000 * seed + capacity)
+    rows = 3 if capacity > 100 else 6
+    bank = LeafBank(rows, capacity, empty_max=-1.0)
+    refs = [RingBuffer(capacity) for _ in range(rows)]
+    pending = []
+    seen = {"long batch": False, "max evicted": False, "fallback": False}
+
+    def flush():
+        before = [ref.max() if len(ref) else None for ref in refs]
+        bank.fold([row for row, _ in pending], [v for _, v in pending])
+        counts = np.bincount([row for row, _ in pending], minlength=rows)
+        seen["long batch"] |= bool((counts > capacity).any())
+        for row, value in pending:
+            refs[row].push(value)
+        for row, ref in enumerate(refs):
+            if before[row] is not None and ref.max() < before[row]:
+                seen["max evicted"] = True
+        pending.clear()
+        _assert_bank_matches(bank, refs)
+
+    for _ in range(60):
+        action = rng.random()
+        if action < 0.6:
+            # Small integer runtimes tie often; rare spikes become a
+            # row's maximum until a later sample evicts them.
+            n = int(rng.integers(1, 4 * capacity + 2)) if capacity < 100 \
+                else int(rng.integers(1, 3000))
+            if rng.random() < 0.2:
+                batch_rows = np.full(n, rng.integers(rows))
+            else:
+                batch_rows = rng.integers(0, rows, n)
+            values = rng.integers(0, 12, n).astype(float)
+            spikes = rng.random(n) < 0.02
+            values[spikes] += 100.0
+            pending.extend(zip(batch_rows.tolist(), values.tolist()))
+        elif action < 0.85:
+            flush()
+        elif action < 0.95:
+            flush()
+            row, value = int(rng.integers(rows)), float(rng.integers(0, 12))
+            bank.push(row, value)
+            refs[row].push(value)
+            _assert_bank_matches(bank, refs)
+        else:
+            flush()
+            bank.clear(0, rows)
+            for ref in refs:
+                ref.clear()
+            _assert_bank_matches(bank, refs)
+            seen["fallback"] = True
+            assert (bank.leaf_max == -1.0).all()
+    if capacity > 100:
+        # Fill past the capacity, from one spike down, in two long
+        # batches into one row: the second evicts the spike.
+        pending.extend([(0, 500.0)] + [(0, 1.0)] * capacity)
+        flush()
+        pending.extend([(0, 2.0)] * (capacity + 10))
+        flush()
+    flush()
+    bank.clear(0, rows)
+    for ref in refs:
+        ref.clear()
+    _assert_bank_matches(bank, refs)
+    assert seen["long batch"] and seen["max evicted"]
+
+
+def test_bank_rejects_nan():
+    bank = LeafBank(2, 4)
+    with pytest.raises(ValueError):
+        bank.push(0, float("nan"))
+    with pytest.raises(ValueError):
+        bank.fold([1, 0], [1.0, float("nan")])
+    assert bank.size.tolist() == [0, 0]
+
+
+def test_forest_routes_like_each_tree():
+    """One descent over the merged node array gives every row its own
+    tree's leaf, offset to the tree's rows of the shared bank, which
+    holds each tree's buffered samples: the offline ones of a tree that
+    had no bank yet, the current ones of a tree that had its own."""
+    rng = np.random.default_rng(4)
+    trees, members = [], []
+    for code, (max_depth, column) in enumerate([(3, 0), (6, 2), (1, 1)]):
+        X = rng.uniform(0, 10, size=(600, 2))
+        y = 10.0 * np.floor(X[:, 0]) + X[:, 1] ** 2
+        tree = QuantileDecisionTree(TreeConfig(max_depth=max_depth,
+                                               min_samples_leaf=20))
+        tree.fit(X, y)
+        selected = [column, 3]
+        if code == 1:
+            tree.observe(X[0], 1e3)
+        else:
+            assert tree._bank is None
+        # A copy reads the samples without giving the tree a bank.
+        snapshot = copy.deepcopy(tree)
+        trees.append((tree, selected, [snapshot.leaf_values(leaf).tolist()
+                                       for leaf in range(tree.num_leaves)]))
+        members.append((2 * code, tree, selected, -1.0))
+    forest = QuantileForest(members, num_codes=7)
+    codes = rng.integers(0, 7, 500)
+    feats = rng.uniform(-1, 11, size=(500, 4))
+    expected = []
+    for code, row in zip(codes, feats):
+        if code % 2 or code > 4:
+            expected.append(-1)
+            continue
+        tree, selected, _ = trees[code // 2]
+        expected.append(tree.leaf_base + tree.leaf_index(row[selected]))
+    assert forest.route(codes, feats).tolist() == expected
+    for tree, _, values in trees:
+        assert tree.bank is forest.bank
+        assert [tree.leaf_values(leaf).tolist()
+                for leaf in range(tree.num_leaves)] == values
