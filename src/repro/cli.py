@@ -30,55 +30,47 @@ byte-identical results (:mod:`repro.sim.arraykernel`).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from typing import Optional
 
-from .experiments import (
-    dag_structure,
-    fig03_traffic,
-    fig04_motivation,
-    fig06_ldpc,
-    fig07_leaves,
-    fig08_reclaim,
-    fig09_cache,
-    fig10_sched_latency,
-    fig11_tail_latency,
-    fig12_cores,
-    fig13_pwcet,
-    fig14_prediction,
-    fig15_overhead,
-    longrun,
-    sensitivity,
-    tables,
-)
 from .scenario import NAMED_POOLS, POLICY_NAMES
 from .workloads.catalog import SCENARIOS
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "figure_main"]
 
 POLICIES = POLICY_NAMES
 
 CONFIGS = NAMED_POOLS
 
+#: ``repro figure`` name -> driver module under :mod:`repro.experiments`.
+#: A driver is imported only when its figure runs, so no other command
+#: pays for the sixteen drivers or for networkx.
 FIGURES = {
-    "fig1": dag_structure.main,
-    "fig3": fig03_traffic.main,
-    "fig4": fig04_motivation.main,
-    "fig6": fig06_ldpc.main,
-    "fig7": fig07_leaves.main,
-    "fig8": fig08_reclaim.main,
-    "fig9": fig09_cache.main,
-    "fig10": fig10_sched_latency.main,
-    "fig11": fig11_tail_latency.main,
-    "fig12": fig12_cores.main,
-    "fig13": fig13_pwcet.main,
-    "fig14": fig14_prediction.main,
-    "fig15": fig15_overhead.main,
-    "tables": tables.main,
-    "longrun": longrun.main,
-    "sensitivity": sensitivity.main,
+    "fig1": "dag_structure",
+    "fig3": "fig03_traffic",
+    "fig4": "fig04_motivation",
+    "fig6": "fig06_ldpc",
+    "fig7": "fig07_leaves",
+    "fig8": "fig08_reclaim",
+    "fig9": "fig09_cache",
+    "fig10": "fig10_sched_latency",
+    "fig11": "fig11_tail_latency",
+    "fig12": "fig12_cores",
+    "fig13": "fig13_pwcet",
+    "fig14": "fig14_prediction",
+    "fig15": "fig15_overhead",
+    "tables": "tables",
+    "longrun": "longrun",
+    "sensitivity": "sensitivity",
 }
+
+
+def figure_main(name: str):
+    """The ``main`` of figure ``name``'s driver, imported on demand."""
+    return importlib.import_module(
+        f"{__package__}.experiments.{FIGURES[name]}").main
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,7 +399,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    print(FIGURES[args.name]())
+    print(figure_main(args.name)())
     return 0
 
 

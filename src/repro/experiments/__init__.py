@@ -4,23 +4,10 @@ Each module reproduces one table or figure of the paper and exposes
 ``run(...)`` (structured results) and ``main(...)`` (a printable,
 paper-style report).  Slot budgets scale with the ``REPRO_SCALE``
 environment variable.
-"""
 
-from . import (  # noqa: F401
-    dag_structure,
-    fig03_traffic,
-    fig04_motivation,
-    fig06_ldpc,
-    fig07_leaves,
-    fig08_reclaim,
-    fig09_cache,
-    fig10_sched_latency,
-    fig11_tail_latency,
-    fig12_cores,
-    fig13_pwcet,
-    fig14_prediction,
-    fig15_overhead,
-    longrun,
-    sensitivity,
-    tables,
-)
+The package imports none of its drivers: a simulation process that only
+needs :mod:`repro.experiments.common` loads neither the sixteen drivers
+nor networkx.  Import a driver by name
+(``from repro.experiments import fig08_reclaim``); ``repro figure``
+resolves its names through :data:`repro.cli.FIGURES`.
+"""

@@ -4,16 +4,14 @@ Renders the task graphs the simulator actually builds for a
 representative slot, as indented ASCII trees with per-task base costs —
 a structural reproduction of the paper's two DAG illustrations.
 Uses networkx for the graph checks (topological order, longest path).
+It is the only module that does, so networkx is imported inside
+:func:`to_networkx` and :func:`render_dag`: importing this module, or
+any simulation, does not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:
-    import networkx as nx
-except ImportError:  # pragma: no cover - networkx is a hard dependency
-    nx = None
 
 from ..ran.config import cell_100mhz_tdd
 from ..ran.dag import DagBuilder
@@ -40,6 +38,8 @@ def build_example_dags(total_bytes: int = 24_000, seed: int = 8):
 
 def to_networkx(dag):
     """Convert a DagInstance into a networkx DiGraph."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     for task in dag.tasks:
         graph.add_node(task.task_id, task_type=task.task_type.value,
@@ -52,6 +52,8 @@ def to_networkx(dag):
 
 def render_dag(dag, title: str = "") -> str:
     """Indented rendering of the DAG in topological order."""
+    import networkx as nx
+
     graph = to_networkx(dag)
     assert nx.is_directed_acyclic_graph(graph)
     depth = {}

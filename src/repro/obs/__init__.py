@@ -24,6 +24,8 @@ the first-class telemetry layer those measurements hang off:
   timeline as an ASCII Gantt chart.
 """
 
+import importlib
+
 from .events import (
     CacheEvent,
     CoreEvent,
@@ -33,15 +35,30 @@ from .events import (
     WakeupEvent,
     global_bus,
 )
-from .export import (
-    chrome_trace,
-    metrics_rows,
-    write_chrome_trace,
-    write_metrics_csv,
-    write_metrics_json,
-)
-from .postmortem import PostMortem, analyze_miss, render_gantt
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
+
+#: Exporters and the post-mortem, imported on first use: a simulation
+#: process records into the bus and the registry but calls neither.
+_LAZY = {
+    "chrome_trace": "export",
+    "metrics_rows": "export",
+    "write_chrome_trace": "export",
+    "write_metrics_csv": "export",
+    "write_metrics_json": "export",
+    "PostMortem": "postmortem",
+    "analyze_miss": "postmortem",
+    "render_gantt": "postmortem",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CacheEvent",

@@ -48,9 +48,14 @@ _TASK_BYTES_IDX = FEATURE_INDEX["task_bytes"]
 _DECODE_CODE = TaskType.LDPC_DECODE.type_code
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class DagInstance:
-    """One slot's worth of dependent signal-processing tasks for a cell."""
+    """One slot's worth of dependent signal-processing tasks for a cell.
+
+    Compares by identity (``eq=False``): the pool drops a finished DAG
+    from ``active_dags`` with ``list.remove``, and a generated
+    field-wise ``__eq__`` would run on every DAG ahead of it.
+    """
 
     dag_id: int
     cell_name: str

@@ -121,7 +121,7 @@ def prbs_for_bandwidth(bandwidth_mhz: float, numerology: int) -> int:
     return max(11, int(usable_khz / (12 * scs_khz)))
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class TaskInstance:
     """One runnable signal-processing task within a slot DAG.
 
@@ -131,7 +131,8 @@ class TaskInstance:
     draws it into ``stoch_mult``/``cache_u``/``cache_tail`` when the DAG
     is built, and :meth:`CostModel.sample_runtime` combines those with
     the execution-time state (active cores, cache interference) when the
-    task starts.
+    task starts.  Tasks compare by identity (``eq=False``), like their
+    :class:`~repro.ran.dag.DagInstance`.
     """
 
     task_id: int
