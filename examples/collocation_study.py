@@ -16,22 +16,21 @@ from repro import pool_100mhz_2cells
 from repro.experiments.common import format_table, make_spec, run_spec_batch
 from repro.scenario import Scenario
 
-NUM_SLOTS = int(sys.argv[1]) if len(sys.argv) > 1 else 4000
 POLICIES = ("dedicated", "concordia", "flexran", "shenango", "utilization")
 WORKLOADS = ("none", "redis", "nginx", "tpcc", "mix")
 
 
-def main():
+def main(num_slots):
     config = pool_100mhz_2cells(num_cores=8)
     print(f"2 x 100 MHz TDD cells, 8 cores, deadline "
-          f"{config.deadline_us:.0f} us, {NUM_SLOTS} slots per run\n")
+          f"{config.deadline_us:.0f} us, {num_slots} slots per run\n")
     # One batch (REPRO_JOBS=N runs it on N workers); Concordia trains
     # its predictor once and each run learns on a copy.
     grid = [(policy, workload) for policy in POLICIES
             for workload in WORKLOADS]
     results = run_spec_batch([
         make_spec(Scenario(pool=config, policy=policy, workload=workload,
-                           load_fraction=0.5, seed=11), NUM_SLOTS)
+                           load_fraction=0.5, seed=11), num_slots)
         for policy, workload in grid])
     rows = []
     for (policy, workload), result in zip(grid, results):
@@ -60,4 +59,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else 4000)

@@ -23,9 +23,20 @@ from repro import (
     pool_20mhz_7cells,
     train_predictor,
 )
-from repro.analysis.plotting import bar_chart
 from repro.ran.config import cell_20mhz_fdd
 from repro.ran.mac import MacCell, ProportionalFairScheduler, RoundRobinScheduler
+
+
+def _bar_chart(labels, values, width=40, unit=""):
+    """Horizontal ASCII bar chart, one row per label."""
+    peak = max(max(values), 1e-12)
+    label_width = max(len(label) for label in labels)
+    lines = []
+    for label, value in zip(labels, values):
+        length = int(round(width * value / peak)) if value > 0 else 0
+        lines.append(f"{label.ljust(label_width)} |{'#' * length:<{width}}| "
+                     f"{value:,.4g}{unit}")
+    return "\n".join(lines)
 
 
 def fairness_study():
@@ -46,7 +57,7 @@ def fairness_study():
         rate_mbps = total * 8 / (2000 * 1e-3) / 1e6
         print(f"   {scheduler.name:18s} total={rate_mbps:6.1f} Mbps   "
               f"weak-user share={weak / total * 100:5.1f}%")
-        print(bar_chart(
+        print(_bar_chart(
             [f"ue{ue} ({'weak' if ue < 3 else 'strong'})" for ue in served],
             [served[ue] / 1e6 for ue in served], width=30, unit=" MB"))
     print("   -> PF trades a little throughput for much better fairness.\n")

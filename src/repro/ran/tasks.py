@@ -226,11 +226,16 @@ del _t
 
 
 def _iteration_factor(snr_margin_db: float) -> float:
-    """Non-linear decoding-iteration inflation for low link margin.
+    """Non-linear decoding-iteration inflation for low link margin (§4.1).
 
     A UE scheduled right at its MCS threshold needs more LDPC
-    iterations; with >5 dB of margin decoding converges in the minimum
-    number of iterations.
+    iterations, so decode cost rises as its SNR margin above that
+    threshold shrinks.  With more than 5 dB of margin decoding converges
+    in the minimum number of iterations and the cost is flat.  Below
+    5 dB the factor grows linearly, 0.12 per dB, up to 1.72x at -1 dB
+    and no further.  These values are hand-set and calibrated to the
+    magnitudes of Fig. 6a's measured FlexRAN decode runtimes, not
+    measured from a decoder; ``tests/test_tasks.py`` pins the shape.
     """
     shortfall = max(0.0, 5.0 - snr_margin_db)
     return 1.0 + 0.12 * min(shortfall, 6.0)

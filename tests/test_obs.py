@@ -2,14 +2,16 @@
 
 Covers the event bus, the metrics registry, the Chrome trace exporter
 (structural validation: monotonic timestamps, matched B/E pairs,
-per-core tracks), the deadline-miss post-mortem analyzer, and the
-telemetry path through the repro.exec result cache.
+per-core tracks), the deadline-miss post-mortem analyzer, the
+telemetry path through the repro.exec result cache, and the recorded
+task timeline with its Gantt rendering.
 """
 
 import json
 
 import pytest
 
+from repro.obs import render_gantt
 from repro.obs.events import (REC_TICK, REC_WAKEUP, CacheEvent, CoreEvent,
                               EventBus, TaskEvent, TickEvent, WakeupEvent,
                               global_bus)
@@ -335,3 +337,49 @@ class TestCoreEventConsistency:
         __, bus = recorded_run(num_slots=40)
         kinds = {e.kind for e in bus.events if isinstance(e, TickEvent)}
         assert kinds == {"tick", "slot_start"}
+
+
+@pytest.fixture(scope="module")
+def traced_run():
+    """A recorded run plus the tasks a live observer saw in it."""
+    config = PoolConfig(cells=(cell_20mhz_fdd(),), num_cores=4,
+                        deadline_us=2000.0)
+    bus = EventBus()
+    simulation = build_simulation(
+        Scenario(pool=config, policy="flexran", load_fraction=0.5, seed=2),
+        event_bus=bus)
+    observed = []
+    simulation.pool.task_observers.append(
+        lambda task: observed.append((task.dag.dag_id, task.task_id)))
+    simulation.run(200)
+    return bus, observed
+
+
+class TestTaskTimeline:
+    def test_bus_records_every_task(self, traced_run):
+        bus, observed = traced_run
+        done = list(bus.of_kind("task_done"))
+        assert bus.dropped == 0
+        assert len(done) > 200
+        assert sorted((e.dag_id, e.task_id) for e in done) \
+            == sorted(observed)
+        for event in done:
+            assert event.ts_us >= event.start_us >= event.enqueue_us >= 0
+            assert event.runtime_us > 0
+
+
+class TestGantt:
+    def test_renders_dag_timeline(self, traced_run):
+        bus, __ = traced_run
+        # dag_complete events carry the DAG's latency in runtime_us.
+        slowest = max(bus.of_kind("dag_complete"),
+                      key=lambda e: e.runtime_us)
+        chart = render_gantt([e for e in bus.of_kind("task_done")
+                              if e.dag_id == slowest.dag_id], title="slot")
+        assert "slot" in chart
+        assert "#" in chart
+        assert "us total" in chart
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            render_gantt([])

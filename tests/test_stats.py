@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
+from scipy.special import kolmogorov
 
 from repro.analysis.stats import (
     empirical_cdf,
@@ -49,6 +50,21 @@ class TestKsTest:
         ref = scipy_stats.ks_2samp(a, b)
         assert stat == pytest.approx(ref.statistic, abs=1e-9)
         assert p == pytest.approx(ref.pvalue, rel=0.1)
+
+    def test_same_sample_gives_p_one(self):
+        a = np.random.default_rng(3).normal(size=500)
+        assert ks_two_sample(a, a) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("n", [500, 2000, 8000])
+    def test_small_lambda_matches_kolmogorov(self, n):
+        """Samples half a step apart: D = 1/n, lambda from 0.005 to 0.035."""
+        a = np.arange(n, dtype=np.float64)
+        stat, p = ks_two_sample(a, a + 0.5)
+        assert stat == pytest.approx(1.0 / n)
+        effective = np.sqrt(n / 2.0)
+        lam = (effective + 0.12 + 0.11 / effective) * stat
+        assert 0.005 < lam < 0.035
+        assert p == pytest.approx(kolmogorov(lam), abs=1e-9)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
